@@ -4,9 +4,10 @@ Subcommands: gen (family generators), label (closed-form construction or
 solver), verify (labeling/certificate checker), solve (exact search), bounds
 (closed-form report), sweep (inequality audit as CSV), export-dot.
 
-Solver results are cached as append-only JSONL plus one certificate file per
-graph, keyed by graph content hash; records are trusted only after the
-stored certificate re-verifies.  Cache location: --cache-dir, else
+Solver results are cached as append-only JSONL, keyed by graph content hash,
+plus certificate files named by the hash of their own content; records are
+trusted only after the stored certificate re-verifies and its colour count
+matches the record.  Cache location: --cache-dir, else
 $ANTIMAGIC_CACHE_DIR, else ./.antimagic-cache.
 
 Exit codes: 0 success, 2 usage or domain error, 3 verification failure,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import fcntl
+import hashlib
 import json
 import os
 import sys
@@ -76,7 +78,8 @@ def _cache_dir(arg: str | None) -> Path:
 
 
 def _cache_lookup(cache: Path, g: Graph) -> dict | None:
-    """Last matching record whose certificate file still verifies."""
+    """Last matching record, if its certificate file still verifies and
+    has the colour count the record states."""
     index = cache / "cache.jsonl"
     if not index.is_file():
         return None
@@ -105,6 +108,9 @@ def _cache_lookup(cache: Path, g: Graph) -> dict | None:
                 return None
         except (OSError, ValueError, KeyError):
             return None
+        if best.get("upper") != cert.color_count or \
+                best.get("exact") not in (None, cert.color_count):
+            return None
         best["_certificate"] = cert
     return best
 
@@ -112,10 +118,17 @@ def _cache_lookup(cache: Path, g: Graph) -> dict | None:
 def _cache_store(cache: Path, g: Graph, cert: Certificate,
                  exact: int | None) -> None:
     cache.mkdir(parents=True, exist_ok=True)
-    cert_name = f"{g.content_hash()}.cert.json"
-    cert_doc = jsonio.stamp(cert.to_doc())
-    (cache / cert_name).write_text(
-        json.dumps(cert_doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(jsonio.stamp(cert.to_doc()), indent=2,
+                      sort_keys=True) + "\n"
+    # named by content and renamed into place, so a reader never sees a
+    # partly written file or one that another solve has overwritten
+    cert_name = f"{hashlib.sha256(text.encode()).hexdigest()}.cert.json"
+    tmp = cache / f".{cert_name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, cache / cert_name)
+    finally:
+        tmp.unlink(missing_ok=True)
     record = jsonio.stamp({
         "graph_hash": g.content_hash(),
         "family": g.family,
@@ -185,7 +198,6 @@ def _search_config(args, upper_hint: int | None = None) -> SearchConfig:
     return SearchConfig(
         time_budget=args.time_budget,
         node_budget=args.node_budget,
-        target_colors=args.target_colors,
         edge_order=args.edge_order,
         parallel_width=args.parallel,
         symmetry_breaking=not args.no_symmetry,

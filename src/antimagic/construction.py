@@ -26,10 +26,6 @@ class ConstructionError(RuntimeError):
     """Internal consistency failure while materializing a labeling."""
 
 
-class CertificateNotFoundError(RuntimeError):
-    """No stored certificate and the fallback search did not produce one."""
-
-
 def _exact_div(a: int, b: int) -> int:
     quot, rem = divmod(a, b)
     if rem:
@@ -316,30 +312,22 @@ def construct_even(n: int) -> ConstructionReport:
 _FIXTURES = {2: "f2_o1_certificate.json", 4: "f4_o1_certificate.json"}
 
 
-def construct_small(n: int, config=None) -> ConstructionReport:
+def construct_small(n: int) -> ConstructionReport:
     """Certificate for n in {2, 4}, loaded from the bundled fixture and
-    re-verified; falls back to a solver search if the fixture is absent."""
+    re-verified."""
     if n not in _FIXTURES:
         raise ValueError(f"small cases are n=2 and n=4, got {n}")
     g = friendship_corona(n, 1)
     target = 2 * n + 3
-    cert = None
     fixture = resources.files("antimagic").joinpath("fixtures", _FIXTURES[n])
-    if fixture.is_file():
-        doc = json.loads(fixture.read_text())
-        jsonio.check_version(doc, "certificate")
-        cert = Certificate.from_doc(doc)
-        if not verify_certificate(cert, g):
-            raise ConstructionError(f"bundled certificate for n={n} failed "
-                                    "re-verification")
-    else:
-        from .solver import FEASIBLE, SearchConfig, feasible_with_k_colors
-        outcome = feasible_with_k_colors(g, target, config or SearchConfig())
-        if outcome.status != FEASIBLE:
-            raise CertificateNotFoundError(
-                f"no certificate with {target} colors found for n={n} "
-                f"(search status: {outcome.status})")
-        cert = outcome.certificate
+    if not fixture.is_file():
+        raise ConstructionError(f"bundled certificate for n={n} is missing")
+    doc = json.loads(fixture.read_text())
+    jsonio.check_version(doc, "certificate")
+    cert = Certificate.from_doc(doc)
+    if not verify_certificate(cert, g):
+        raise ConstructionError(f"bundled certificate for n={n} failed "
+                                "re-verification")
     _check(cert.verdict.ok, f"small n={n} certificate is not local antimagic")
     _check(cert.color_count == target,
            f"small n={n} color count {cert.color_count} != {target}")

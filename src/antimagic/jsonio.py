@@ -6,9 +6,6 @@ instead of misread when the format changes.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 SCHEMA_VERSION = 1
 
 
@@ -28,15 +25,3 @@ def check_version(doc: dict, kind: str = "document") -> None:
         raise SchemaVersionError(
             f"unsupported {kind} schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
-
-
-def dump_path(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-
-
-def load_path(path: str | Path, kind: str = "document") -> dict:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise SchemaVersionError(f"{kind} at {path} is not a JSON object")
-    check_version(doc, kind)
-    return doc

@@ -15,20 +15,20 @@ Pruning relies on three admissible observations:
   that exceeds q it contributes a weight above q distinct from every closed
   weight above q realized by one of its neighbors.
 
-Symmetry breaking restricts the search to one labeling per orbit of a group
-of known automorphisms: pendants attached to the same vertex are
-interchangeable, friendship coronas allow swapping the two legs of a triangle
-and permuting triangles, complete-base coronas allow permuting the
-vertex+pendant units, and fan coronas allow reversing the path.
+Symmetry breaking keeps at least one labeling per orbit of the graph's full
+automorphism group, found from the structure alone (colour refinement and
+individualisation; vertex roles are never read).  One stabiliser chain over
+the edges, in search order, yields constraints label(a) < label(b).
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .graphs import HUB, INNER, Graph, VertexRole
+from .bounds import _triangular
+from .graphs import Graph
 from .labeling import Certificate, make_certificate
 
 INPUT_ORDER = "input"
@@ -54,7 +54,6 @@ class SearchConfig:
 
     time_budget: float | None = None
     node_budget: int | None = None
-    target_colors: int | None = None
     edge_order: str = CONNECTED_EXPANSION
     parallel_width: int = 1
     symmetry_breaking: bool = True
@@ -65,8 +64,6 @@ class SearchConfig:
             raise ValueError("time_budget must be positive")
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
-        if self.target_colors is not None and self.target_colors < 2:
-            raise ValueError("target_colors must be at least 2")
         if self.edge_order not in _EDGE_ORDERS:
             raise ValueError(f"unknown edge order {self.edge_order!r}")
         if self.parallel_width < 1:
@@ -86,10 +83,6 @@ class SearchOutcome:
 
 class _BudgetHit(Exception):
     pass
-
-
-def _triangular(k: int) -> int:
-    return k * (k + 1) // 2
 
 
 def _validate_instance(g: Graph) -> None:
@@ -146,164 +139,124 @@ def _order_edges(g: Graph, mode: str) -> list[int]:
 # -- symmetry breaking ---------------------------------------------------------
 
 
-def _pendant_attach(g: Graph, e: int) -> int | None:
-    a, b = g.edges[e]
-    if g.degree(b) == 1 and g.degree(a) > 1:
-        return a
-    if g.degree(a) == 1 and g.degree(b) > 1:
-        return b
-    return None
+def _refine(adj, colours) -> list[int]:
+    """Coarsest equitable refinement of a vertex colouring.
 
-
-def _friendship_layout(g: Graph):
-    """(hub, [(u_i, v_i)...]) when g is friendship(n) with an optional uniform
-    pendant group on every inner vertex; otherwise None."""
-    try:
-        hub = g.vertex_with_role(VertexRole(HUB))
-    except KeyError:
-        return None
-    pairs = []
-    i = 1
+    A vertex's new colour is the rank of (old colour, sorted neighbour
+    colours) among all such signatures, so colour ids depend only on the
+    coloured structure and agree between isomorphic coloured graphs."""
+    count = len(set(colours))
     while True:
-        try:
-            u = g.vertex_with_role(VertexRole(INNER, "u", i))
-            v = g.vertex_with_role(VertexRole(INNER, "v", i))
-        except KeyError:
-            break
-        pairs.append((u, v))
-        i += 1
-    n = len(pairs)
-    if n < 2:
-        return None
-    inner = {x for uv in pairs for x in uv}
-    pendant_counts = set()
-    for u, v in pairs:
-        if not (g.has_edge(hub, u) and g.has_edge(hub, v) and g.has_edge(u, v)):
-            return None
-        for x in (u, v):
-            others = [w for w in g.neighbors(x) if w != hub and w not in inner]
-            if any(g.degree(w) != 1 for w in others):
+        sigs = [(colours[v], tuple(sorted(colours[u] for u in adj[v])))
+                for v in range(len(adj))]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colours = [rank[s] for s in sigs]
+        if len(rank) == count:
+            return colours
+        count = len(rank)
+
+
+def _isomorphism(adj, left, right) -> list[int] | None:
+    """An automorphism pi of the graph with ``left[v] == right[pi[v]]`` for
+    every vertex, or None: individualisation-refinement on the graph doubled
+    with itself, the left copy coloured by ``left`` and the right by
+    ``right``."""
+    p = len(adj)
+    double = list(adj) + [[u + p for u in ns] for ns in adj]
+
+    def search(colours):
+        colours = _refine(double, colours)
+        cells: dict[int, tuple[list[int], list[int]]] = {}
+        for v, c in enumerate(colours):
+            cells.setdefault(c, ([], []))[v >= p].append(v)
+        split = None
+        for c in sorted(cells):
+            ls, rs = cells[c]
+            if len(ls) != len(rs):
                 return None
-            pendant_counts.add(len(others))
-    if len(pendant_counts) != 1:
+            if split is None and len(ls) > 1:
+                split = ls[0], rs
+        if split is None:
+            # discrete and equitable: the halves correspond vertex by vertex
+            return [cells[colours[v]][1][0] - p for v in range(p)]
+        v, rs = split
+        for w in rs:
+            trial = list(colours)
+            trial[v] = trial[w] = len(cells)
+            found = search(trial)
+            if found is not None:
+                return found
         return None
-    m = pendant_counts.pop()
-    hub_pendants = [w for w in g.neighbors(hub)
-                    if w not in inner and g.degree(w) == 1]
-    if len(g.neighbors(hub)) != 2 * n + len(hub_pendants):
-        return None
-    if g.p != 1 + 2 * n + 2 * n * m + len(hub_pendants):
-        return None
-    return hub, pairs
+
+    return search(list(left) + list(right))
 
 
-def _fan_layout(g: Graph):
-    """(hub, [v_1..v_n]) for fan(n>=3) with uniform pendant groups, else None."""
-    try:
-        hub = g.vertex_with_role(VertexRole(HUB))
-    except KeyError:
-        return None
-    spine = []
-    i = 1
-    while True:
-        try:
-            spine.append(g.vertex_with_role(VertexRole(INNER, "v", i)))
-        except KeyError:
-            break
-        i += 1
-    n = len(spine)
-    if n < 3:
-        return None
-    inner = set(spine)
-    pendant_counts = set()
-    for idx, v in enumerate(spine):
-        if not g.has_edge(hub, v):
-            return None
-        if idx + 1 < n and not g.has_edge(v, spine[idx + 1]):
-            return None
-        others = [w for w in g.neighbors(v)
-                  if w != hub and w not in inner]
-        if any(g.degree(w) != 1 for w in others):
-            return None
-        pendant_counts.add(len(others))
-    if len(pendant_counts) != 1:
-        return None
-    m = pendant_counts.pop()
-    hub_pendants = [w for w in g.neighbors(hub)
-                    if w not in inner and g.degree(w) == 1]
-    if g.p != 1 + n + n * m + len(hub_pendants):
-        return None
-    return hub, spine
-
-
-def _complete_base_layout(g: Graph):
-    """[base vertices] when g is a complete graph with the same number (>=1)
-    of pendants on every vertex, else None."""
-    base = [v for v in range(g.p) if g.degree(v) > 1]
-    pend = [v for v in range(g.p) if g.degree(v) == 1]
-    if len(base) < 2 or not pend:
-        return None
-    if len(base) + len(pend) != g.p:
-        return None
-    for i, a in enumerate(base):
-        for b in base[i + 1:]:
-            if not g.has_edge(a, b):
-                return None
-    counts = set()
-    for v in base:
-        counts.add(sum(1 for w in g.neighbors(v) if g.degree(w) == 1))
-    if len(counts) != 1 or counts.pop() == 0:
-        return None
-    expected_q = len(base) * (len(base) - 1) // 2 + len(pend)
-    if g.q != expected_q:
-        return None
-    return base
-
-
-def symmetry_pairs(g: Graph) -> list[tuple[int, int]]:
+def symmetry_pairs(g: Graph, order=None) -> list[tuple[int, int]]:
     """Edge-index pairs (a, b) such that restricting to label(a) < label(b)
-    keeps at least one representative of every labeling orbit."""
+    keeps at least one representative of every labeling orbit.
+
+    The pairs come from a stabiliser chain of the automorphism group acting
+    on the edges, with the edges in search ``order`` (default: the default
+    search order) as base: each base edge gets a smaller label than every
+    other edge in its orbit under the automorphisms that fix the earlier
+    base edges.  This is sound because the labels are all different (Puget,
+    "Breaking symmetries in all different problems", IJCAI 2005).
+    """
+    if order is None:
+        order = _order_edges(g, CONNECTED_EXPANSION)
+    adj = [g.neighbors(v) for v in range(g.p)]
+    ends = g.edges
+
+    def marked(colours, e):
+        return [(c, v in ends[e]) for v, c in enumerate(colours)]
+
+    # levels: (base edge, refined colouring fixing the earlier base edges);
+    # the base stops once that refinement is discrete (trivial stabiliser)
+    levels = []
+    colours = [0] * g.p
+    for e in order:
+        colours = _refine(adj, colours)
+        if len(set(colours)) == g.p:
+            break
+        levels.append((e, colours))
+        colours = marked(colours, e)
+    # deepest level first, so every automorphism found there also generates
+    # part of the orbits higher up
+    gens: list[list[int]] = []
     pairs: list[tuple[int, int]] = []
-    groups: dict[int, list[int]] = {}
-    for e in range(g.q):
-        attach = _pendant_attach(g, e)
-        if attach is not None:
-            groups.setdefault(attach, []).append(e)
-    for attach in sorted(groups):
-        es = sorted(groups[attach])
-        pairs.extend(zip(es, es[1:]))
-    layout = _friendship_layout(g)
-    if layout is not None:
-        hub, uv = layout
-        for u, v in uv:
-            pairs.append((g.edge_index(hub, u), g.edge_index(hub, v)))
-        tri = [g.edge_index(u, v) for u, v in uv]
-        pairs.extend(zip(tri, tri[1:]))
-        return pairs
-    base = _complete_base_layout(g)
-    if base is not None:
-        firsts = [min(e for e in groups[v]) for v in base]
-        pairs.extend(zip(firsts, firsts[1:]))
-        return pairs
-    fan = _fan_layout(g)
-    if fan is not None:
-        hub, spine = fan
-        pairs.append((g.edge_index(hub, spine[0]), g.edge_index(hub, spine[-1])))
+    for e, colours in reversed(levels):
+        cell = sorted(colours[v] for v in ends[e])
+        orbit = {e}
+        for f in range(g.q):
+            if f in orbit or sorted(colours[v] for v in ends[f]) != cell:
+                continue
+            pi = _isomorphism(adj, marked(colours, e), marked(colours, f))
+            if pi is None:
+                continue
+            gens.append([g.edge_index(pi[a], pi[b]) for a, b in ends])
+            stack = list(orbit)
+            while stack:
+                x = stack.pop()
+                for gen in gens:
+                    if gen[x] not in orbit:
+                        orbit.add(gen[x])
+                        stack.append(gen[x])
+        pairs[:0] = [(e, f) for f in sorted(orbit - {e})]
     return pairs
 
 
 # -- core search ---------------------------------------------------------------
 
 
-def _search(g: Graph, k: int, cfg: SearchConfig, deadline: float | None,
+def _search(g: Graph, k: int, order, pairs, deadline: float | None,
             node_budget: int | None, first_labels=None):
-    """Depth-first search for a labeling with at most k distinct weights.
+    """Depth-first search for a labeling with at most k distinct weights,
+    assigning edges in ``order`` under the ``symmetry_pairs`` constraints.
 
     Returns (labels_in_edge_index_order | None, exhausted, nodes).
     """
     q = g.q
     p = g.p
-    order = _order_edges(g, cfg.edge_order)
     ends = [g.edges[e] for e in order]
     adj = [g.neighbors(v) for v in range(p)]
     degs = g.degrees
@@ -313,10 +266,9 @@ def _search(g: Graph, k: int, cfg: SearchConfig, deadline: float | None,
     heavy_static = _triangular(degs[heavy]) > q
     heavy_adj = frozenset(adj[heavy])
     sym_by_edge: dict[int, list[tuple[int, bool]]] = {}
-    if cfg.symmetry_breaking:
-        for ea, eb in symmetry_pairs(g):
-            sym_by_edge.setdefault(ea, []).append((eb, True))
-            sym_by_edge.setdefault(eb, []).append((ea, False))
+    for ea, eb in pairs:
+        sym_by_edge.setdefault(ea, []).append((eb, True))
+        sym_by_edge.setdefault(eb, []).append((ea, False))
 
     lab = [0] * q
     used = [False] * (q + 2)
@@ -471,30 +423,38 @@ def _search(g: Graph, k: int, cfg: SearchConfig, deadline: float | None,
     return solution, exhausted, nodes
 
 
-def _solver_worker(graph_doc, k, cfg, first_labels, time_left, node_left):
+def _plan(g: Graph, cfg: SearchConfig):
+    """Edge order and symmetry pairs, computed once per public call."""
+    order = _order_edges(g, cfg.edge_order)
+    pairs = symmetry_pairs(g, order) if cfg.symmetry_breaking else []
+    return order, pairs
+
+
+def _solver_worker(graph_doc, k, order, pairs, first_labels, time_left,
+                   node_left):
     g = Graph.from_doc(graph_doc)
     deadline = time.monotonic() + time_left if time_left is not None else None
-    return _search(g, k, cfg, deadline, node_left, first_labels)
+    return _search(g, k, order, pairs, deadline, node_left, first_labels)
 
 
-def _run_search(g: Graph, k: int, cfg: SearchConfig, deadline, node_left):
+def _run_search(g: Graph, k: int, cfg: SearchConfig, plan, deadline,
+                node_left):
+    order, pairs = plan
     if cfg.parallel_width <= 1:
-        return _search(g, k, cfg, deadline, node_left)
+        return _search(g, k, order, pairs, deadline, node_left)
     width = min(cfg.parallel_width, g.q)
     stripes = [list(range(1 + i, g.q + 1, width)) for i in range(width)]
     time_left = None if deadline is None else max(deadline - time.monotonic(), 0.01)
     doc = g.to_doc()
-    child_cfg = replace(cfg, parallel_width=1)
-    order0 = _order_edges(g, cfg.edge_order)[0]
     with ProcessPoolExecutor(max_workers=width) as pool:
-        futures = [pool.submit(_solver_worker, doc, k, child_cfg, stripe,
+        futures = [pool.submit(_solver_worker, doc, k, order, pairs, stripe,
                                time_left, node_left)
                    for stripe in stripes]
         results = [f.result() for f in futures]
     nodes = sum(r[2] for r in results)
     sols = [r[0] for r in results if r[0] is not None]
     if sols:
-        best = min(sols, key=lambda s: s[order0])
+        best = min(sols, key=lambda s: s[order[0]])
         return best, False, nodes
     exhausted = all(r[1] for r in results)
     return None, exhausted, nodes
@@ -513,7 +473,8 @@ def feasible_with_k_colors(g: Graph, k: int, cfg: SearchConfig | None = None
         raise ValueError(f"k must be in 2..{g.p}, got {k}")
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
-    sol, exhausted, nodes = _run_search(g, k, cfg, deadline, cfg.node_budget)
+    sol, exhausted, nodes = _run_search(g, k, cfg, _plan(g, cfg), deadline,
+                                        cfg.node_budget)
     elapsed = time.monotonic() - start
     if sol is not None:
         cert = make_certificate(g, sol)
@@ -542,6 +503,7 @@ def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     nodes_total = 0
     best: Certificate | None = None
     k = min(cfg.upper_hint, g.p) if cfg.upper_hint is not None else g.p
+    plan = _plan(g, cfg)
     while True:
         node_left = None
         if cfg.node_budget is not None:
@@ -550,7 +512,8 @@ def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
                 break
         if deadline is not None and time.monotonic() >= deadline:
             break
-        sol, exhausted, nodes = _run_search(g, k, cfg, deadline, node_left)
+        sol, exhausted, nodes = _run_search(g, k, cfg, plan, deadline,
+                                            node_left)
         nodes_total += nodes
         if sol is not None:
             cert = make_certificate(g, sol)

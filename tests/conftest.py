@@ -1,9 +1,11 @@
-"""Shared fixtures and the brute-force reference oracle.
+"""Shared fixtures and the brute-force reference oracles.
 
-The oracle enumerates all q! bijections, so it is only usable for q <= 7;
-the solver tests and the acceptance suite compare against it on small
-graphs.  The f2.O1 exact solve is session-scoped because several tests
-(solver behavior, acceptance budget) want the same, fairly expensive result.
+The colour-count oracle enumerates all q! bijections, so it is only usable
+for q <= 7; the solver tests and the acceptance suite compare against it on
+small graphs.  The symmetry oracle enumerates all p! vertex permutations
+(p <= 8) and checks the solver's stabiliser chain.  The f2.O1 exact solve
+is session-scoped because several tests (solver behavior, acceptance
+budget) want the same, fairly expensive result.
 """
 
 from __future__ import annotations
@@ -34,6 +36,25 @@ def naive_exact_chi_la(g: Graph) -> int:
     if best is None:
         raise ValueError("graph admits no local antimagic labeling")
     return best
+
+
+def naive_symmetry_pairs(g: Graph, order) -> list[tuple[int, int]]:
+    """Edge stabiliser chain in ``order`` from all p! vertex permutations:
+    (e, f) for every f != e in the orbit of e under the automorphisms that
+    fix each earlier edge of ``order``."""
+    if g.p > 8:
+        raise ValueError("naive automorphism oracle limited to p <= 8")
+    edges = set(g.edges)
+    auts = []
+    for perm in itertools.permutations(range(g.p)):
+        if all((min(perm[a], perm[b]), max(perm[a], perm[b])) in edges
+               for a, b in g.edges):
+            auts.append([g.edge_index(perm[a], perm[b]) for a, b in g.edges])
+    pairs = []
+    for e in order:
+        pairs += [(e, f) for f in sorted({pi[e] for pi in auts} - {e})]
+        auts = [pi for pi in auts if pi[e] == e]
+    return pairs
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,15 @@
 """End-to-end command line flows run in process via cli.main()."""
 
 import csv
+import itertools
 import json
 
 import pytest
 
+from antimagic import jsonio
 from antimagic.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from antimagic.graphs import Graph, friendship_corona
+from antimagic.labeling import make_certificate
 
 
 def run(args):
@@ -128,6 +131,29 @@ def test_corrupt_cache_line_is_skipped(c3_file, tmp_path):
     assert run(["solve", str(c3_file), "--cache-dir", str(cache),
                 "--out", str(out)]) == EXIT_OK
     assert read(out)["cached"] is True
+
+
+def test_cache_rejects_record_disagreeing_with_certificate(c3_file, tmp_path):
+    # an exact answer paired with a valid certificate that has more colours,
+    # as a race between an exact and a feasibility solve could leave behind
+    g = Graph.from_doc(read(c3_file))
+    certs = (make_certificate(g, list(labels))
+             for labels in itertools.permutations(range(1, g.q + 1)))
+    cert = next(c for c in certs if c.verdict.ok and c.color_count > 5)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "worse.cert.json").write_text(
+        json.dumps(jsonio.stamp(cert.to_doc())))
+    record = jsonio.stamp({"graph_hash": g.content_hash(), "family": None,
+                           "upper": 5, "exact": 5,
+                           "certificate": "worse.cert.json"})
+    (cache / "cache.jsonl").write_text(json.dumps(record) + "\n")
+    out = tmp_path / "o.json"
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                "--out", str(out)]) == EXIT_OK
+    doc = read(out)
+    assert "cached" not in doc
+    assert doc["chi"] == doc["certificate"]["color_count"] == 5
 
 
 def test_solve_budget_exhaustion(f2_file, tmp_path):

@@ -1,7 +1,5 @@
 """Schema stamping and version checks for the on-disk JSON documents."""
 
-import json
-
 import pytest
 
 from antimagic import jsonio
@@ -18,15 +16,6 @@ def test_check_rejects_missing_and_wrong_versions():
         jsonio.check_version({})
     with pytest.raises(jsonio.SchemaVersionError):
         jsonio.check_version({"schema_version": 999}, "certificate")
-
-
-def test_dump_and_load_path(tmp_path):
-    path = tmp_path / "doc.json"
-    jsonio.dump_path(path, jsonio.stamp({"x": [1, 2]}))
-    assert jsonio.load_path(path)["x"] == [1, 2]
-    path.write_text(json.dumps([1, 2, 3]))
-    with pytest.raises(jsonio.SchemaVersionError):
-        jsonio.load_path(path)
 
 
 def test_schema_error_is_a_value_error():

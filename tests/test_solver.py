@@ -1,18 +1,19 @@
 """Branch-and-bound solver: exactness, budgets, pruning, symmetry, parallel."""
 
 import math
+import random
 
 import pytest
 
-from antimagic.graphs import (Graph, complete, corona, cycle,
+from antimagic.graphs import (Graph, complete, corona, cycle, fan_corona,
                               friendship_corona, null_graph, path)
 from antimagic.labeling import verify_certificate
 from antimagic.solver import (BUDGET_EXHAUSTED, CONNECTED_EXPANSION, EXACT,
                               FEASIBLE, INFEASIBLE, INPUT_ORDER,
-                              MAX_DEGREE_FIRST, SearchConfig, exact_chi_la,
-                              feasible_with_k_colors, lower_bound_prune,
-                              symmetry_pairs)
-from conftest import naive_exact_chi_la
+                              MAX_DEGREE_FIRST, SearchConfig, _order_edges,
+                              exact_chi_la, feasible_with_k_colors,
+                              lower_bound_prune, symmetry_pairs)
+from conftest import naive_exact_chi_la, naive_symmetry_pairs
 
 
 def c3_o1() -> Graph:
@@ -114,12 +115,57 @@ def test_symmetry_breaking_preserves_chi():
 def test_symmetry_pairs_label_constraints():
     f2 = friendship_corona(2, 1)
     pairs = symmetry_pairs(f2)
-    assert pairs, "friendship layout should be recognized"
+    assert pairs, "friendship corona symmetries should be found"
     for lo, hi in pairs:
         assert 0 <= lo < f2.q and 0 <= hi < f2.q and lo != hi
     # c3 corona with two pendants per base vertex: per-vertex pendant chains
     c3o2 = corona(cycle(3), null_graph(2))
     assert symmetry_pairs(c3o2)
+
+
+def _random_connected(seed: int) -> tuple[Graph, list[int]]:
+    """Sparse connected graph with p <= 8 (a random tree plus a few edges,
+    so that many have automorphisms) and a random edge order."""
+    rng = random.Random(seed)
+    p = rng.randint(3, 8)
+    edges = {(rng.randrange(v), v) for v in range(1, p)}
+    extra = rng.random() * 0.3
+    edges |= {(a, b) for a in range(p) for b in range(a + 1, p)
+              if rng.random() < extra}
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    order = list(range(len(edges)))
+    rng.shuffle(order)
+    return Graph(p, edges), order
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_symmetry_pairs_match_oracle_random(seed):
+    g, order = _random_connected(seed)
+    assert sorted(symmetry_pairs(g, order)) == \
+        sorted(naive_symmetry_pairs(g, order))
+
+
+CUBE = Graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)
+                 if v < v ^ bit])
+
+
+@pytest.mark.parametrize("g", [c3_o1(), corona(complete(4), complete(1)),
+                               fan_corona(3, 1), cycle(6), CUBE],
+                         ids=["C3oO1", "K4oK1", "F3oO1", "C6", "Q3"])
+def test_symmetry_pairs_match_oracle_structured(g):
+    order = _order_edges(g, CONNECTED_EXPANSION)
+    expected = naive_symmetry_pairs(g, order)
+    assert expected
+    assert sorted(symmetry_pairs(g)) == sorted(expected)
+
+
+def test_symmetry_ignores_vertex_roles():
+    g = fan_corona(3, 1)
+    tagged = exact_chi_la(g)
+    plain = exact_chi_la(Graph(g.p, g.edges))
+    assert tagged.chi == plain.chi == 7
+    assert tagged.nodes_explored == plain.nodes_explored
 
 
 def test_bad_upper_hint_recovers():
