@@ -28,9 +28,8 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import jsonio
 from .construction import construct
-from .graphs import (Graph, INNER, VertexRole, complete, corona, cycle, fan,
-                     fan_corona, friendship, friendship_corona, null_graph,
-                     path)
+from .graphs import (Graph, complete, corona, cycle, fan, fan_corona,
+                     friendship, friendship_corona, null_graph, path)
 from .labeling import (Certificate, GraphMismatchError, InvalidLabelingError,
                        make_certificate, verify_certificate)
 from .solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
@@ -101,9 +100,7 @@ def _cache_lookup(cache: Path, g: Graph) -> dict | None:
     if cert_name:
         cert_path = cache / cert_name
         try:
-            doc = _load_json(str(cert_path))
-            jsonio.check_version(doc, "certificate")
-            cert = Certificate.from_doc(doc)
+            cert = Certificate.from_doc(_load_json(str(cert_path)))
             if not verify_certificate(cert, g):
                 return None
         except (OSError, ValueError, KeyError):
@@ -179,29 +176,22 @@ def cmd_gen(args) -> int:
 
 
 def _friendship_o1_n(g: Graph) -> int:
-    """n such that g is content-identical to friendship_corona(n, 1)."""
-    n = 0
-    while True:
-        try:
-            g.vertex_with_role(VertexRole(INNER, "u", n + 1))
-        except KeyError:
-            break
-        n += 1
-    if n >= 2 and friendship_corona(n, 1).content_hash() == g.content_hash():
+    """n such that g is content-identical to friendship_corona(n, 1),
+    which has p = 4n + 2 vertices."""
+    n, rest = divmod(g.p - 2, 4)
+    if n >= 2 and not rest and \
+            friendship_corona(n, 1).content_hash() == g.content_hash():
         return n
     raise ValueError(
         "construction method needs a friendship corona with one pendant "
         "per vertex (gen friendship-corona --n N --m 1)")
 
 
-def _search_config(args, upper_hint: int | None = None) -> SearchConfig:
+def _search_config(args) -> SearchConfig:
     return SearchConfig(
         time_budget=args.time_budget,
         node_budget=args.node_budget,
-        edge_order=args.edge_order,
         parallel_width=args.parallel,
-        symmetry_breaking=not args.no_symmetry,
-        upper_hint=upper_hint,
     )
 
 
@@ -275,7 +265,6 @@ def cmd_verify(args) -> int:
     doc = _load_json(args.labeling)
     try:
         if "verdict" in doc:
-            jsonio.check_version(doc, "certificate")
             cert = Certificate.from_doc(doc)
             ok = verify_certificate(cert, g)
             report = {"kind": "certificate", "ok": bool(ok),
@@ -330,9 +319,7 @@ def cmd_export_dot(args) -> int:
     g = _load_graph(args.graph)
     labels = weights = None
     if args.certificate:
-        doc = _load_json(args.certificate)
-        jsonio.check_version(doc, "certificate")
-        cert = Certificate.from_doc(doc)
+        cert = Certificate.from_doc(_load_json(args.certificate))
         if not verify_certificate(cert, g):
             raise GraphMismatchError("certificate does not verify against "
                                      "this graph")
@@ -351,13 +338,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="wall-clock budget in seconds")
     p.add_argument("--node-budget", type=int, default=None,
                    help="search node budget")
-    p.add_argument("--edge-order", default="connected-expansion",
-                   choices=["input", "max-degree-first",
-                            "connected-expansion"])
     p.add_argument("--parallel", type=int, default=1, metavar="W",
                    help="split the first edge's labels over W processes")
-    p.add_argument("--no-symmetry", action="store_true",
-                   help="disable symmetry-breaking constraints")
     p.add_argument("--cache-dir", default=None,
                    help=f"certificate cache (default ${CACHE_ENV} or "
                         f"./{DEFAULT_CACHE})")

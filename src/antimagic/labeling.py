@@ -146,15 +146,3 @@ def verify_certificate(cert: Certificate, g: Graph) -> bool:
         return False
     return fresh == cert
 
-
-def labeling_to_doc(g: Graph, labels: Sequence[int]) -> dict:
-    return stamp({"graph_hash": g.content_hash(), "labels": list(labels)})
-
-
-def labeling_from_doc(doc: dict, g: Graph) -> list[int]:
-    check_version(doc, "labeling")
-    if doc["graph_hash"] != g.content_hash():
-        raise GraphMismatchError("labeling is for a different graph")
-    labels = [int(x) for x in doc["labels"]]
-    validate_labeling(g, labels)
-    return labels

@@ -31,11 +31,6 @@ from .bounds import _triangular
 from .graphs import Graph
 from .labeling import Certificate, make_certificate
 
-INPUT_ORDER = "input"
-MAX_DEGREE_FIRST = "max-degree-first"
-CONNECTED_EXPANSION = "connected-expansion"
-_EDGE_ORDERS = (INPUT_ORDER, MAX_DEGREE_FIRST, CONNECTED_EXPANSION)
-
 EXACT = "exact"
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -44,28 +39,25 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the branch-and-bound engine.
+    """Budgets and process count for the branch-and-bound engine.
 
-    Budgets are totals for the public call (per worker when
-    ``parallel_width`` > 1, which splits the first edge's label choices
-    across processes).  With a binding time budget determinism is limited to
-    the reported status; node budgets are exact in sequential mode.
+    The edge order and the symmetry constraints are fixed, so these settings
+    never change an exact answer, only whether it is reached.  Budgets are
+    totals for the public call (per worker when ``parallel_width`` > 1,
+    which splits the first edge's label choices across processes).  With a
+    binding time budget determinism is limited to the reported status; node
+    budgets are exact in sequential mode.
     """
 
     time_budget: float | None = None
     node_budget: int | None = None
-    edge_order: str = CONNECTED_EXPANSION
     parallel_width: int = 1
-    symmetry_breaking: bool = True
-    upper_hint: int | None = None
 
     def __post_init__(self):
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
-        if self.edge_order not in _EDGE_ORDERS:
-            raise ValueError(f"unknown edge order {self.edge_order!r}")
         if self.parallel_width < 1:
             raise ValueError("parallel_width must be at least 1")
 
@@ -95,18 +87,10 @@ def _validate_instance(g: Graph) -> None:
 # -- edge ordering ------------------------------------------------------------
 
 
-def _order_edges(g: Graph, mode: str) -> list[int]:
-    if mode == INPUT_ORDER:
-        return list(range(g.q))
+def _order_edges(g: Graph) -> list[int]:
+    """Connected expansion: grow from the highest-degree vertex, preferring
+    edges that close a vertex so weights finalize early."""
     degs = g.degrees
-    if mode == MAX_DEGREE_FIRST:
-        def key(e):
-            a, b = g.edges[e]
-            da, db = degs[a], degs[b]
-            return (-max(da, db), -min(da, db), e)
-        return sorted(range(g.q), key=key)
-    # connected expansion: grow from the highest-degree vertex, preferring
-    # edges that close a vertex so weights finalize early
     left = set(range(g.q))
     unassigned = list(degs)
     touched = [False] * g.p
@@ -196,14 +180,14 @@ def symmetry_pairs(g: Graph, order=None) -> list[tuple[int, int]]:
     keeps at least one representative of every labeling orbit.
 
     The pairs come from a stabiliser chain of the automorphism group acting
-    on the edges, with the edges in search ``order`` (default: the default
-    search order) as base: each base edge gets a smaller label than every
+    on the edges, with the edges in search ``order`` (default: the solver's
+    edge order) as base: each base edge gets a smaller label than every
     other edge in its orbit under the automorphisms that fix the earlier
     base edges.  This is sound because the labels are all different (Puget,
     "Breaking symmetries in all different problems", IJCAI 2005).
     """
     if order is None:
-        order = _order_edges(g, CONNECTED_EXPANSION)
+        order = _order_edges(g)
     adj = [g.neighbors(v) for v in range(g.p)]
     ends = g.edges
 
@@ -423,11 +407,17 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
     return solution, exhausted, nodes
 
 
-def _plan(g: Graph, cfg: SearchConfig):
+def _plan(g: Graph):
     """Edge order and symmetry pairs, computed once per public call."""
-    order = _order_edges(g, cfg.edge_order)
-    pairs = symmetry_pairs(g, order) if cfg.symmetry_breaking else []
-    return order, pairs
+    order = _order_edges(g)
+    return order, symmetry_pairs(g, order)
+
+
+def _certify(g: Graph, sol, k: int) -> Certificate:
+    cert = make_certificate(g, sol)
+    if not cert.verdict.ok or cert.color_count > k:
+        raise RuntimeError("solver produced an invalid certificate")
+    return cert
 
 
 def _solver_worker(graph_doc, k, order, pairs, first_labels, time_left,
@@ -473,14 +463,11 @@ def feasible_with_k_colors(g: Graph, k: int, cfg: SearchConfig | None = None
         raise ValueError(f"k must be in 2..{g.p}, got {k}")
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
-    sol, exhausted, nodes = _run_search(g, k, cfg, _plan(g, cfg), deadline,
+    sol, exhausted, nodes = _run_search(g, k, cfg, _plan(g), deadline,
                                         cfg.node_budget)
     elapsed = time.monotonic() - start
     if sol is not None:
-        cert = make_certificate(g, sol)
-        if not cert.verdict.ok or cert.color_count > k:
-            raise RuntimeError("solver produced an invalid certificate")
-        return SearchOutcome(FEASIBLE, certificate=cert,
+        return SearchOutcome(FEASIBLE, certificate=_certify(g, sol, k),
                              nodes_explored=nodes, wall_time=elapsed)
     if exhausted:
         return SearchOutcome(INFEASIBLE, infeasible_k=k,
@@ -492,9 +479,10 @@ def feasible_with_k_colors(g: Graph, k: int, cfg: SearchConfig | None = None
 def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Exact minimum number of distinct weights over all labelings.
 
-    Runs feasibility checks with decreasing k, starting from
-    ``cfg.upper_hint`` (or p), until an exhaustive Infeasible answer pins the
-    minimum.  Budgets cover the whole descent.
+    Runs feasibility checks with decreasing k, starting from p (every
+    labeling has at most p weights) and continuing one below each
+    certificate's colour count, until an exhaustive Infeasible answer pins
+    the minimum.  Budgets cover the whole descent.
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)
@@ -502,8 +490,8 @@ def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
     nodes_total = 0
     best: Certificate | None = None
-    k = min(cfg.upper_hint, g.p) if cfg.upper_hint is not None else g.p
-    plan = _plan(g, cfg)
+    k = g.p
+    plan = _plan(g)
     while True:
         node_left = None
         if cfg.node_budget is not None:
@@ -516,15 +504,12 @@ def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
                                             node_left)
         nodes_total += nodes
         if sol is not None:
-            cert = make_certificate(g, sol)
-            if not cert.verdict.ok or cert.color_count > k:
-                raise RuntimeError("solver produced an invalid certificate")
-            best = cert
-            if cert.color_count <= 2:
+            best = _certify(g, sol, k)
+            if best.color_count <= 2:
                 return SearchOutcome(EXACT, chi=2, certificate=best,
                                      nodes_explored=nodes_total,
                                      wall_time=time.monotonic() - start)
-            k = cert.color_count - 1
+            k = best.color_count - 1
             continue
         if exhausted:
             if best is not None:
@@ -532,10 +517,6 @@ def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
                                      certificate=best,
                                      nodes_explored=nodes_total,
                                      wall_time=time.monotonic() - start)
-            if k < g.p:
-                # bad upper hint; restart from the trivial bound
-                k = g.p
-                continue
             raise RuntimeError("graph admits no local antimagic labeling")
         break
     return SearchOutcome(BUDGET_EXHAUSTED, best_so_far=best,

@@ -1,11 +1,12 @@
 """Shared fixtures and the brute-force reference oracles.
 
-The colour-count oracle enumerates all q! bijections, so it is only usable
-for q <= 7; the solver tests and the acceptance suite compare against it on
-small graphs.  The symmetry oracle enumerates all p! vertex permutations
-(p <= 8) and checks the solver's stabiliser chain.  The f2.O1 exact solve
-is session-scoped because several tests (solver behavior, acceptance
-budget) want the same, fairly expensive result.
+The colour-count oracle enumerates all q! bijections (or the completions of
+a partial labeling), so it is only usable for q <= 7; the solver tests and
+the acceptance suite compare against it on small graphs.  The symmetry
+oracle enumerates all p! vertex permutations (p <= 8) and checks the
+solver's stabiliser chain.  The f2.O1 exact solve is session-scoped because
+several tests (solver behavior, acceptance budget) want the same, fairly
+expensive result.
 """
 
 from __future__ import annotations
@@ -17,15 +18,22 @@ import pytest
 from antimagic import Graph, SearchConfig, exact_chi_la, friendship_corona
 
 
-def naive_exact_chi_la(g: Graph) -> int:
-    """Minimum color count over all q! labelings by full enumeration."""
+def naive_exact_chi_la(g: Graph, partial=None) -> int:
+    """Minimum color count over all q! labelings by full enumeration, or
+    over the completions of ``partial`` (entries None or 0 are free)."""
     if g.q > 7:
         raise ValueError("naive oracle limited to q <= 7")
+    fixed = list(partial) if partial is not None else [None] * g.q
+    free_edges = [e for e, x in enumerate(fixed) if not x]
+    free_labels = sorted(set(range(1, g.q + 1)) - set(fixed))
     best = None
     edges = g.edges
-    for perm in itertools.permutations(range(1, g.q + 1)):
+    for perm in itertools.permutations(free_labels):
+        labels = list(fixed)
+        for e, lab in zip(free_edges, perm):
+            labels[e] = lab
         weights = [0] * g.p
-        for (a, b), lab in zip(edges, perm):
+        for (a, b), lab in zip(edges, labels):
             weights[a] += lab
             weights[b] += lab
         if any(weights[a] == weights[b] for a, b in edges):

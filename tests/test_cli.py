@@ -76,6 +76,26 @@ def test_label_construction_rejects_other_graphs(tmp_path, c3_file, capsys):
     assert "friendship-corona" in err
 
 
+def test_label_construction_ignores_vertex_roles(tmp_path):
+    g = friendship_corona(3, 1)
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(Graph(g.p, g.edges).to_doc()))
+    cert_path = tmp_path / "cert.json"
+    assert run(["label", str(plain), "--method", "construction",
+                "--out", str(cert_path)]) == EXIT_OK
+    assert read(cert_path)["color_count"] == 9
+    assert run(["verify", str(plain), str(cert_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["solve", "label"])
+@pytest.mark.parametrize("flag", [["--edge-order", "input"],
+                                  ["--no-symmetry"]])
+def test_removed_solver_flags_are_rejected(c3_file, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run([command, str(c3_file), *flag])
+    assert exc.value.code == 2
+
+
 def test_label_solver(c3_file, tmp_path):
     cert_path = tmp_path / "cert.json"
     assert run(["label", str(c3_file), "--method", "solver",
@@ -176,6 +196,18 @@ def test_verify_tampered_certificate(f2_file, tmp_path):
     assert run(["verify", str(f2_file), str(bad),
                 "--out", str(report)]) == EXIT_VERIFY
     assert read(report)["ok"] is False
+
+
+def test_verify_rejects_unknown_certificate_schema(f2_file, tmp_path,
+                                                   capsys):
+    cert_path = tmp_path / "cert.json"
+    run(["label", str(f2_file), "--method", "construction",
+         "--out", str(cert_path)])
+    doc = read(cert_path)
+    doc["schema_version"] = 2
+    cert_path.write_text(json.dumps(doc))
+    assert run(["verify", str(f2_file), str(cert_path)]) == EXIT_USAGE
+    assert "schema_version" in capsys.readouterr().err
 
 
 def test_verify_bare_labeling(c3_file, tmp_path):
