@@ -27,7 +27,6 @@ FN_O1_EXACT = "fn-o1-exact"
 C3_EXACT = "c3-exact"
 KN_K1_EXACT = "kn-k1-exact"
 SOLVER = "solver"
-CONSTRUCTION = "construction"
 
 
 def _triangular(k: int) -> int:
@@ -287,14 +286,8 @@ class BoundReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def bound_report(family: str, n: int, m: int,
-                 upper_candidate: int | None = None,
-                 upper_provenance: str = SOLVER) -> BoundReport:
-    """Aggregate the known bounds for one family instance.
-
-    ``upper_candidate`` feeds in a certificate-backed color count (e.g. from
-    the solver or a cached labeling); it must not undercut the lower bound.
-    """
+def bound_report(family: str, n: int, m: int) -> BoundReport:
+    """Aggregate the known bounds for one family instance."""
     if family == "friendship-corona":
         lemma = lb_friendship(n, m)
         if m == 1:
@@ -304,13 +297,13 @@ def bound_report(family: str, n: int, m: int,
                                lemma_lower=lemma,
                                lemma_provenance=FRIENDSHIP_LOWER)
         return BoundReport(family, n, m, lower=lemma,
-                           upper=upper_candidate, exact=None,
+                           upper=None, exact=None,
                            provenance=FRIENDSHIP_LOWER, lemma_lower=lemma,
                            lemma_provenance=FRIENDSHIP_LOWER)
     if family == "fan-corona":
         lemma = lb_fan(n, m)  # n=2 redirect happens in lb_fan
         return BoundReport(family, n, m, lower=lemma,
-                           upper=upper_candidate, exact=None,
+                           upper=None, exact=None,
                            provenance=FAN_LOWER, lemma_lower=lemma,
                            lemma_provenance=FAN_LOWER)
     if family == "c3-corona":

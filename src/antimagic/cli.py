@@ -292,19 +292,16 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# target -> (name of the sweep in bounds_mod, looked up at call time; first n)
+_SWEEPS = {"friendship": ("sweep_friendship_inequalities", 2),
+           "fan": ("sweep_fan_inequalities", 3)}
+
+
 def cmd_sweep(args) -> int:
-    n_lo, n_hi = args.n_min, args.n_max
-    m_lo, m_hi = args.m_min, args.m_max
-    if args.target == "friendship":
-        if n_lo is None:
-            n_lo = 2
-        witnesses = bounds_mod.sweep_friendship_inequalities(
-            range(n_lo, n_hi + 1), range(m_lo, m_hi + 1))
-    else:
-        if n_lo is None:
-            n_lo = 3
-        witnesses = bounds_mod.sweep_fan_inequalities(
-            range(n_lo, n_hi + 1), range(m_lo, m_hi + 1))
+    sweep, first_n = _SWEEPS[args.target]
+    n_lo = first_n if args.n_min is None else args.n_min
+    witnesses = getattr(bounds_mod, sweep)(range(n_lo, args.n_max + 1),
+                                           range(args.m_min, args.m_max + 1))
     if args.format == "json":
         _write_out(bounds_mod.witnesses_to_json(witnesses), args.out)
     elif args.out in (None, "-"):

@@ -16,8 +16,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .graphs import (HUB, HUB_PENDANT, INNER, PENDANT, Graph, VertexRole,
-                     friendship_corona)
+from .graphs import Graph, friendship_corona
 from .labeling import Certificate, make_certificate, verify_certificate
 
 
@@ -128,54 +127,7 @@ def even_v_column_sum(n: int) -> int:
     return 9 * n // 2 + 4
 
 
-@dataclass(frozen=True)
-class LabelingMatrix:
-    """A 3 x cols block of the labeling, materialized for inspection."""
-
-    cols: int
-    entries: tuple[tuple[int, ...], ...]  # three rows
-
-    @classmethod
-    def build(cls, entry_fn, cols: int, n: int) -> "LabelingMatrix":
-        rows = tuple(tuple(entry_fn(k, i, n) for i in range(1, cols + 1))
-                     for k in (1, 2, 3))
-        return cls(cols, rows)
-
-    def column_sum(self, i: int) -> int:
-        _check_col(i, self.cols)
-        return sum(row[i - 1] for row in self.entries)
-
-    def values(self) -> list[int]:
-        return [value for row in self.entries for value in row]
-
-
-def odd_u_matrix(n: int) -> LabelingMatrix:
-    return LabelingMatrix.build(odd_u_entry, n, n)
-
-
-def odd_v_matrix(n: int) -> LabelingMatrix:
-    return LabelingMatrix.build(odd_v_entry, n, n)
-
-
-def even_u_matrix(n: int) -> LabelingMatrix:
-    return LabelingMatrix.build(even_u_entry, n - 1, n)
-
-
-def even_v_matrix(n: int) -> LabelingMatrix:
-    return LabelingMatrix.build(even_v_entry, n - 1, n)
-
-
 # -- assembled constructions --------------------------------------------------
-
-# Color sets used as cross-checks for small cases.  The n=6 entry lists 14
-# values although the labeling induces 15 distinct weights; the verifier's
-# count is authoritative and reports record both.
-REFERENCE_COLOR_SETS: dict[int, frozenset[int]] = {
-    2: frozenset({5, 7, 9, 10, 11, 20, 28}),
-    3: frozenset(range(1, 4)) | frozenset(range(13, 17)) | frozenset({33, 64}),
-    4: frozenset({5, 6, 7, 9, 10, 16, 17, 18, 21, 46, 85}),
-    6: frozenset(range(1, 7)) | frozenset(range(27, 32)) | frozenset({21, 71, 211}),
-}
 
 
 @dataclass(frozen=True)
@@ -186,7 +138,6 @@ class ConstructionReport:
     certificate: Certificate
     closed_forms: dict[str, int]
     colors: frozenset[int]
-    reference_colors: frozenset[int] | None
 
 
 def chi_la_friendship_o1(n: int) -> int:
@@ -196,36 +147,51 @@ def chi_la_friendship_o1(n: int) -> int:
     return 2 * n + 3
 
 
-def _named_vertices(g: Graph, n: int):
-    hub = g.vertex_with_role(VertexRole(HUB))
-    u = [g.vertex_with_role(VertexRole(INNER, "u", i)) for i in range(1, n + 1)]
-    v = [g.vertex_with_role(VertexRole(INNER, "v", i)) for i in range(1, n + 1)]
-    x1 = g.vertex_with_role(VertexRole(HUB_PENDANT, j=1))
-    up = [g.vertex_with_role(VertexRole(PENDANT, "u", i, 1)) for i in range(1, n + 1)]
-    vp = [g.vertex_with_role(VertexRole(PENDANT, "v", i, 1)) for i in range(1, n + 1)]
-    return hub, u, v, x1, up, vp
-
-
 def _check(condition: bool, what: str) -> None:
     if not condition:
         raise ConstructionError(f"construction bug: {what}")
 
 
+def _assemble(n: int, case: str, cols: int, u_entry, v_entry, fixed,
+              closed: dict[str, int], checks) -> ConstructionReport:
+    """Label friendship_corona(n, 1) and check the induced weights.
+
+    Vertices follow the corona's numbering: the hub is 0, u_i = i,
+    v_i = n+i, and the pendant of vertex b is 2n+1+b.  Triangles 1..cols
+    take their labels from the matrix entry functions, the edges in
+    ``fixed`` ((a, b), label) the rest.  Each ``(what, vertices, expected)``
+    in ``checks`` requires the set of weights on ``vertices`` to equal
+    ``expected``.
+    """
+    g = friendship_corona(n, 1)
+    labels = [0] * g.q
+    for (a, b), label in fixed:
+        labels[g.edge_index(a, b)] = label
+    x1 = 2 * n + 1
+    for i in range(1, cols + 1):
+        u, v = i, n + i
+        labels[g.edge_index(u, x1 + u)] = u_entry(1, i, n)
+        labels[g.edge_index(0, u)] = u_entry(2, i, n)
+        labels[g.edge_index(u, v)] = u_entry(3, i, n)
+        labels[g.edge_index(0, v)] = v_entry(2, i, n)
+        labels[g.edge_index(v, x1 + v)] = v_entry(3, i, n)
+    cert = make_certificate(g, labels)
+    w = cert.weights
+    _check(cert.verdict.ok, f"{case} n={n} labeling is not local antimagic")
+    for what, vertices, expected in checks:
+        got = {w[x] for x in vertices}
+        _check(got == expected, f"{case} n={n} {what} weights {sorted(got)} "
+                                f"!= {sorted(expected)}")
+    _check(cert.color_count == 2 * n + 3,
+           f"{case} n={n} color count {cert.color_count} != {2 * n + 3}")
+    return ConstructionReport(n, case, g, cert, closed, frozenset(w))
+
+
 def construct_odd(n: int) -> ConstructionReport:
     """Closed-form labeling for odd n >= 3 with exactly 2n+3 colors."""
     _require_odd(n)
-    g = friendship_corona(n, 1)
-    hub, u, v, x1, up, vp = _named_vertices(g, n)
-    labels = [0] * g.q
-    labels[g.edge_index(hub, x1)] = 5 * n + 1
-    for i in range(1, n + 1):
-        labels[g.edge_index(u[i - 1], up[i - 1])] = odd_u_entry(1, i, n)
-        labels[g.edge_index(hub, u[i - 1])] = odd_u_entry(2, i, n)
-        labels[g.edge_index(u[i - 1], v[i - 1])] = odd_u_entry(3, i, n)
-        labels[g.edge_index(hub, v[i - 1])] = odd_v_entry(2, i, n)
-        labels[g.edge_index(v[i - 1], vp[i - 1])] = odd_v_entry(3, i, n)
-    cert = make_certificate(g, labels)
-    w = cert.weights
+    x1 = 2 * n + 1  # the hub's pendant; vertex b's is x1 + b
+    u, v = range(1, n + 1), range(n + 1, 2 * n + 1)
     closed = {
         "w_hub": (n + 1) * (5 * n + 1),
         "w_inner_u": odd_u_column_sum(n),
@@ -236,19 +202,16 @@ def construct_odd(n: int) -> ConstructionReport:
         "w_v_pendant_min": 1,
         "w_v_pendant_max": n,
     }
-    _check(cert.verdict.ok, f"odd n={n} labeling is not local antimagic")
-    _check(w[hub] == closed["w_hub"], f"odd n={n} hub weight {w[hub]}")
-    _check(all(w[x] == closed["w_inner_u"] for x in u), f"odd n={n} u weights")
-    _check(all(w[x] == closed["w_inner_v"] for x in v), f"odd n={n} v weights")
-    _check(w[x1] == 5 * n + 1, f"odd n={n} hub pendant weight")
-    _check({w[x] for x in up} == set(range(4 * n + 1, 5 * n + 1)),
-           f"odd n={n} u-pendant weights")
-    _check({w[x] for x in vp} == set(range(1, n + 1)),
-           f"odd n={n} v-pendant weights")
-    _check(cert.color_count == 2 * n + 3,
-           f"odd n={n} color count {cert.color_count} != {2 * n + 3}")
-    return ConstructionReport(n, "odd", g, cert, closed, frozenset(w),
-                              REFERENCE_COLOR_SETS.get(n))
+    checks = [
+        ("hub", [0], {closed["w_hub"]}),
+        ("inner u", u, {closed["w_inner_u"]}),
+        ("inner v", v, {closed["w_inner_v"]}),
+        ("hub pendant", [x1], {closed["w_hub_pendant"]}),
+        ("u-pendant", [x1 + b for b in u], set(range(4 * n + 1, 5 * n + 1))),
+        ("v-pendant", [x1 + b for b in v], set(range(1, n + 1))),
+    ]
+    return _assemble(n, "odd", n, odd_u_entry, odd_v_entry,
+                     [((0, x1), 5 * n + 1)], closed, checks)
 
 
 def construct_even(n: int) -> ConstructionReport:
@@ -258,23 +221,9 @@ def construct_even(n: int) -> ConstructionReport:
     hub pendant absorb the labels 1, 2n..2n+3 and 3n+3.
     """
     _require_even(n)
-    g = friendship_corona(n, 1)
-    hub, u, v, x1, up, vp = _named_vertices(g, n)
-    labels = [0] * g.q
-    labels[g.edge_index(hub, x1)] = 3 * n + 3
-    labels[g.edge_index(u[-1], v[-1])] = 1
-    labels[g.edge_index(u[-1], up[-1])] = 2 * n + 2
-    labels[g.edge_index(hub, u[-1])] = 2 * n
-    labels[g.edge_index(v[-1], vp[-1])] = 2 * n + 3
-    labels[g.edge_index(hub, v[-1])] = 2 * n + 1
-    for i in range(1, n):
-        labels[g.edge_index(u[i - 1], up[i - 1])] = even_u_entry(1, i, n)
-        labels[g.edge_index(hub, u[i - 1])] = even_u_entry(2, i, n)
-        labels[g.edge_index(u[i - 1], v[i - 1])] = even_u_entry(3, i, n)
-        labels[g.edge_index(hub, v[i - 1])] = even_v_entry(2, i, n)
-        labels[g.edge_index(v[i - 1], vp[i - 1])] = even_v_entry(3, i, n)
-    cert = make_certificate(g, labels)
-    w = cert.weights
+    x1 = 2 * n + 1  # the hub's pendant; vertex b's is x1 + b
+    u, v = range(1, n), range(n + 1, 2 * n)
+    un, vn = n, 2 * n
     closed = {
         "w_hub": 5 * n * n + 5 * n + 1,
         "w_inner_u": even_u_column_sum(n),
@@ -289,23 +238,22 @@ def construct_even(n: int) -> ConstructionReport:
         "w_v_pendant_min": 2,
         "w_v_pendant_max": n,
     }
-    _check(cert.verdict.ok, f"even n={n} labeling is not local antimagic")
-    _check(w[hub] == closed["w_hub"], f"even n={n} hub weight {w[hub]}")
-    _check(all(w[x] == closed["w_inner_u"] for x in u[:-1]), f"even n={n} u weights")
-    _check(all(w[x] == closed["w_inner_v"] for x in v[:-1]), f"even n={n} v weights")
-    _check(w[u[-1]] == 4 * n + 3 and w[v[-1]] == 4 * n + 5,
-           f"even n={n} last triangle weights")
-    _check(w[x1] == 3 * n + 3, f"even n={n} hub pendant weight")
-    _check({w[x] for x in up[:-1]} == set(range(4 * n + 3, 5 * n + 2)),
-           f"even n={n} u-pendant weights")
-    _check({w[x] for x in vp[:-1]} == set(range(2, n + 1)),
-           f"even n={n} v-pendant weights")
-    _check(w[up[-1]] == 2 * n + 2 and w[vp[-1]] == 2 * n + 3,
-           f"even n={n} last pendant weights")
-    _check(cert.color_count == 2 * n + 3,
-           f"even n={n} color count {cert.color_count} != {2 * n + 3}")
-    return ConstructionReport(n, "even", g, cert, closed, frozenset(w),
-                              REFERENCE_COLOR_SETS.get(n))
+    fixed = [((0, x1), 3 * n + 3), ((un, vn), 1), ((un, x1 + un), 2 * n + 2),
+             ((0, un), 2 * n), ((vn, x1 + vn), 2 * n + 3), ((0, vn), 2 * n + 1)]
+    checks = [
+        ("hub", [0], {closed["w_hub"]}),
+        ("inner u", u, {closed["w_inner_u"]}),
+        ("inner v", v, {closed["w_inner_v"]}),
+        ("last u", [un], {closed["w_u_last"]}),
+        ("last v", [vn], {closed["w_v_last"]}),
+        ("hub pendant", [x1], {closed["w_hub_pendant"]}),
+        ("u-pendant", [x1 + b for b in u], set(range(4 * n + 3, 5 * n + 2))),
+        ("v-pendant", [x1 + b for b in v], set(range(2, n + 1))),
+        ("last u-pendant", [x1 + un], {closed["w_u_last_pendant"]}),
+        ("last v-pendant", [x1 + vn], {closed["w_v_last_pendant"]}),
+    ]
+    return _assemble(n, "even", n - 1, even_u_entry, even_v_entry, fixed,
+                     closed, checks)
 
 
 _FIXTURES = {2: "f2_o1_certificate.json", 4: "f4_o1_certificate.json"}
@@ -329,8 +277,7 @@ def construct_small(n: int) -> ConstructionReport:
     _check(cert.verdict.ok, f"small n={n} certificate is not local antimagic")
     _check(cert.color_count == target,
            f"small n={n} color count {cert.color_count} != {target}")
-    return ConstructionReport(n, "small", g, cert, {}, frozenset(cert.weights),
-                              REFERENCE_COLOR_SETS.get(n))
+    return ConstructionReport(n, "small", g, cert, {}, frozenset(cert.weights))
 
 
 def construct(n: int) -> ConstructionReport:

@@ -7,7 +7,8 @@ are assigned deterministically so that an edge labeling can be stored as a
 flat list and compared across runs:
 
 * vertices: hub first, then the inner vertices in family order, then the
-  copies of H grouped by the base vertex they attach to;
+  copies of H grouped by the base vertex they attach to: in ``corona(g, h)``
+  vertex j (0-based) of the copy on base vertex b is ``g.p + b*h.p + j``;
 * edges: the base graph's edges first (spokes before triangle/path edges),
   then per-copy internal edges followed by the join ("pendant") edges.
 
@@ -80,7 +81,7 @@ class Graph:
     """Immutable simple undirected graph with 0-based dense indices."""
 
     __slots__ = ("p", "q", "edges", "roles", "family", "_adj", "_edge_index",
-                 "_role_index", "_hash", "_degrees")
+                 "_hash", "_degrees")
 
     def __init__(self, p: int, edges, roles=None, family: str | None = None):
         if p < 1:
@@ -120,7 +121,6 @@ class Graph:
                 raise ValueError(f"duplicate role {role} on vertices "
                                  f"{role_index[role]} and {v}")
             role_index[role] = v
-        self._role_index = role_index
         self._hash = None
 
     # -- basic queries ----------------------------------------------------
@@ -145,12 +145,6 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         key = (a, b) if a < b else (b, a)
         return key in self._edge_index
-
-    def vertex_with_role(self, role: VertexRole) -> int:
-        try:
-            return self._role_index[role]
-        except KeyError:
-            raise KeyError(f"no vertex with role {role}") from None
 
     def is_connected(self) -> bool:
         if self.p == 1:

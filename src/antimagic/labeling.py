@@ -80,16 +80,12 @@ class Verdict:
 
 
 def is_local_antimagic(g: Graph, labels: Sequence[int]) -> Verdict:
-    w = weights(g, labels)
-    for idx, (a, b) in enumerate(g.edges):
-        if w[a] == w[b]:
-            return Verdict(False, idx)
-    return Verdict(True)
+    return make_certificate(g, labels).verdict
 
 
 def color_count(g: Graph, labels: Sequence[int]) -> int:
     """Number of distinct induced weights over all vertices."""
-    return len(set(weights(g, labels)))
+    return make_certificate(g, labels).color_count
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ import time
 from antimagic.bounds import (bound_report, lb_friendship,
                               sweep_fan_inequalities,
                               sweep_friendship_inequalities)
-from antimagic.construction import (REFERENCE_COLOR_SETS, construct_even,
-                                    construct_odd)
+from antimagic.construction import construct_even, construct_odd
 from antimagic.graphs import Graph, complete, corona, cycle, null_graph
 from antimagic.labeling import verify_certificate
 from antimagic.solver import (EXACT, INFEASIBLE, exact_chi_la,
@@ -68,7 +67,7 @@ def test_even_construction_suite():
 
 def test_small_case_color_sets():
     rep3 = construct_odd(3)
-    ok3 = rep3.colors == REFERENCE_COLOR_SETS[3]
+    ok3 = rep3.colors == {1, 2, 3, 13, 14, 15, 16, 33, 64}
     rep6 = construct_even(6)
     ok6 = len(rep6.colors) == 15 and {21, 71, 211} <= rep6.colors
     _report("small-case-color-sets", ok3 and ok6,

@@ -203,8 +203,8 @@ def test_bound_report_friendship_exact_case():
 
 
 def test_bound_report_friendship_open_case():
-    rep = bound_report("friendship-corona", 3, 2, upper_candidate=18)
-    assert rep.lower == 17 and rep.exact is None and rep.upper == 18
+    rep = bound_report("friendship-corona", 3, 2)
+    assert rep.lower == 17 and rep.exact is None and rep.upper is None
     assert rep.provenance == "friendship-lower"
 
 

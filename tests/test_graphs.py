@@ -19,11 +19,11 @@ def test_friendship_sizes():
 
 def test_friendship_structure():
     g = friendship(3)
-    hub = g.vertex_with_role(VertexRole(HUB))
+    hub = g.roles.index(VertexRole(HUB))
     assert g.degree(hub) == 6
     for i in range(1, 4):
-        u = g.vertex_with_role(VertexRole(INNER, "u", i))
-        v = g.vertex_with_role(VertexRole(INNER, "v", i))
+        u = g.roles.index(VertexRole(INNER, "u", i))
+        v = g.roles.index(VertexRole(INNER, "v", i))
         assert g.has_edge(hub, u) and g.has_edge(hub, v) and g.has_edge(u, v)
         assert g.degree(u) == g.degree(v) == 2
 
@@ -36,7 +36,7 @@ def test_friendship_domain():
 def test_fan_sizes():
     g = fan(3)
     assert (g.p, g.q) == (4, 5)
-    assert fan(4).degree(fan(4).vertex_with_role(VertexRole(HUB))) == 4
+    assert fan(4).degree(fan(4).roles.index(VertexRole(HUB))) == 4
     with pytest.raises(ValueError):
         fan(1)
 
@@ -92,11 +92,11 @@ def test_degree_sum_is_twice_edge_count(n, m):
 
 def test_corona_pendant_roles():
     g = friendship_corona(2, 2)
-    hub = g.vertex_with_role(VertexRole(HUB))
-    x2 = g.vertex_with_role(VertexRole(HUB_PENDANT, j=2))
+    hub = g.roles.index(VertexRole(HUB))
+    x2 = g.roles.index(VertexRole(HUB_PENDANT, j=2))
     assert g.has_edge(hub, x2) and g.degree(x2) == 1
-    u1 = g.vertex_with_role(VertexRole(INNER, "u", 1))
-    p = g.vertex_with_role(VertexRole(PENDANT, "u", 1, 2))
+    u1 = g.roles.index(VertexRole(INNER, "u", 1))
+    p = g.roles.index(VertexRole(PENDANT, "u", 1, 2))
     assert g.has_edge(u1, p) and g.degree(p) == 1
 
 
@@ -123,6 +123,11 @@ def test_graph_validation():
         Graph(3, [(0, 1), (1, 0)])  # duplicate edge
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])  # endpoint out of range
+
+
+def test_graph_rejects_duplicate_roles():
+    with pytest.raises(ValueError, match="duplicate role"):
+        Graph(2, [(0, 1)], [VertexRole(HUB), VertexRole(HUB)])
 
 
 def test_neighbors_and_edge_index():
