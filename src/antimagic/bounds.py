@@ -26,7 +26,6 @@ FAN_LOWER = "fan-lower"
 FN_O1_EXACT = "fn-o1-exact"
 C3_EXACT = "c3-exact"
 KN_K1_EXACT = "kn-k1-exact"
-SOLVER = "solver"
 
 
 def _triangular(k: int) -> int:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import jsonio
-from .construction import construct
+from .construction import certificate_for
 from .graphs import (Graph, complete, corona, cycle, fan, fan_corona,
                      friendship, friendship_corona, null_graph, path)
 from .labeling import (Certificate, GraphMismatchError, InvalidLabelingError,
@@ -175,18 +175,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _friendship_o1_n(g: Graph) -> int:
-    """n such that g is content-identical to friendship_corona(n, 1),
-    which has p = 4n + 2 vertices."""
-    n, rest = divmod(g.p - 2, 4)
-    if n >= 2 and not rest and \
-            friendship_corona(n, 1).content_hash() == g.content_hash():
-        return n
-    raise ValueError(
-        "construction method needs a friendship corona with one pendant "
-        "per vertex (gen friendship-corona --n N --m 1)")
-
-
 def _search_config(args) -> SearchConfig:
     return SearchConfig(
         time_budget=args.time_budget,
@@ -247,10 +235,13 @@ def cmd_solve(args) -> int:
 def cmd_label(args) -> int:
     g = _load_graph(args.graph)
     if args.method == "construction":
-        n = _friendship_o1_n(g)
-        report = construct(n)
-        # report's graph is freshly generated; hashes match by construction
-        _dump(jsonio.stamp(report.certificate.to_doc()), args.out)
+        cert = certificate_for(g)
+        if cert is None:
+            raise ValueError(
+                "construction method needs a graph isomorphic to a friendship "
+                "corona with one pendant per vertex "
+                "(gen friendship-corona --n N --m 1)")
+        _dump(jsonio.stamp(cert.to_doc()), args.out)
         return EXIT_OK
     code, doc, cert = _solve(g, args)
     if cert is None:

@@ -7,7 +7,8 @@ two 3-row integer matrices whose columns all share the same sum, so every
 inner u-vertex gets one common weight and every inner v-vertex another.  The
 odd and even cases use different matrices; n=2 and n=4 do not fit either
 pattern and are served from pre-computed certificates bundled with the
-package and re-verified on load.
+package and re-verified on load.  ``certificate_for`` carries the labeling
+onto any isomorphic copy of the corona, whatever its numbering.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .graphs import Graph, friendship_corona
+from .graphs import Graph, _isomorphism, friendship_corona
 from .labeling import Certificate, make_certificate, verify_certificate
 
 
@@ -289,3 +290,28 @@ def construct(n: int) -> ConstructionReport:
     if n % 2:
         return construct_odd(n)
     return construct_even(n)
+
+
+def certificate_for(g: Graph) -> Certificate | None:
+    """The 2n+3 labeling of ``construct(n)`` on ``g``'s own vertex and edge
+    numbering when ``g`` is isomorphic to friendship_corona(n, 1), else None.
+
+    Graphs whose order, size or degree multiset differ from the corona's are
+    turned away before any construction or isomorphism search runs."""
+    n, rest = divmod(g.p - 2, 4)
+    degrees = [1] * (2 * n + 1) + [3] * (2 * n) + [2 * n + 1]
+    if n < 2 or rest or g.q != 5 * n + 1 or sorted(g.degrees) != degrees:
+        return None
+    report = construct(n)
+    h = report.graph
+    pi = _isomorphism([h.neighbors(v) for v in range(h.p)], [0] * h.p,
+                      [0] * g.p, [g.neighbors(v) for v in range(g.p)])
+    if pi is None:
+        return None
+    labels = [0] * g.q
+    for (a, b), label in zip(h.edges, report.certificate.labels):
+        labels[g.edge_index(pi[a], pi[b])] = label
+    cert = make_certificate(g, labels)
+    _check(cert.verdict.ok and cert.color_count == 2 * n + 3,
+           f"n={n} labeling mapped onto an isomorphic copy does not verify")
+    return cert

@@ -216,6 +216,66 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
+# -- structure: refinement and isomorphism ------------------------------------
+
+
+def _refine(adj, colours) -> list[int]:
+    """Coarsest equitable refinement of a vertex colouring.
+
+    A vertex's new colour is the rank of (old colour, sorted neighbour
+    colours) among all such signatures, so colour ids depend only on the
+    coloured structure and agree between isomorphic coloured graphs."""
+    count = len(set(colours))
+    while True:
+        sigs = [(colours[v], tuple(sorted(colours[u] for u in adj[v])))
+                for v in range(len(adj))]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colours = [rank[s] for s in sigs]
+        if len(rank) == count:
+            return colours
+        count = len(rank)
+
+
+def _isomorphism(adj, left, right, other=None) -> list[int] | None:
+    """An isomorphism pi from the graph ``adj`` onto the graph ``other``
+    (default ``adj`` itself, so pi is an automorphism) with
+    ``left[v] == right[pi[v]]`` for every vertex, or None:
+    individualisation-refinement on the disjoint union of the two graphs,
+    the first coloured by ``left`` and the second by ``right``."""
+    if other is None:
+        other = adj
+    p = len(adj)
+    if len(other) != p:
+        return None
+    double = list(adj) + [[u + p for u in ns] for ns in other]
+
+    def search(colours):
+        colours = _refine(double, colours)
+        cells: dict[int, tuple[list[int], list[int]]] = {}
+        for v, c in enumerate(colours):
+            cells.setdefault(c, ([], []))[v >= p].append(v)
+        split = None
+        for c in sorted(cells):
+            ls, rs = cells[c]
+            if len(ls) != len(rs):
+                return None
+            if split is None and len(ls) > 1:
+                split = ls[0], rs
+        if split is None:
+            # discrete and equitable: the halves correspond vertex by vertex
+            return [cells[colours[v]][1][0] - p for v in range(p)]
+        v, rs = split
+        for w in rs:
+            trial = list(colours)
+            trial[v] = trial[w] = len(cells)
+            found = search(trial)
+            if found is not None:
+                return found
+        return None
+
+    return search(list(left) + list(right))
+
+
 # -- families ---------------------------------------------------------------
 
 

@@ -5,6 +5,11 @@ The engine answers one question: does the graph admit a labeling with at most
 k distinct induced weights?  ``exact_chi_la`` descends k until the answer
 flips, so an Infeasible outcome is always a proof by exhaustion.
 
+On any copy of friendship_corona(n, 1), whatever its numbering, a step with
+k >= 2n+3 is answered with 0 nodes by the paper's construction, carried onto
+the graph's numbering and re-verified; the search then only has to prove
+that 2n+2 colours are too few.
+
 Pruning relies on three admissible observations:
 
 * every degree-1 vertex ("pendant") has weight equal to its single edge
@@ -24,11 +29,11 @@ the edges, in search order, yields constraints label(a) < label(b).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import _triangular
-from .graphs import Graph
+from .construction import certificate_for
+from .graphs import Graph, _isomorphism, _refine
 from .labeling import Certificate, make_certificate
 
 EXACT = "exact"
@@ -121,58 +126,6 @@ def _order_edges(g: Graph) -> list[int]:
 
 
 # -- symmetry breaking ---------------------------------------------------------
-
-
-def _refine(adj, colours) -> list[int]:
-    """Coarsest equitable refinement of a vertex colouring.
-
-    A vertex's new colour is the rank of (old colour, sorted neighbour
-    colours) among all such signatures, so colour ids depend only on the
-    coloured structure and agree between isomorphic coloured graphs."""
-    count = len(set(colours))
-    while True:
-        sigs = [(colours[v], tuple(sorted(colours[u] for u in adj[v])))
-                for v in range(len(adj))]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colours = [rank[s] for s in sigs]
-        if len(rank) == count:
-            return colours
-        count = len(rank)
-
-
-def _isomorphism(adj, left, right) -> list[int] | None:
-    """An automorphism pi of the graph with ``left[v] == right[pi[v]]`` for
-    every vertex, or None: individualisation-refinement on the graph doubled
-    with itself, the left copy coloured by ``left`` and the right by
-    ``right``."""
-    p = len(adj)
-    double = list(adj) + [[u + p for u in ns] for ns in adj]
-
-    def search(colours):
-        colours = _refine(double, colours)
-        cells: dict[int, tuple[list[int], list[int]]] = {}
-        for v, c in enumerate(colours):
-            cells.setdefault(c, ([], []))[v >= p].append(v)
-        split = None
-        for c in sorted(cells):
-            ls, rs = cells[c]
-            if len(ls) != len(rs):
-                return None
-            if split is None and len(ls) > 1:
-                split = ls[0], rs
-        if split is None:
-            # discrete and equitable: the halves correspond vertex by vertex
-            return [cells[colours[v]][1][0] - p for v in range(p)]
-        v, rs = split
-        for w in rs:
-            trial = list(colours)
-            trial[v] = trial[w] = len(cells)
-            found = search(trial)
-            if found is not None:
-                return found
-        return None
-
-    return search(list(left) + list(right))
 
 
 def symmetry_pairs(g: Graph, order=None) -> list[tuple[int, int]]:
@@ -408,9 +361,11 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
 
 
 def _plan(g: Graph):
-    """Edge order and symmetry pairs, computed once per public call."""
+    """Edge order, symmetry pairs and the construction's certificate (None
+    unless g is a copy of friendship_corona(n, 1)), computed once per
+    public call."""
     order = _order_edges(g)
-    return order, symmetry_pairs(g, order)
+    return order, symmetry_pairs(g, order), certificate_for(g)
 
 
 def _certify(g: Graph, sol, k: int) -> Certificate:
@@ -429,9 +384,14 @@ def _solver_worker(graph_doc, k, order, pairs, first_labels, time_left,
 
 def _run_search(g: Graph, k: int, cfg: SearchConfig, plan, deadline,
                 node_left):
-    order, pairs = plan
+    order, pairs, seed = plan
+    if seed is not None and seed.color_count <= k:
+        return list(seed.labels), False, 0
     if cfg.parallel_width <= 1:
         return _search(g, k, order, pairs, deadline, node_left)
+    # imported here, so that a sequential run never pays for loading it
+    from concurrent.futures import ProcessPoolExecutor
+
     width = min(cfg.parallel_width, g.q)
     stripes = [list(range(1 + i, g.q + 1, width)) for i in range(width)]
     time_left = None if deadline is None else max(deadline - time.monotonic(), 0.01)
@@ -455,7 +415,9 @@ def feasible_with_k_colors(g: Graph, k: int, cfg: SearchConfig | None = None
     """Search for a labeling with at most k distinct weights.
 
     Feasible carries a certificate; Infeasible is proven by exhausting the
-    (symmetry-reduced) search space.
+    (symmetry-reduced) search space.  On a copy of friendship_corona(n, 1)
+    with k >= 2n+3 the certificate is the construction's, found with 0
+    nodes.
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)
@@ -482,7 +444,9 @@ def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     Runs feasibility checks with decreasing k, starting from p (every
     labeling has at most p weights) and continuing one below each
     certificate's colour count, until an exhaustive Infeasible answer pins
-    the minimum.  Budgets cover the whole descent.
+    the minimum.  Budgets cover the whole descent.  On a copy of
+    friendship_corona(n, 1) the first step takes the construction's 2n+3
+    labeling with 0 nodes, so the search only proves 2n+2 infeasible.
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)

@@ -12,6 +12,7 @@ expensive result.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -63,6 +64,17 @@ def naive_symmetry_pairs(g: Graph, order) -> list[tuple[int, int]]:
         pairs += [(e, f) for f in sorted({pi[e] for pi in auts} - {e})]
         auts = [pi for pi in auts if pi[e] == e]
     return pairs
+
+
+def relabeled(g: Graph, seed: int) -> Graph:
+    """Copy of ``g`` as a hand-written file might give it: vertices
+    permuted, the edge list shuffled, plain roles."""
+    rng = random.Random(seed)
+    perm = list(range(g.p))
+    rng.shuffle(perm)
+    edges = [(perm[a], perm[b]) for a, b in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.p, edges)
 
 
 @pytest.fixture(scope="session")

@@ -226,10 +226,10 @@ def test_bound_report_rejects_bad_input():
         bound_report("moebius-kantor", 3, 1)
     with pytest.raises(ValueError):
         BoundReport(family="fan-corona", n=3, m=1, lower=10, upper=None,
-                    exact=7, provenance=bounds.SOLVER)
+                    exact=7, provenance=bounds.FAN_LOWER)
     with pytest.raises(ValueError):
         BoundReport(family="fan-corona", n=3, m=1, lower=5, upper=6,
-                    exact=7, provenance=bounds.SOLVER)
+                    exact=7, provenance=bounds.FAN_LOWER)
 
 
 def test_bound_report_to_doc_round_trip():

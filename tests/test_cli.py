@@ -3,13 +3,18 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import antimagic
 from antimagic import jsonio
 from antimagic.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from antimagic.graphs import Graph, friendship_corona
 from antimagic.labeling import make_certificate
+from conftest import relabeled
 
 
 def run(args):
@@ -85,6 +90,27 @@ def test_label_construction_ignores_vertex_roles(tmp_path):
                 "--out", str(cert_path)]) == EXIT_OK
     assert read(cert_path)["color_count"] == 9
     assert run(["verify", str(plain), str(cert_path)]) == EXIT_OK
+
+
+def test_label_construction_accepts_any_numbering(tmp_path):
+    g = relabeled(friendship_corona(2, 1), seed=7)
+    path = tmp_path / "permuted.json"
+    path.write_text(json.dumps(g.to_doc()))
+    cert_path = tmp_path / "cert.json"
+    assert run(["label", str(path), "--method", "construction",
+                "--out", str(cert_path)]) == EXIT_OK
+    assert read(cert_path)["color_count"] == 7
+    assert run(["verify", str(path), str(cert_path)]) == EXIT_OK
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, antimagic.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("command", ["solve", "label"])

@@ -12,7 +12,7 @@ from antimagic.solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                               SearchConfig, _order_edges, exact_chi_la,
                               feasible_with_k_colors, lower_bound_prune,
                               symmetry_pairs)
-from conftest import naive_exact_chi_la, naive_symmetry_pairs
+from conftest import naive_exact_chi_la, naive_symmetry_pairs, relabeled
 
 
 def c3_o1() -> Graph:
@@ -61,6 +61,59 @@ def test_f2_exact(f2_graph, f2_exact_outcome):
 def test_f2_six_colors_infeasible(f2_graph):
     out = feasible_with_k_colors(f2_graph, 6)
     assert out.status == INFEASIBLE and out.infeasible_k == 6
+
+
+# -- the construction's certificate answers k >= 2n+3 on f_n o O_1 -----------
+
+def _descent(g):
+    """Node counts of feasible_with_k_colors from k = p down, taken the way
+    exact_chi_la descends, and the last feasible colour count."""
+    k, steps, chi = g.p, [], None
+    while True:
+        out = feasible_with_k_colors(g, k)
+        steps.append(out.nodes_explored)
+        if out.status != FEASIBLE:
+            assert out.status == INFEASIBLE
+            return steps, chi
+        chi = out.certificate.color_count
+        k = chi - 1
+
+
+@pytest.mark.parametrize("g, seeded", [(friendship_corona(2, 1), True),
+                                       (corona(cycle(3), null_graph(2)), False)],
+                         ids=["f2oO1", "C3oO2"])
+def test_descent_steps_sum_to_exact_nodes(g, seeded):
+    steps, chi = _descent(g)
+    out = exact_chi_la(g)
+    assert out.status == EXACT and out.chi == chi
+    assert sum(steps) == out.nodes_explored
+    assert (steps[0] == 0) == seeded
+
+
+def test_f2_seven_colors_answered_by_construction(f2_graph):
+    out = feasible_with_k_colors(f2_graph, 7)
+    assert out.status == FEASIBLE and out.nodes_explored == 0
+    assert out.certificate.color_count == 7
+    assert verify_certificate(out.certificate, f2_graph)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_relabeled_friendship_o1_gets_construction(n):
+    g = relabeled(friendship_corona(n, 1), seed=n)
+    out = feasible_with_k_colors(g, 2 * n + 3)
+    assert out.status == FEASIBLE and out.nodes_explored == 0
+    assert out.certificate.color_count == 2 * n + 3
+    assert verify_certificate(out.certificate, g)
+
+
+def test_same_degrees_not_isomorphic_is_not_seeded():
+    # p, q and degrees of friendship_corona(2, 1), but inner vertex 1 holds
+    # two pendants and inner vertex 2 none
+    g = Graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7),
+                   (2, 3), (2, 4), (3, 8), (4, 9)])
+    assert sorted(g.degrees) == sorted(friendship_corona(2, 1).degrees)
+    out = feasible_with_k_colors(g, g.p)
+    assert out.status == FEASIBLE and out.nodes_explored > 0
 
 
 # -- agreement with the brute-force oracle -------------------------------------
