@@ -4,10 +4,12 @@ Subcommands: gen (family generators), label (closed-form construction or
 solver), verify (labeling/certificate checker), solve (exact search), bounds
 (closed-form report), sweep (inequality audit as CSV), export-dot.
 
-Solver results are cached as append-only JSONL, keyed by graph content hash,
-plus certificate files named by the hash of their own content; records are
-trusted only after the stored certificate re-verifies and its colour count
-matches the record.  Cache location: --cache-dir, else
+Solver results are cached in one append-only JSONL index, keyed by graph
+content hash; each record carries its certificate and, for an exact solve,
+chi.  A record is trusted only after its certificate re-verifies and agrees
+with the record's chi.  A cached certificate answers any feasibility query
+with at least its colour count, and a cached chi answers the exact query and
+every feasibility query below it.  Cache location: --cache-dir, else
 $ANTIMAGIC_CACHE_DIR, else ./.antimagic-cache.
 
 Exit codes: 0 success, 2 usage or domain error, 3 verification failure,
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import fcntl
-import hashlib
 import json
 import os
 import sys
@@ -76,66 +77,51 @@ def _cache_dir(arg: str | None) -> Path:
     return Path(arg or os.environ.get(CACHE_ENV) or DEFAULT_CACHE)
 
 
-def _cache_lookup(cache: Path, g: Graph) -> dict | None:
-    """Last matching record, if its certificate file still verifies and
-    has the colour count the record states."""
+def _cache_lookup(cache: Path, g: Graph
+                  ) -> tuple[Certificate, int | None] | None:
+    """Certificate and exact chi (None for a feasibility answer) of the last
+    record for g, if that certificate re-verifies against g and has the
+    colour count of the record's chi."""
     index = cache / "cache.jsonl"
     if not index.is_file():
         return None
+    key = g.content_hash()
     best = None
     with open(index) as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError:
-                continue  # torn write at the tail; ignore
-            if rec.get("graph_hash") == g.content_hash():
+                continue  # torn write at the tail, or a blank line; ignore
+            if isinstance(rec, dict) and rec.get("graph_hash") == key:
                 best = rec
-    if best is None:
+    if best is None or not isinstance(best.get("certificate"), dict):
+        return None  # no record, or an older one naming a certificate file
+    try:
+        cert = Certificate.from_doc(best["certificate"])
+        if not verify_certificate(cert, g):
+            return None
+    except (ValueError, KeyError, TypeError):
         return None
-    cert_name = best.get("certificate")
-    if cert_name:
-        cert_path = cache / cert_name
-        try:
-            cert = Certificate.from_doc(_load_json(str(cert_path)))
-            if not verify_certificate(cert, g):
-                return None
-        except (OSError, ValueError, KeyError):
-            return None
-        if best.get("upper") != cert.color_count or \
-                best.get("exact") not in (None, cert.color_count):
-            return None
-        best["_certificate"] = cert
-    return best
+    exact = best.get("exact")
+    if exact not in (None, cert.color_count):
+        return None
+    return cert, exact
 
 
 def _cache_store(cache: Path, g: Graph, cert: Certificate,
                  exact: int | None) -> None:
     cache.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(jsonio.stamp(cert.to_doc()), indent=2,
-                      sort_keys=True) + "\n"
-    # named by content and renamed into place, so a reader never sees a
-    # partly written file or one that another solve has overwritten
-    cert_name = f"{hashlib.sha256(text.encode()).hexdigest()}.cert.json"
-    tmp = cache / f".{cert_name}.{os.getpid()}.tmp"
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, cache / cert_name)
-    finally:
-        tmp.unlink(missing_ok=True)
     record = jsonio.stamp({
         "graph_hash": g.content_hash(),
         "family": g.family,
-        "upper": cert.color_count,
         "exact": exact,
-        "certificate": cert_name,
+        "certificate": cert.to_doc(),
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     })
-    index = cache / "cache.jsonl"
-    with open(index, "a") as fh:
+    # one write of one line under the lock, so concurrent appends never
+    # interleave; a torn tail line is skipped by _cache_lookup
+    with open(cache / "cache.jsonl", "a") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         try:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -187,20 +173,19 @@ def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
     """Shared engine behind solve and label --method solver."""
     cache = _cache_dir(args.cache_dir)
     target = args.target_colors
-    cached = _cache_lookup(cache, g)
-    if cached and cached.get("exact") is not None and "_certificate" in cached:
-        exact = cached["exact"]
-        cert = cached["_certificate"]
+    hit = _cache_lookup(cache, g)
+    if hit is not None:
+        cert, exact = hit
         if target is None:
-            doc = {"status": EXACT, "chi": exact, "cached": True,
-                   "certificate": jsonio.stamp(cert.to_doc())}
-            return EXIT_OK, doc, cert
-        if exact <= target:
-            doc = {"status": FEASIBLE, "cached": True,
-                   "certificate": jsonio.stamp(cert.to_doc())}
-            return EXIT_OK, doc, cert
-        return EXIT_OK, {"status": INFEASIBLE, "infeasible_k": target,
-                         "cached": True}, None
+            if exact is not None:
+                return EXIT_OK, {"status": EXACT, "chi": exact, "cached": True,
+                                 "certificate": cert.to_doc()}, cert
+        elif cert.color_count <= target:
+            return EXIT_OK, {"status": FEASIBLE, "cached": True,
+                             "certificate": cert.to_doc()}, cert
+        elif exact is not None:
+            return EXIT_OK, {"status": INFEASIBLE, "infeasible_k": target,
+                             "cached": True}, None
     cfg = _search_config(args)
     if target is None:
         outcome = exact_chi_la(g, cfg)
@@ -220,7 +205,7 @@ def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
     elif outcome.best_so_far is not None:
         doc["best_so_far_colors"] = outcome.best_so_far.color_count
     if cert is not None:
-        doc["certificate"] = jsonio.stamp(cert.to_doc())
+        doc["certificate"] = cert.to_doc()
     code = EXIT_BUDGET if outcome.status == BUDGET_EXHAUSTED else EXIT_OK
     return code, doc, cert
 
@@ -241,13 +226,13 @@ def cmd_label(args) -> int:
                 "construction method needs a graph isomorphic to a friendship "
                 "corona with one pendant per vertex "
                 "(gen friendship-corona --n N --m 1)")
-        _dump(jsonio.stamp(cert.to_doc()), args.out)
+        _dump(cert.to_doc(), args.out)
         return EXIT_OK
     code, doc, cert = _solve(g, args)
     if cert is None:
         _dump(doc, args.out)
         return code if code != EXIT_OK else EXIT_BUDGET
-    _dump(jsonio.stamp(cert.to_doc()), args.out)
+    _dump(cert.to_doc(), args.out)
     return code
 
 

@@ -28,6 +28,7 @@ the edges, in search order, yields constraints label(a) < label(b).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -202,10 +203,11 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
     heavy = max(range(p), key=lambda v: (degs[v], -v))
     heavy_static = _triangular(degs[heavy]) > q
     heavy_adj = frozenset(adj[heavy])
-    sym_by_edge: dict[int, list[tuple[int, bool]]] = {}
+    # in a stabiliser chain the first edge of a pair comes first in order,
+    # so each edge's labels start above those of its earlier partners
+    smaller_than: dict[int, list[int]] = {}
     for ea, eb in pairs:
-        sym_by_edge.setdefault(ea, []).append((eb, True))
-        sym_by_edge.setdefault(eb, []).append((ea, False))
+        smaller_than.setdefault(eb, []).append(ea)
 
     lab = [0] * q
     used = [False] * (q + 2)
@@ -277,22 +279,16 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
         a, b = ends[pos]
         a_closes = rem[a] == 1
         b_closes = rem[b] == 1
-        sym = sym_by_edge.get(e)
-        candidates = first_labels if pos == 0 and first_labels is not None \
-            else range(1, q + 1)
+        earlier = smaller_than.get(e)
+        if pos == 0 and first_labels is not None:
+            candidates = first_labels
+        elif earlier is not None:
+            candidates = range(max(lab[f] for f in earlier) + 1, q + 1)
+        else:
+            candidates = range(1, q + 1)
         for lnum in candidates:
             if used[lnum]:
                 continue
-            if sym is not None:
-                bad = False
-                for other, smaller in sym:
-                    lo = lab[other]
-                    if lo and ((smaller and lnum >= lo) or
-                               (not smaller and lo >= lnum)):
-                        bad = True
-                        break
-                if bad:
-                    continue
             if a_closes:
                 wa = wt[a] + lnum
                 conflict = False
@@ -361,11 +357,16 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
 
 
 def _plan(g: Graph):
-    """Edge order, symmetry pairs and the construction's certificate (None
-    unless g is a copy of friendship_corona(n, 1)), computed once per
-    public call."""
-    order = _order_edges(g)
-    return order, symmetry_pairs(g, order), certificate_for(g)
+    """The construction's certificate (None unless g is a copy of
+    friendship_corona(n, 1)), and a function that gives the edge order and
+    symmetry pairs, computed on its first call, so only a step that searches
+    pays for them.  One plan serves a public call."""
+    @functools.cache
+    def search_plan():
+        order = _order_edges(g)
+        return order, symmetry_pairs(g, order)
+
+    return certificate_for(g), search_plan
 
 
 def _certify(g: Graph, sol, k: int) -> Certificate:
@@ -384,9 +385,10 @@ def _solver_worker(graph_doc, k, order, pairs, first_labels, time_left,
 
 def _run_search(g: Graph, k: int, cfg: SearchConfig, plan, deadline,
                 node_left):
-    order, pairs, seed = plan
+    seed, search_plan = plan
     if seed is not None and seed.color_count <= k:
         return list(seed.labels), False, 0
+    order, pairs = search_plan()
     if cfg.parallel_width <= 1:
         return _search(g, k, order, pairs, deadline, node_left)
     # imported here, so that a sequential run never pays for loading it

@@ -13,7 +13,9 @@ import antimagic
 from antimagic import jsonio
 from antimagic.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from antimagic.graphs import Graph, friendship_corona
-from antimagic.labeling import make_certificate
+from antimagic.labeling import (Certificate, make_certificate,
+                                verify_certificate)
+from antimagic.solver import exact_chi_la
 from conftest import relabeled
 
 
@@ -145,6 +147,7 @@ def test_solve_and_cache_round_trip(c3_file, tmp_path, capsys):
                 "--out", str(second)]) == EXIT_OK
     doc2 = read(second)
     assert doc2["cached"] is True and doc2["chi"] == 5
+    assert [f.name for f in cache.iterdir()] == ["cache.jsonl"]
 
     # a cached exact answer also settles feasibility queries
     third = tmp_path / "third.json"
@@ -167,32 +170,30 @@ def test_cache_env_var(c3_file, tmp_path, monkeypatch):
     assert (flag_cache / "cache.jsonl").exists()
 
 
-def test_corrupt_cache_line_is_skipped(c3_file, tmp_path):
+@pytest.mark.parametrize("line", ["{not json", "null", "[]", "42"],
+                         ids=["torn", "null", "list", "number"])
+def test_corrupt_cache_line_is_skipped(c3_file, tmp_path, line):
     cache = tmp_path / "cache"
     out = tmp_path / "o.json"
     assert run(["solve", str(c3_file), "--cache-dir", str(cache),
                 "--out", str(out)]) == EXIT_OK
     with open(cache / "cache.jsonl", "a") as fh:
-        fh.write("{not json\n")
+        fh.write(line + "\n")
     assert run(["solve", str(c3_file), "--cache-dir", str(cache),
                 "--out", str(out)]) == EXIT_OK
     assert read(out)["cached"] is True
 
 
 def test_cache_rejects_record_disagreeing_with_certificate(c3_file, tmp_path):
-    # an exact answer paired with a valid certificate that has more colours,
-    # as a race between an exact and a feasibility solve could leave behind
+    # an exact answer paired with a valid certificate that has more colours
     g = Graph.from_doc(read(c3_file))
     certs = (make_certificate(g, list(labels))
              for labels in itertools.permutations(range(1, g.q + 1)))
     cert = next(c for c in certs if c.verdict.ok and c.color_count > 5)
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / "worse.cert.json").write_text(
-        json.dumps(jsonio.stamp(cert.to_doc())))
     record = jsonio.stamp({"graph_hash": g.content_hash(), "family": None,
-                           "upper": 5, "exact": 5,
-                           "certificate": "worse.cert.json"})
+                           "exact": 5, "certificate": cert.to_doc()})
     (cache / "cache.jsonl").write_text(json.dumps(record) + "\n")
     out = tmp_path / "o.json"
     assert run(["solve", str(c3_file), "--cache-dir", str(cache),
@@ -200,6 +201,73 @@ def test_cache_rejects_record_disagreeing_with_certificate(c3_file, tmp_path):
     doc = read(out)
     assert "cached" not in doc
     assert doc["chi"] == doc["certificate"]["color_count"] == 5
+
+
+def test_cache_ignores_certificate_file_records(c3_file, tmp_path):
+    # an older cache kept each certificate in a file the record named
+    g = Graph.from_doc(read(c3_file))
+    cert = exact_chi_la(g).certificate
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "old.cert.json").write_text(json.dumps(cert.to_doc()))
+    record = jsonio.stamp({"graph_hash": g.content_hash(), "family": None,
+                           "upper": 5, "exact": 5,
+                           "certificate": "old.cert.json"})
+    (cache / "cache.jsonl").write_text(json.dumps(record) + "\n")
+    out = tmp_path / "o.json"
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                "--out", str(out)]) == EXIT_OK
+    assert "cached" not in read(out)
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                "--out", str(out)]) == EXIT_OK
+    assert read(out)["cached"] is True
+
+
+def test_feasibility_answer_is_reused(c3_file, tmp_path):
+    cache = tmp_path / "cache"
+    out = tmp_path / "o.json"
+    docs = []
+    for _ in range(3):
+        assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                    "--target-colors", "6", "--out", str(out)]) == EXIT_OK
+        docs.append(read(out))
+    assert [d["status"] for d in docs] == ["feasible"] * 3
+    assert "cached" not in docs[0]
+    assert docs[1]["cached"] is True and docs[2]["cached"] is True
+    assert docs[1]["certificate"] == docs[0]["certificate"]
+    index = (cache / "cache.jsonl").read_text().splitlines()
+    assert len(index) == 1
+    # a feasibility answer settles no exact query
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                "--out", str(out)]) == EXIT_OK
+    assert "cached" not in read(out) and read(out)["chi"] == 5
+
+
+def test_concurrent_solves_share_one_cache(c3_file, tmp_path):
+    c5_file = tmp_path / "c5.json"
+    assert run(["gen", "cycle", "--n", "5", "--out", str(c5_file)]) == EXIT_OK
+    chi = {c3_file: 5, c5_file: 3}
+    cache = tmp_path / "cache"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
+    procs = [subprocess.Popen([sys.executable, "-m", "antimagic.cli", "solve",
+                               str(path), "--cache-dir", str(cache)],
+                              env=env, stdout=subprocess.DEVNULL)
+             for path in (c3_file, c5_file, c3_file, c5_file)]
+    assert [proc.wait(timeout=120) for proc in procs] == [EXIT_OK] * 4
+    lines = (cache / "cache.jsonl").read_text().splitlines()
+    assert 2 <= len(lines) <= 4
+    for line in lines:
+        assert isinstance(json.loads(line), dict)
+    out = tmp_path / "o.json"
+    for path, value in chi.items():
+        assert run(["solve", str(path), "--cache-dir", str(cache),
+                    "--out", str(out)]) == EXIT_OK
+        doc = read(out)
+        assert doc["cached"] is True and doc["chi"] == value
+        cert = Certificate.from_doc(doc["certificate"])
+        assert verify_certificate(cert, Graph.from_doc(read(path)))
+        assert cert.color_count == value
 
 
 def test_solve_budget_exhaustion(f2_file, tmp_path):

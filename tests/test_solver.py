@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from antimagic import solver
 from antimagic.graphs import (Graph, complete, corona, cycle, fan_corona,
                               friendship_corona, null_graph, path)
 from antimagic.labeling import verify_certificate
@@ -106,6 +107,17 @@ def test_relabeled_friendship_o1_gets_construction(n):
     assert verify_certificate(out.certificate, g)
 
 
+def test_seeded_step_computes_no_symmetry(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("symmetry_pairs ran on a seeded step")
+
+    monkeypatch.setattr(solver, "symmetry_pairs", refuse)
+    g = relabeled(friendship_corona(3, 1), seed=3)
+    out = feasible_with_k_colors(g, 9)
+    assert out.status == FEASIBLE and out.nodes_explored == 0
+    assert verify_certificate(out.certificate, g)
+
+
 def test_same_degrees_not_isomorphic_is_not_seeded():
     # p, q and degrees of friendship_corona(2, 1), but inner vertex 1 holds
     # two pendants and inner vertex 2 none
@@ -175,11 +187,19 @@ def _random_connected(seed: int) -> tuple[Graph, list[int]]:
     return Graph(p, edges), order
 
 
+def _first_edges_come_first(pairs, order) -> bool:
+    """The search relies on this: an edge's labels start above those of
+    the pair partners it must exceed, which are labelled before it."""
+    pos = {e: i for i, e in enumerate(order)}
+    return all(pos[a] < pos[b] for a, b in pairs)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_symmetry_pairs_match_oracle_random(seed):
     g, order = _random_connected(seed)
-    assert sorted(symmetry_pairs(g, order)) == \
-        sorted(naive_symmetry_pairs(g, order))
+    pairs = symmetry_pairs(g, order)
+    assert sorted(pairs) == sorted(naive_symmetry_pairs(g, order))
+    assert _first_edges_come_first(pairs, order)
 
 
 CUBE = Graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)
@@ -193,7 +213,9 @@ def test_symmetry_pairs_match_oracle_structured(g):
     order = _order_edges(g)
     expected = naive_symmetry_pairs(g, order)
     assert expected
-    assert sorted(symmetry_pairs(g)) == sorted(expected)
+    pairs = symmetry_pairs(g)
+    assert sorted(pairs) == sorted(expected)
+    assert _first_edges_come_first(pairs, order)
 
 
 def test_symmetry_ignores_vertex_roles():
