@@ -34,7 +34,8 @@ from .graphs import (Graph, complete, corona, cycle, fan, fan_corona,
 from .labeling import (Certificate, GraphMismatchError, InvalidLabelingError,
                        make_certificate, verify_certificate)
 from .solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
-                     SearchConfig, exact_chi_la, feasible_with_k_colors)
+                     SearchConfig, _check_k, exact_chi_la,
+                     feasible_with_k_colors)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -173,6 +174,8 @@ def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
     """Shared engine behind solve and label --method solver."""
     cache = _cache_dir(args.cache_dir)
     target = args.target_colors
+    if target is not None:
+        _check_k(g, target)  # before the cache, which would answer any k
     hit = _cache_lookup(cache, g)
     if hit is not None:
         cert, exact = hit

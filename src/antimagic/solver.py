@@ -20,6 +20,11 @@ Pruning relies on three admissible observations:
   that exceeds q it contributes a weight above q distinct from every closed
   weight above q realized by one of its neighbors.
 
+The bound is evaluated for each candidate label from the would-be weights of
+the edge's closing endpoints, before the label is placed.  A label that the
+bound or an adjacent weight tie rejects is never placed and is not a node;
+``nodes_explored`` counts placed labels (plus the root).
+
 Symmetry breaking keeps at least one labeling per orbit of the graph's full
 automorphism group, found from the structure alone (colour refinement and
 individualisation; vertex roles are never read).  One stabiliser chain over
@@ -88,6 +93,11 @@ def _validate_instance(g: Graph) -> None:
         raise ValueError("need a graph with at least 2 edges")
     if not g.is_connected():
         raise ValueError("need a connected graph")
+
+
+def _check_k(g: Graph, k: int) -> None:
+    if not 2 <= k <= g.p:
+        raise ValueError(f"k must be in 2..{g.p}, got {k}")
 
 
 # -- edge ordering ------------------------------------------------------------
@@ -191,6 +201,12 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
     """Depth-first search for a labeling with at most k distinct weights,
     assigning edges in ``order`` under the ``symmetry_pairs`` constraints.
 
+    A candidate label is judged before it is placed: the adjacency check and
+    the admissible bound are evaluated from the weights its edge's closing
+    endpoints would get, reading the closed-weight counts without changing
+    them.  Only labels that pass are placed and recursed into, so a rejected
+    label is not a node.
+
     Returns (labels_in_edge_index_order | None, exhausted, nodes).
     """
     q = g.q
@@ -198,11 +214,13 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
     ends = [g.edges[e] for e in order]
     adj = [g.neighbors(v) for v in range(p)]
     degs = g.degrees
-    pend_edge = [degs[a] == 1 or degs[b] == 1 for a, b in g.edges]
+    inner_edge = [degs[a] > 1 and degs[b] > 1 for a, b in g.edges]
     pendant_total = sum(1 for v in range(p) if degs[v] == 1)
     heavy = max(range(p), key=lambda v: (degs[v], -v))
     heavy_static = _triangular(degs[heavy]) > q
-    heavy_adj = frozenset(adj[heavy])
+    by_heavy = [False] * p
+    for v in adj[heavy]:
+        by_heavy[v] = True
     # in a stabiliser chain the first edge of a pair comes first in order,
     # so each edge's labels start above those of its earlier partners
     smaller_than: dict[int, list[int]] = {}
@@ -211,58 +229,21 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
 
     lab = [0] * q
     used = [False] * (q + 2)
-    nonpend = [False] * (q + 2)
+    nonpend = [False] * (q + 2)  # label sits on an edge between non-pendants
     wt = [0] * p
     rem = list(degs)
-    cnt: dict[int, int] = {}
-    gt_adj: dict[int, int] = {}
-    state = [0, 0, 0, 0]  # distinct_gt, distinct_le, x_count, bad_gt
+    # by weight: closed vertices, and closed neighbours of heavy, with it
+    # (gt_adj is read only above q)
+    top = sum(range(q + 1 - degs[heavy], q + 1)) + 1
+    cnt = [0] * top
+    gt_adj = [0] * top
     nodes = 0
     solution: list[int] | None = None
 
-    def close(v: int, w: int) -> None:
-        c = cnt.get(w, 0)
-        cnt[w] = c + 1
-        if w > q:
-            if c == 0:
-                state[0] += 1
-            if v in heavy_adj:
-                a2 = gt_adj.get(w, 0)
-                gt_adj[w] = a2 + 1
-                if c > 0 and a2 == 0:
-                    state[3] -= 1
-            elif c == 0:
-                state[3] += 1
-        elif c == 0:
-            state[1] += 1
-            if nonpend[w]:
-                state[2] += 1
-
-    def unclose(v: int, w: int) -> None:
-        c = cnt[w] - 1
-        if c:
-            cnt[w] = c
-        else:
-            del cnt[w]
-        if w > q:
-            if v in heavy_adj:
-                a2 = gt_adj[w] - 1
-                if a2:
-                    gt_adj[w] = a2
-                else:
-                    del gt_adj[w]
-                if c > 0 and a2 == 0:
-                    state[3] += 1
-            elif c == 0 and gt_adj.get(w, 0) == 0:
-                state[3] -= 1
-            if c == 0:
-                state[0] -= 1
-        elif c == 0:
-            state[1] -= 1
-            if nonpend[w]:
-                state[2] -= 1
-
-    def dfs(pos: int) -> bool:
+    def dfs(pos: int, n_gt: int, n_le: int, n_x: int, n_bad: int) -> bool:
+        # distinct closed weights above q and at most q; those at most q
+        # that are also labels of inner edges (so no pendant can take them);
+        # those above q that no closed neighbour of heavy has
         nonlocal nodes, solution
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -271,14 +252,18 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
                 and time.monotonic() > deadline:
             raise _BudgetHit
         if pos == q:
-            if state[0] + state[1] <= k:
-                solution = lab[:]
-                return True
-            return False
+            solution = lab[:]
+            return True
         e = order[pos]
         a, b = ends[pos]
         a_closes = rem[a] == 1
         b_closes = rem[b] == 1
+        wa = wt[a]
+        wb = wt[b]
+        if a_closes and b_closes and wa == wb:
+            return False
+        inner = inner_edge[e]
+        heavy_open = heavy_static and rem[heavy] - (heavy == a or heavy == b) > 0
         earlier = smaller_than.get(e)
         if pos == 0 and first_labels is not None:
             candidates = first_labels
@@ -289,67 +274,95 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
         for lnum in candidates:
             if used[lnum]:
                 continue
+            gt, le, bad = n_gt, n_le, n_bad
+            x = n_x + 1 if inner and cnt[lnum] else n_x
             if a_closes:
-                wa = wt[a] + lnum
+                w = wa + lnum
+                if not cnt[w]:
+                    if w > q:
+                        gt += 1
+                        if not by_heavy[a]:
+                            bad += 1
+                    else:
+                        le += 1
+                        if nonpend[w]:
+                            x += 1
+                elif w > q and by_heavy[a] and not gt_adj[w]:
+                    bad -= 1
+            if b_closes:
+                w = wb + lnum
+                if not cnt[w]:
+                    if w > q:
+                        gt += 1
+                        if not by_heavy[b]:
+                            bad += 1
+                    else:
+                        le += 1
+                        if nonpend[w]:
+                            x += 1
+                elif w > q and by_heavy[b] and not gt_adj[w]:
+                    bad -= 1
+            low = gt + max(pendant_total + x, le)
+            # open heavy ends above q, unlike its closed neighbours; if they
+            # hold every closed weight above q, heavy's weight is a new one
+            if low > k or low == k and heavy_open and not bad:
+                continue
+            if a_closes:
+                w = wa + lnum
                 conflict = False
                 for u in adj[a]:
-                    if rem[u] == 0 and wt[u] == wa:
+                    if wt[u] == w and not rem[u]:
                         conflict = True
                         break
                 if conflict:
                     continue
             if b_closes:
-                wb = wt[b] + lnum
+                w = wb + lnum
                 conflict = False
                 for u in adj[b]:
-                    if rem[u] == 0 and wt[u] == wb:
+                    if wt[u] == w and not rem[u]:
                         conflict = True
                         break
                 if conflict:
                     continue
-                if a_closes and wt[a] == wt[b]:
-                    continue
             # place
             lab[e] = lnum
             used[lnum] = True
-            label_x = False
-            if not pend_edge[e]:
-                nonpend[lnum] = True
-                if cnt.get(lnum, 0) >= 1:
-                    state[2] += 1
-                    label_x = True
-            wt[a] += lnum
+            nonpend[lnum] = inner
+            wt[a] = wa + lnum
             rem[a] -= 1
-            wt[b] += lnum
+            wt[b] = wb + lnum
             rem[b] -= 1
-            if rem[a] == 0:
-                close(a, wt[a])
-            if rem[b] == 0:
-                close(b, wt[b])
-            delta = 1 if (heavy_static and rem[heavy] > 0
-                          and state[3] == 0) else 0
-            low = state[0] + delta + max(pendant_total + state[2], state[1])
-            if low <= k and dfs(pos + 1):
+            if a_closes:
+                w = wa + lnum
+                cnt[w] += 1
+                gt_adj[w] += by_heavy[a]
+            if b_closes:
+                w = wb + lnum
+                cnt[w] += 1
+                gt_adj[w] += by_heavy[b]
+            if dfs(pos + 1, gt, le, x, bad):
                 return True
             # unplace
-            if rem[b] == 0:
-                unclose(b, wt[b])
-            if rem[a] == 0:
-                unclose(a, wt[a])
-            wt[a] -= lnum
+            if b_closes:
+                w = wb + lnum
+                cnt[w] -= 1
+                gt_adj[w] -= by_heavy[b]
+            if a_closes:
+                w = wa + lnum
+                cnt[w] -= 1
+                gt_adj[w] -= by_heavy[a]
+            wt[a] = wa
             rem[a] += 1
-            wt[b] -= lnum
+            wt[b] = wb
             rem[b] += 1
-            if not pend_edge[e]:
-                if label_x:
-                    state[2] -= 1
-                nonpend[lnum] = False
+            nonpend[lnum] = False
             lab[e] = 0
             used[lnum] = False
         return False
 
     try:
-        found = dfs(0)
+        found = dfs(0, 0, 0, 0, 0)
         exhausted = not found
     except _BudgetHit:
         return solution, False, nodes
@@ -423,8 +436,7 @@ def feasible_with_k_colors(g: Graph, k: int, cfg: SearchConfig | None = None
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)
-    if not 2 <= k <= g.p:
-        raise ValueError(f"k must be in 2..{g.p}, got {k}")
+    _check_k(g, k)
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
     sol, exhausted, nodes = _run_search(g, k, cfg, _plan(g), deadline,
@@ -497,9 +509,12 @@ def lower_bound_prune(g: Graph, partial) -> float:
     """Admissible lower bound on the color count of any bijective completion
     of a partial labeling (entries None or 0 mean unassigned).
 
-    Mirrors the bound used inside the search: returns the exact color count
-    on complete assignments and ``inf`` when two adjacent closed vertices
-    already share a weight.
+    Returns the exact color count on complete assignments and ``inf`` when
+    two adjacent closed vertices already share a weight.  It is the oracle
+    for the search's incremental bound: ``conftest.reference_search`` prunes
+    by this function alone, and ``test_search_matches_reference_bound``
+    checks that it visits the same nodes and reaches the same verdicts as
+    ``feasible_with_k_colors``.
     """
     q = g.q
     if len(partial) != q:

@@ -4,9 +4,10 @@ The colour-count oracle enumerates all q! bijections (or the completions of
 a partial labeling), so it is only usable for q <= 7; the solver tests and
 the acceptance suite compare against it on small graphs.  The symmetry
 oracle enumerates all p! vertex permutations (p <= 8) and checks the
-solver's stabiliser chain.  The f2.O1 exact solve is session-scoped because
-several tests (solver behavior, acceptance budget) want the same, fairly
-expensive result.
+solver's stabiliser chain.  The bound oracle re-runs the solver's search
+with ``lower_bound_prune`` as its only pruning rule.  The f2.O1 exact solve
+is session-scoped because several tests (solver behavior, acceptance budget)
+want the same, fairly expensive result.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 import pytest
 
 from antimagic import Graph, SearchConfig, exact_chi_la, friendship_corona
+from antimagic.solver import _order_edges, lower_bound_prune, symmetry_pairs
 
 
 def naive_exact_chi_la(g: Graph, partial=None) -> int:
@@ -64,6 +66,39 @@ def naive_symmetry_pairs(g: Graph, order) -> list[tuple[int, int]]:
         pairs += [(e, f) for f in sorted({pi[e] for pi in auts} - {e})]
         auts = [pi for pi in auts if pi[e] == e]
     return pairs
+
+
+def reference_search(g: Graph, k: int) -> tuple[int, bool]:
+    """Plain depth-first search for a labeling with at most k colours, in
+    the solver's edge order and under its symmetry pairs, that prunes only
+    by ``lower_bound_prune(g, partial) > k``.  Returns (nodes, found), with
+    nodes counted as the solver counts them: the root and every placed
+    label that the bound lets through."""
+    order = _order_edges(g)
+    earlier: dict[int, list[int]] = {}
+    for a, b in symmetry_pairs(g, order):
+        earlier.setdefault(b, []).append(a)
+    partial = [None] * g.q
+    nodes = 0
+
+    def dfs(pos: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if pos == g.q:  # the bound is exact on a complete labeling
+            return True
+        e = order[pos]
+        low = max((partial[f] for f in earlier.get(e, ())), default=0)
+        for lnum in range(low + 1, g.q + 1):
+            if lnum in partial:
+                continue
+            partial[e] = lnum
+            if lower_bound_prune(g, partial) <= k and dfs(pos + 1):
+                return True
+            partial[e] = None
+        return False
+
+    found = dfs(0)
+    return nodes, found
 
 
 def relabeled(g: Graph, seed: int) -> Graph:

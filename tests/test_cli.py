@@ -157,6 +157,24 @@ def test_solve_and_cache_round_trip(c3_file, tmp_path, capsys):
                            "cached": True}
 
 
+def test_out_of_range_target_is_refused_whatever_the_cache(c3_file, tmp_path,
+                                                           capsys):
+    # C3oO1 has p = 6: k = 1 and k = 99 are usage errors, cached or not
+    cache = tmp_path / "cache"
+
+    def refused():
+        for k in ("1", "99"):
+            assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                        "--target-colors", k]) == EXIT_USAGE
+            assert "k must be in 2..6" in capsys.readouterr().err
+
+    refused()
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                "--out", str(tmp_path / "o.json")]) == EXIT_OK
+    assert (cache / "cache.jsonl").read_text().count("\n") == 1
+    refused()
+
+
 def test_cache_env_var(c3_file, tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("ANTIMAGIC_CACHE_DIR", str(cache))

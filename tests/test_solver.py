@@ -13,7 +13,8 @@ from antimagic.solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                               SearchConfig, _order_edges, exact_chi_la,
                               feasible_with_k_colors, lower_bound_prune,
                               symmetry_pairs)
-from conftest import naive_exact_chi_la, naive_symmetry_pairs, relabeled
+from conftest import (naive_exact_chi_la, naive_symmetry_pairs, reference_search,
+                      relabeled)
 
 
 def c3_o1() -> Graph:
@@ -56,7 +57,15 @@ def test_f2_exact(f2_graph, f2_exact_outcome):
     out = f2_exact_outcome
     assert out.status == EXACT and out.chi == 7
     assert verify_certificate(out.certificate, f2_graph)
-    assert out.nodes_explored > 0 and out.wall_time >= 0.0
+    assert out.nodes_explored == 23_926 and out.wall_time >= 0.0
+
+
+# Node counts are deterministic; a change that moves one must say why.
+@pytest.mark.parametrize("g, nodes", [(c3_o1(), 206),
+                                      (corona(cycle(3), null_graph(2)), 35_155)],
+                         ids=["C3oO1", "C3oO2"])
+def test_exact_node_counts_pinned(g, nodes):
+    assert exact_chi_la(g).nodes_explored == nodes
 
 
 def test_f2_six_colors_infeasible(f2_graph):
@@ -187,6 +196,22 @@ def _random_connected(seed: int) -> tuple[Graph, list[int]]:
     return Graph(p, edges), order
 
 
+BOUND_ORACLE_GRAPHS = ORACLE_GRAPHS + [c3_o1()] + [
+    _random_connected(seed)[0] for seed in range(10)]
+BOUND_ORACLE_IDS = ORACLE_IDS + ["C3oO1"] + [f"random{seed}"
+                                             for seed in range(10)]
+
+
+@pytest.mark.parametrize("g", BOUND_ORACLE_GRAPHS, ids=BOUND_ORACLE_IDS)
+def test_search_matches_reference_bound(g):
+    # the incremental bound inside the search prunes exactly where
+    # lower_bound_prune does: same nodes, same verdict, at every k
+    for k in range(2, g.p + 1):
+        out = feasible_with_k_colors(g, k)
+        assert reference_search(g, k) == (out.nodes_explored,
+                                          out.status == FEASIBLE), k
+
+
 def _first_edges_come_first(pairs, order) -> bool:
     """The search relies on this: an edge's labels start above those of
     the pair partners it must exceed, which are labelled before it."""
@@ -223,7 +248,7 @@ def test_symmetry_ignores_vertex_roles():
     tagged = exact_chi_la(g)
     plain = exact_chi_la(Graph(g.p, g.edges))
     assert tagged.chi == plain.chi == 7
-    assert tagged.nodes_explored == plain.nodes_explored
+    assert tagged.nodes_explored == plain.nodes_explored == 91_066
 
 
 # -- budgets --------------------------------------------------------------------
