@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 FRIENDSHIP_LOWER = "friendship-lower"
 FAN_LOWER = "fan-lower"
@@ -92,8 +94,7 @@ def known_exact_kn_k1(n: int) -> int:
 # -- inequality witnesses --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InequalityWitness:
+class InequalityWitness(NamedTuple):
     """One exact evaluation of an inequality (or identity) from the
     lower-bound derivations.
 
@@ -118,7 +119,7 @@ class InequalityWitness:
     printed_matches: bool | None = None
 
     def to_doc(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def _witness(name, n, m, r, lhs, rhs, relation=">", in_scope=True,
@@ -237,10 +238,7 @@ def witnesses_to_csv(witnesses, fp) -> None:
     """Write witnesses to an open text file as CSV (None fields blank)."""
     writer = csv.writer(fp)
     writer.writerow(_CSV_COLUMNS)
-    for w in witnesses:
-        doc = w.to_doc()
-        writer.writerow(["" if doc[c] is None else doc[c]
-                         for c in _CSV_COLUMNS])
+    writer.writerows(map(attrgetter(*_CSV_COLUMNS), witnesses))
 
 
 def witnesses_to_json(witnesses) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .jsonio import check_version, stamp
 
@@ -34,8 +34,7 @@ PLAIN = "plain"
 _ROLE_KINDS = (HUB, INNER, HUB_PENDANT, PENDANT, PLAIN)
 
 
-@dataclass(frozen=True)
-class VertexRole:
+class VertexRole(NamedTuple):
     """Structural role of a vertex; reconstructs the conventional names.
 
     ``side`` distinguishes the two triangle legs of a friendship graph
@@ -71,10 +70,21 @@ class VertexRole:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "VertexRole":
+        if not isinstance(doc, dict):
+            raise ValueError(f"vertex role {doc!r} is not an object")
         kind = doc.get("kind")
         if kind not in _ROLE_KINDS:
             raise ValueError(f"unknown vertex role kind {kind!r}")
-        return cls(kind, doc.get("side", ""), doc.get("i", 0), doc.get("j", 0))
+        role = cls(kind, doc.get("side", ""), doc.get("i", 0), doc.get("j", 0))
+        if not isinstance(role.side, str) or not (_is_int(role.i)
+                                                  and _is_int(role.j)):
+            raise ValueError(f"malformed vertex role {doc!r}")
+        return role
+
+
+def _is_int(x) -> bool:
+    """Vertex ids, orders and role indices are plain ints, never bools."""
+    return type(x) is int
 
 
 class Graph:
@@ -84,25 +94,33 @@ class Graph:
                  "_hash", "_degrees")
 
     def __init__(self, p: int, edges, roles=None, family: str | None = None):
+        if not _is_int(p):
+            raise ValueError(f"graph order {p!r} is not an integer")
         if p < 1:
             raise ValueError("graph order must be at least 1")
-        norm = []
-        seen = set()
-        for a, b in edges:
+        index = {}  # edge -> position, also the duplicate check
+        for e in edges:
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"edge {e!r} is not a pair of vertex ids") from None
+            if type(a) is not int or type(b) is not int:
+                bad = b if _is_int(a) else a
+                raise ValueError(f"vertex id {bad!r} is not an integer")
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
             if not (0 <= a < p and 0 <= b < p):
                 raise ValueError(f"edge ({a},{b}) out of range for order {p}")
             key = (a, b) if a < b else (b, a)
-            if key in seen:
+            if key in index:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
+            index[key] = len(index)
         self.p = p
-        self.q = len(norm)
-        self.edges = tuple(norm)
+        self.q = len(index)
+        self.edges = tuple(index)
         if roles is None:
-            roles = [VertexRole(PLAIN, i=v) for v in range(p)]
+            roles = [VertexRole(PLAIN, "", v) for v in range(p)]
         roles = tuple(roles)
         if len(roles) != p:
             raise ValueError("one role per vertex required")
@@ -112,9 +130,9 @@ class Graph:
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        self._adj = tuple(tuple(ns) for ns in adj)
-        self._degrees = tuple(len(ns) for ns in adj)
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
+        self._adj = tuple(map(tuple, adj))
+        self._degrees = tuple(map(len, adj))
+        self._edge_index = index
         role_index = {}
         for v, role in enumerate(roles):
             if role in role_index:
@@ -191,9 +209,13 @@ class Graph:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Graph":
+        if not isinstance(doc, dict):
+            raise ValueError("graph document is not a JSON object")
         check_version(doc, "graph")
-        roles = [VertexRole.from_doc(r) for r in doc["roles"]]
-        g = cls(doc["p"], [tuple(e) for e in doc["edges"]], roles,
+        roles, edges = doc["roles"], doc["edges"]
+        if not isinstance(roles, list) or not isinstance(edges, list):
+            raise ValueError("graph roles and edges must be lists")
+        g = cls(doc["p"], edges, [VertexRole.from_doc(r) for r in roles],
                 doc.get("family"))
         if g.q != doc["q"]:
             raise ValueError(f"edge count {g.q} does not match stated q={doc['q']}")
@@ -345,18 +367,16 @@ def corona(g: Graph, h: Graph) -> Graph:
     roles = list(g.roles)
     edges = list(g.edges)
     edgeless = h.q == 0
-    for base in range(g.p):
+    pendants = range(1, h.p + 1)
+    for base, (kind, side, i, _) in enumerate(g.roles):
         start = g.p + base * h.p
-        base_role = g.roles[base]
-        for pos in range(h.p):
-            v = start + pos
-            if edgeless and base_role.kind == HUB:
-                roles.append(VertexRole(HUB_PENDANT, j=pos + 1))
-            elif edgeless and base_role.kind == INNER:
-                roles.append(VertexRole(PENDANT, base_role.side, base_role.i,
-                                        pos + 1))
-            else:
-                roles.append(VertexRole(PLAIN, i=v))
+        if edgeless and kind == HUB:
+            roles += [VertexRole(HUB_PENDANT, "", 0, j) for j in pendants]
+        elif edgeless and kind == INNER:
+            roles += [VertexRole(PENDANT, side, i, j) for j in pendants]
+        else:
+            roles += [VertexRole(PLAIN, "", v)
+                      for v in range(start, start + h.p)]
         edges += [(start + a, start + b) for a, b in h.edges]
         edges += [(base, start + pos) for pos in range(h.p)]
     family = None

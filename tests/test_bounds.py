@@ -1,6 +1,7 @@
 """Lower-bound formulas, inequality witnesses, sweeps, and bound reports."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -9,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from antimagic import bounds
-from antimagic.bounds import (BoundReport, bound_report, fan_witnesses,
-                              friendship_witnesses, known_exact_c3_corona,
+from antimagic.bounds import (BoundReport, InequalityWitness, bound_report,
+                              fan_witnesses, friendship_witnesses,
+                              known_exact_c3_corona,
                               known_exact_kn_k1, lb_fan, lb_friendship,
                               sweep_fan_inequalities,
                               sweep_friendship_inequalities, witnesses_to_csv,
@@ -190,6 +192,51 @@ def test_json_export_shape():
     assert isinstance(docs, list)
     chain = [d for d in docs if d["name"] == "fan-light-sum-chain"]
     assert chain and chain[0]["holds"] is False and chain[0]["r"] == 1
+
+
+# sha256 of the exporters' output on the default grids, recorded before the
+# witnesses became named tuples and the CSV rows went through one getter
+SWEEP_CSV_SHA256 = {
+    "friendship": (
+        sweep_friendship_inequalities, 7350,
+        "96a91e0dde12462317577617e3da8b348f9eadb0845659ae9654c2459332bb2a"),
+    "fan": (
+        sweep_fan_inequalities, 156001,
+        "094bbcadab0d80b2516bf47dcac9f1fa8c6eadb62a52c23617b6710f4b0a8a74"),
+}
+FAN_3_1_JSON_SHA256 = \
+    "73a188ec6be2bf9ce127956853fb81fb838ae7a32c71b8f94b4d696b341d72fc"
+
+
+@pytest.mark.parametrize("target", sorted(SWEEP_CSV_SHA256))
+def test_sweep_csv_is_byte_identical(target):
+    sweep, rows, digest = SWEEP_CSV_SHA256[target]
+    ws = sweep()
+    assert len(ws) == rows
+    buf = io.StringIO(newline="")
+    witnesses_to_csv(ws, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_json_export_is_byte_identical():
+    text = witnesses_to_json(fan_witnesses(3, 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == FAN_3_1_JSON_SHA256
+
+
+def test_witness_doc_keeps_field_order():
+    w = fan_witnesses(3, 1)[1]
+    assert list(w.to_doc()) == ["name", "n", "m", "r", "lhs", "rhs",
+                                "relation", "holds", "in_proof_scope",
+                                "printed_form", "printed_matches"]
+
+
+def test_witness_is_immutable_and_hashable():
+    w = friendship_witnesses(2, 1)[0]
+    with pytest.raises(AttributeError):
+        w.lhs = 0
+    twin = InequalityWitness(**w.to_doc())
+    assert twin == w and hash(twin) == hash(w)
+    assert len(set(friendship_witnesses(2, 1) * 2)) == 3
 
 
 # -- reports -------------------------------------------------------------------

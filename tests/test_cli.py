@@ -392,3 +392,26 @@ def test_export_dot_with_certificate(f2_file, tmp_path):
 
 def test_missing_file_is_usage_error(capsys):
     assert run(["solve", "/nonexistent/g.json"]) == EXIT_USAGE
+
+
+def _c3_doc(**fields):
+    """A triangle's graph document with some fields replaced."""
+    doc = Graph(3, [(0, 1), (1, 2), (0, 2)]).to_doc()
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    _c3_doc(roles=[0, 1, 2]),
+    _c3_doc(edges=[[0.0, 1], [1, 2], [0, 2]]),
+    _c3_doc(edges=[["0", 1], [1, 2], [0, 2]]),
+    _c3_doc(p="3"),
+    _c3_doc(edges=[[False, True], [1, 2], [0, 2]]),
+], ids=["list", "int-roles", "float-id", "str-id", "str-p", "bool-ids"])
+def test_malformed_graph_file_is_usage_error(doc, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", str(path), "--cache-dir",
+                str(tmp_path / "cache")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")

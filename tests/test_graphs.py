@@ -1,12 +1,15 @@
 """Graph family generators, corona product, and serialization."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic.graphs import (HUB, HUB_PENDANT, INNER, PENDANT, Graph,
-                              VertexRole, complete, corona, cycle, fan,
-                              fan_corona, friendship, friendship_corona,
+from antimagic.graphs import (HUB, HUB_PENDANT, INNER, PENDANT, PLAIN,
+                              Graph, VertexRole, complete, corona, cycle,
+                              fan, fan_corona, friendship, friendship_corona,
                               null_graph, path)
 
 
@@ -125,6 +128,48 @@ def test_graph_validation():
         Graph(2, [(0, 2)])  # endpoint out of range
 
 
+@pytest.mark.parametrize("edges, fault", [
+    ([(0, 1), (1, 0), (2, 2)], "duplicate edge (0, 1)"),
+    ([(2, 2), (0, 1), (1, 0)], "loop at vertex 2"),
+    ([(0, 1), (0, 3), (2, 2)], "edge (0,3) out of range for order 3"),
+    ([(2, 2), (0, 3)], "loop at vertex 2"),
+    ([(1, 2), (2, 1), (0, 0.0)], "duplicate edge (1, 2)"),
+    ([(0, 1.0), (1, 1)], "vertex id 1.0 is not an integer"),
+    ([(0, 1), (True, 2)], "vertex id True is not an integer"),
+    ([(0, 1), ("1", 2)], "vertex id '1' is not an integer"),
+    ([(0, 1), (1, 2, 0)], "edge (1, 2, 0) is not a pair of vertex ids"),
+    ([(0, 1), 2], "edge 2 is not a pair of vertex ids"),
+    ([(-1, 1), (0, 1), (0, 1)], "edge (-1,1) out of range for order 3"),
+])
+def test_graph_error_names_first_fault(edges, fault):
+    with pytest.raises(ValueError) as exc:
+        Graph(3, edges)
+    assert str(exc.value) == fault
+
+
+_vertex_ids = st.one_of(st.integers(-1, 4), st.booleans(), st.just(1.0))
+
+
+@given(st.integers(1, 4), st.lists(st.tuples(_vertex_ids, _vertex_ids),
+                                   max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_graph_accepts_exactly_the_simple_edge_lists(p, edges):
+    keys = [(min(e), max(e)) for e in edges]
+    simple = (all(type(x) is int and 0 <= x < p for e in edges for x in e)
+              and all(a < b for a, b in keys) and len(set(keys)) == len(keys))
+    if simple:
+        assert Graph(p, edges).edges == tuple(keys)
+    else:
+        with pytest.raises(ValueError):
+            Graph(p, edges)
+
+
+@pytest.mark.parametrize("p", ["3", 3.0, True, None])
+def test_graph_order_must_be_an_int(p):
+    with pytest.raises(ValueError, match="graph order"):
+        Graph(p, [])
+
+
 def test_graph_rejects_duplicate_roles():
     with pytest.raises(ValueError, match="duplicate role"):
         Graph(2, [(0, 1)], [VertexRole(HUB), VertexRole(HUB)])
@@ -165,3 +210,62 @@ def test_dot_export_mentions_roles():
     dot = friendship(2).to_dot()
     assert dot.startswith("graph")
     assert "u1" in dot and "--" in dot
+
+
+# sha256 of (p, edges, role docs, content hash) for each graph below,
+# recorded before vertex roles became named tuples
+GOLDEN_GRAPHS_SHA256 = \
+    "33e8adb6121e4ae73bd1c70b3051e503bd61dd90242e1932dc77a88d214da2a2"
+
+
+def test_graphs_match_golden_digest():
+    graphs = [friendship_corona(n, m) for n in range(2, 6) for m in range(1, 4)]
+    graphs += [fan_corona(n, m) for n in range(2, 6) for m in range(1, 4)]
+    graphs += [corona(complete(4), complete(1)), corona(cycle(4), path(3)),
+               corona(path(3), null_graph(2)), corona(complete(3), cycle(3))]
+    docs = [[g.p, [list(e) for e in g.edges], [r.to_doc() for r in g.roles],
+             g.content_hash()] for g in graphs]
+    blob = json.dumps(docs, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_GRAPHS_SHA256
+
+
+def test_vertex_role_is_immutable_and_hashable():
+    role = VertexRole(PENDANT, "u", 1, 2)
+    with pytest.raises(AttributeError):
+        role.j = 3
+    twin = VertexRole(PENDANT, side="u", i=1, j=2)
+    assert twin == role and hash(twin) == hash(role)
+    assert twin != VertexRole(PENDANT, "v", 1, 2)
+
+
+@pytest.mark.parametrize("role", [
+    VertexRole(HUB), VertexRole(INNER, "u", 3), VertexRole(INNER, "", 2),
+    VertexRole(HUB_PENDANT, j=2), VertexRole(PENDANT, "v", 1, 4),
+    VertexRole(PENDANT, "", 2, 1), VertexRole(PLAIN, i=5), VertexRole(PLAIN),
+])
+def test_vertex_role_doc_round_trip(role):
+    assert VertexRole.from_doc(role.to_doc()) == role
+
+
+@pytest.mark.parametrize("doc", [
+    3, ["hub"], {"kind": "moon"}, {"kind": "inner", "i": "1"},
+    {"kind": "pendant", "i": 1, "j": True}, {"kind": "inner", "side": 1},
+])
+def test_vertex_role_rejects_malformed_docs(doc):
+    with pytest.raises(ValueError):
+        VertexRole.from_doc(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("roles", "x"), ("edges", {"0": 1}), ("p", "3"),
+])
+def test_doc_rejects_malformed_fields(field, value):
+    doc = cycle(3).to_doc()
+    doc[field] = value
+    with pytest.raises(ValueError):
+        Graph.from_doc(doc)
+
+
+def test_doc_must_be_an_object():
+    with pytest.raises(ValueError, match="not a JSON object"):
+        Graph.from_doc([cycle(3).to_doc()])

@@ -59,6 +59,19 @@ def test_bijectivity_validation():
         validate_labeling(g, [1, 2])  # wrong length
 
 
+@given(st.lists(st.one_of(st.integers(-1, 6), st.booleans(), st.just(2.0)),
+                max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_validation_accepts_exactly_the_permutations(labels):
+    g = star(len(labels))
+    if (all(type(x) is int for x in labels)
+            and sorted(labels) == list(range(1, g.q + 1))):
+        validate_labeling(g, labels)
+    else:
+        with pytest.raises(InvalidLabelingError):
+            validate_labeling(g, labels)
+
+
 @st.composite
 def graph_and_labeling(draw):
     n = draw(st.integers(2, 5))
