@@ -1,115 +1,50 @@
 """Local antimagic vertex colorings of corona-product graphs: generators,
 closed-form labelings, exact-arithmetic bounds, and a branch-and-bound
-solver with verifiable certificates."""
+solver with verifiable certificates.
 
-from .bounds import (
-    BoundReport,
-    InequalityWitness,
-    bound_report,
-    fan_witnesses,
-    friendship_witnesses,
-    known_exact_c3_corona,
-    known_exact_kn_k1,
-    lb_fan,
-    lb_friendship,
-    sweep_fan_inequalities,
-    sweep_friendship_inequalities,
-)
-from .construction import (
-    ConstructionError,
-    ConstructionReport,
-    chi_la_friendship_o1,
-    construct,
-    construct_even,
-    construct_odd,
-    construct_small,
-)
-from .graphs import (
-    Graph,
-    VertexRole,
-    complete,
-    corona,
-    cycle,
-    fan,
-    fan_corona,
-    friendship,
-    friendship_corona,
-    null_graph,
-    path,
-)
-from .labeling import (
-    Certificate,
-    GraphMismatchError,
-    InvalidLabelingError,
-    Verdict,
-    color_count,
-    is_local_antimagic,
-    make_certificate,
-    validate_labeling,
-    verify_certificate,
-    weights,
-)
-from .solver import (
-    BUDGET_EXHAUSTED,
-    EXACT,
-    FEASIBLE,
-    INFEASIBLE,
-    SearchConfig,
-    SearchOutcome,
-    exact_chi_la,
-    feasible_with_k_colors,
-    lower_bound_prune,
-)
+The public names below are resolved on first use (PEP 562), so importing the
+package, or one of its modules, loads only the submodules that are needed.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "BUDGET_EXHAUSTED",
-    "Certificate",
-    "ConstructionError",
-    "ConstructionReport",
-    "EXACT",
-    "FEASIBLE",
-    "Graph",
-    "GraphMismatchError",
-    "INFEASIBLE",
-    "InequalityWitness",
-    "InvalidLabelingError",
-    "SearchConfig",
-    "SearchOutcome",
-    "Verdict",
-    "VertexRole",
-    "bound_report",
-    "chi_la_friendship_o1",
-    "color_count",
-    "complete",
-    "construct",
-    "construct_even",
-    "construct_odd",
-    "construct_small",
-    "corona",
-    "cycle",
-    "exact_chi_la",
-    "fan",
-    "fan_corona",
-    "fan_witnesses",
-    "feasible_with_k_colors",
-    "friendship",
-    "friendship_corona",
-    "friendship_witnesses",
-    "is_local_antimagic",
-    "known_exact_c3_corona",
-    "known_exact_kn_k1",
-    "lb_fan",
-    "lb_friendship",
-    "lower_bound_prune",
-    "make_certificate",
-    "null_graph",
-    "path",
-    "sweep_fan_inequalities",
-    "sweep_friendship_inequalities",
-    "validate_labeling",
-    "verify_certificate",
-    "weights",
-]
+# defining submodule -> the public names it contributes
+_EXPORTS = {
+    "bounds": ("BoundReport", "InequalityWitness", "bound_report",
+               "fan_witnesses", "friendship_witnesses",
+               "known_exact_c3_corona", "known_exact_kn_k1", "lb_fan",
+               "lb_friendship", "sweep_fan_inequalities",
+               "sweep_friendship_inequalities"),
+    "construction": ("ConstructionError", "ConstructionReport",
+                     "chi_la_friendship_o1", "construct", "construct_even",
+                     "construct_odd", "construct_small"),
+    "graphs": ("Graph", "VertexRole", "complete", "corona", "cycle", "fan",
+               "fan_corona", "friendship", "friendship_corona", "null_graph",
+               "path"),
+    "labeling": ("Certificate", "GraphMismatchError", "InvalidLabelingError",
+                 "Verdict", "color_count", "is_local_antimagic",
+                 "make_certificate", "validate_labeling",
+                 "verify_certificate", "weights"),
+    "solver": ("BUDGET_EXHAUSTED", "EXACT", "FEASIBLE", "INFEASIBLE",
+               "SearchConfig", "SearchOutcome", "exact_chi_la",
+               "feasible_with_k_colors", "lower_bound_prune"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, as ``antimagic.solver``
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -19,19 +19,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import NamedTuple
+
+from .graphs import REPORT_FAMILIES, _triangular
 
 FRIENDSHIP_LOWER = "friendship-lower"
 FAN_LOWER = "fan-lower"
 FN_O1_EXACT = "fn-o1-exact"
 C3_EXACT = "c3-exact"
 KN_K1_EXACT = "kn-k1-exact"
-
-
-def _triangular(k: int) -> int:
-    return k * (k + 1) // 2
 
 
 def _q_friendship(n: int, m: int) -> int:
@@ -248,18 +245,7 @@ def witnesses_to_json(witnesses) -> str:
 # -- aggregated reports ----------------------------------------------------------
 
 
-REPORT_FAMILIES = ("friendship-corona", "fan-corona", "c3-corona", "kn-k1")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Best known lower/upper/exact values for one parameterized family.
-
-    ``provenance`` explains where lower/exact come from; the raw closed-form
-    bound is kept separately in ``lemma_lower`` even when a sharper exact
-    value supersedes it.
-    """
-
+class _BoundFields(NamedTuple):
     family: str
     n: int
     m: int
@@ -270,7 +256,22 @@ class BoundReport:
     lemma_lower: int | None = None
     lemma_provenance: str | None = None
 
-    def __post_init__(self):
+    def to_doc(self) -> dict:
+        return self._asdict()
+
+
+class BoundReport(_BoundFields):
+    """Best known lower/upper/exact values for one parameterized family.
+
+    ``provenance`` explains where lower/exact come from; the raw closed-form
+    bound is kept separately in ``lemma_lower`` even when a sharper exact
+    value supersedes it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.exact is not None:
             if self.lower > self.exact:
                 raise ValueError("lower bound exceeds exact value")
@@ -278,9 +279,7 @@ class BoundReport:
                 raise ValueError("exact value exceeds upper bound")
         elif self.upper is not None and self.lower > self.upper:
             raise ValueError("lower bound exceeds upper bound")
-
-    def to_doc(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self
 
 
 def bound_report(family: str, n: int, m: int) -> BoundReport:

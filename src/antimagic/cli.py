@@ -14,23 +14,27 @@ $ANTIMAGIC_CACHE_DIR, else ./.antimagic-cache.
 
 Exit codes: 0 success, 2 usage or domain error, 3 verification failure,
 4 budget exhausted.
+
+The bounds module is loaded only by ``bounds`` and ``sweep``, and the
+construction module only by ``label --method construction`` (and by the
+solver, for a graph the size of a friendship corona with one pendant per
+vertex), so a ``solve`` starts without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import fcntl
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
-from . import bounds as bounds_mod
 from . import jsonio
-from .construction import certificate_for
-from .graphs import (Graph, complete, corona, cycle, fan, fan_corona,
-                     friendship, friendship_corona, null_graph, path)
+from .graphs import (REPORT_FAMILIES, Graph, complete, corona, cycle, fan,
+                     fan_corona, friendship, friendship_corona, null_graph,
+                     path)
 from .labeling import (Certificate, GraphMismatchError, InvalidLabelingError,
                        make_certificate, verify_certificate)
 from .solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
@@ -110,6 +114,13 @@ def _cache_lookup(cache: Path, g: Graph
     return cert, exact
 
 
+def _utc_now() -> str:
+    """The current UTC time in ISO 8601: 2026-01-31T12:00:00.123456+00:00."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00"
+
+
 def _cache_store(cache: Path, g: Graph, cert: Certificate,
                  exact: int | None) -> None:
     cache.mkdir(parents=True, exist_ok=True)
@@ -118,7 +129,7 @@ def _cache_store(cache: Path, g: Graph, cert: Certificate,
         "family": g.family,
         "exact": exact,
         "certificate": cert.to_doc(),
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "created": _utc_now(),
     })
     # one write of one line under the lock, so concurrent appends never
     # interleave; a torn tail line is skipped by _cache_lookup
@@ -223,6 +234,7 @@ def cmd_solve(args) -> int:
 def cmd_label(args) -> int:
     g = _load_graph(args.graph)
     if args.method == "construction":
+        from .construction import certificate_for
         cert = certificate_for(g)
         if cert is None:
             raise ValueError(
@@ -243,7 +255,8 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     doc = _load_json(args.labeling)
     try:
-        if "verdict" in doc:
+        # a document that is not an object is refused by Certificate.from_doc
+        if not isinstance(doc, dict) or "verdict" in doc:
             cert = Certificate.from_doc(doc)
             ok = verify_certificate(cert, g)
             report = {"kind": "certificate", "ok": bool(ok),
@@ -251,6 +264,8 @@ def cmd_verify(args) -> int:
                       "verdict": cert.verdict.to_doc()}
         else:
             labels = doc["labels"]
+            if not isinstance(labels, list):
+                raise ValueError("labeling labels must be a list")
             if doc.get("graph_hash") not in (None, g.content_hash()):
                 raise GraphMismatchError("labeling was made for a different "
                                          "graph (content hash mismatch)")
@@ -266,28 +281,30 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    report = bounds_mod.bound_report(args.family, args.n or 0, args.m or 1)
+    from . import bounds
+    report = bounds.bound_report(args.family, args.n or 0, args.m or 1)
     _dump(report.to_doc(), args.out)
     return EXIT_OK
 
 
-# target -> (name of the sweep in bounds_mod, looked up at call time; first n)
+# target -> (name of the sweep in bounds, looked up at call time; first n)
 _SWEEPS = {"friendship": ("sweep_friendship_inequalities", 2),
            "fan": ("sweep_fan_inequalities", 3)}
 
 
 def cmd_sweep(args) -> int:
+    from . import bounds
     sweep, first_n = _SWEEPS[args.target]
     n_lo = first_n if args.n_min is None else args.n_min
-    witnesses = getattr(bounds_mod, sweep)(range(n_lo, args.n_max + 1),
-                                           range(args.m_min, args.m_max + 1))
+    witnesses = getattr(bounds, sweep)(range(n_lo, args.n_max + 1),
+                                       range(args.m_min, args.m_max + 1))
     if args.format == "json":
-        _write_out(bounds_mod.witnesses_to_json(witnesses), args.out)
+        _write_out(bounds.witnesses_to_json(witnesses), args.out)
     elif args.out in (None, "-"):
-        bounds_mod.witnesses_to_csv(witnesses, sys.stdout)
+        bounds.witnesses_to_csv(witnesses, sys.stdout)
     else:
         with open(args.out, "w", newline="") as fh:
-            bounds_mod.witnesses_to_csv(witnesses, fh)
+            bounds.witnesses_to_csv(witnesses, fh)
     return EXIT_OK
 
 
@@ -359,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="closed-form bound report")
     p.add_argument("--family", required=True,
-                   choices=list(bounds_mod.REPORT_FAMILIES))
+                   choices=list(REPORT_FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--out", default=None)

@@ -14,10 +14,10 @@ onto any isomorphic copy of the corona, whatever its numbering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
-from .graphs import Graph, _isomorphism, friendship_corona
+from .graphs import Graph, _friendship_o1_n, _isomorphism, friendship_corona
 from .labeling import Certificate, make_certificate, verify_certificate
 
 
@@ -131,8 +131,7 @@ def even_v_column_sum(n: int) -> int:
 # -- assembled constructions --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     n: int
     case: str  # "odd" | "even" | "small"
     graph: Graph
@@ -298,9 +297,8 @@ def certificate_for(g: Graph) -> Certificate | None:
 
     Graphs whose order, size or degree multiset differ from the corona's are
     turned away before any construction or isomorphism search runs."""
-    n, rest = divmod(g.p - 2, 4)
-    degrees = [1] * (2 * n + 1) + [3] * (2 * n) + [2 * n + 1]
-    if n < 2 or rest or g.q != 5 * n + 1 or sorted(g.degrees) != degrees:
+    n = _friendship_o1_n(g)
+    if n is None:
         return None
     report = construct(n)
     h = report.graph

@@ -33,6 +33,9 @@ PLAIN = "plain"
 
 _ROLE_KINDS = (HUB, INNER, HUB_PENDANT, PENDANT, PLAIN)
 
+# the corona families with a closed-form bound report, by their CLI names
+REPORT_FAMILIES = ("friendship-corona", "fan-corona", "c3-corona", "kn-k1")
+
 
 class VertexRole(NamedTuple):
     """Structural role of a vertex; reconstructs the conventional names.
@@ -85,6 +88,11 @@ class VertexRole(NamedTuple):
 def _is_int(x) -> bool:
     """Vertex ids, orders and role indices are plain ints, never bools."""
     return type(x) is int
+
+
+def _triangular(k: int) -> int:
+    """1 + 2 + ... + k, the least weight of a vertex of degree k."""
+    return k * (k + 1) // 2
 
 
 class Graph:
@@ -209,8 +217,6 @@ class Graph:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Graph":
-        if not isinstance(doc, dict):
-            raise ValueError("graph document is not a JSON object")
         check_version(doc, "graph")
         roles, edges = doc["roles"], doc["edges"]
         if not isinstance(roles, list) or not isinstance(edges, list):
@@ -388,6 +394,18 @@ def corona(g: Graph, h: Graph) -> Graph:
 def friendship_corona(n: int, m: int) -> Graph:
     """friendship(n) o null_graph(m): p=(2n+1)(1+m), q=m(2n+1)+3n."""
     return corona(friendship(n), null_graph(m))
+
+
+def _friendship_o1_n(g: Graph) -> int | None:
+    """n when g has the order 4n+2, size 5n+1 and degree multiset of
+    friendship_corona(n, 1) for some n >= 2, else None: a cheap test that
+    every copy of that corona passes."""
+    n, rest = divmod(g.p - 2, 4)
+    if n < 2 or rest or g.q != 5 * n + 1:
+        return None
+    if sorted(g.degrees) != [1] * (2 * n + 1) + [3] * (2 * n) + [2 * n + 1]:
+        return None
+    return n
 
 
 def fan_corona(n: int, m: int) -> Graph:

@@ -20,6 +20,10 @@ def stamp(payload: dict) -> dict:
 
 
 def check_version(doc: dict, kind: str = "document") -> None:
+    """Raise ValueError unless ``doc`` is a JSON object with the supported
+    schema version (SchemaVersionError for a wrong or missing version)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} document is not a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(

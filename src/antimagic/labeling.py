@@ -9,8 +9,7 @@ arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph
 from .jsonio import check_version, stamp
@@ -57,8 +56,7 @@ def weights(g: Graph, labels: Sequence[int]) -> list[int]:
     return w
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the adjacency check.
 
     ``witness`` is the lowest-indexed edge whose endpoints tie, or None.
@@ -88,8 +86,7 @@ def color_count(g: Graph, labels: Sequence[int]) -> int:
     return make_certificate(g, labels).color_count
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Self-contained, re-checkable record of a labeling and its weights."""
 
     graph_hash: str
@@ -110,9 +107,11 @@ class Certificate:
     @classmethod
     def from_doc(cls, doc: dict) -> "Certificate":
         check_version(doc, "certificate")
-        return cls(doc["graph_hash"], tuple(doc["labels"]),
-                   tuple(doc["weights"]), doc["color_count"],
-                   Verdict.from_doc(doc["verdict"]))
+        labels, weights = doc["labels"], doc["weights"]
+        if not isinstance(labels, list) or not isinstance(weights, list):
+            raise ValueError("certificate labels and weights must be lists")
+        return cls(doc["graph_hash"], tuple(labels), tuple(weights),
+                   doc["color_count"], Verdict.from_doc(doc["verdict"]))
 
 
 def make_certificate(g: Graph, labels: Sequence[int]) -> Certificate:

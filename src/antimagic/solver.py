@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .bounds import _triangular
-from .construction import certificate_for
-from .graphs import Graph, _isomorphism, _refine
+from .graphs import (Graph, _friendship_o1_n, _isomorphism, _refine,
+                     _triangular)
 from .labeling import Certificate, make_certificate
 
 EXACT = "exact"
@@ -48,8 +47,13 @@ INFEASIBLE = "infeasible"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _ConfigFields(NamedTuple):
+    time_budget: float | None = None
+    node_budget: int | None = None
+    parallel_width: int = 1
+
+
+class SearchConfig(_ConfigFields):
     """Budgets and process count for the branch-and-bound engine.
 
     The edge order and the symmetry constraints are fixed, so these settings
@@ -60,21 +64,20 @@ class SearchConfig:
     budgets are exact in sequential mode.
     """
 
-    time_budget: float | None = None
-    node_budget: int | None = None
-    parallel_width: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
         if self.parallel_width < 1:
             raise ValueError("parallel_width must be at least 1")
+        return self
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str
     chi: int | None = None
     certificate: Certificate | None = None
@@ -373,13 +376,18 @@ def _plan(g: Graph):
     """The construction's certificate (None unless g is a copy of
     friendship_corona(n, 1)), and a function that gives the edge order and
     symmetry pairs, computed on its first call, so only a step that searches
-    pays for them.  One plan serves a public call."""
+    pays for them.  One plan serves a public call.  The construction module
+    is loaded only for a graph that passes the corona's cheap size test."""
     @functools.cache
     def search_plan():
         order = _order_edges(g)
         return order, symmetry_pairs(g, order)
 
-    return certificate_for(g), search_plan
+    seed = None
+    if _friendship_o1_n(g) is not None:
+        from .construction import certificate_for
+        seed = certificate_for(g)
+    return seed, search_plan
 
 
 def _certify(g: Graph, sol, k: int) -> Certificate:

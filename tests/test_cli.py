@@ -1,6 +1,7 @@
 """End-to-end command line flows run in process via cli.main()."""
 
 import csv
+import datetime
 import itertools
 import json
 import os
@@ -105,14 +106,31 @@ def test_label_construction_accepts_any_numbering(tmp_path):
     assert run(["verify", str(path), str(cert_path)]) == EXIT_OK
 
 
-def test_cli_import_leaves_process_pool_unloaded():
+# modules a sequential solve of a graph that is not a friendship corona never
+# runs, so its process must not load them
+UNUSED_BY_SOLVE = ("dataclasses", "inspect", "datetime", "csv",
+                   "concurrent.futures", "antimagic.bounds",
+                   "antimagic.construction")
+
+
+def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, antimagic.cli; "
-         "print('concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    script = ("import json, sys\n"
+              "from antimagic import cli\n"
+              "code = cli.main(sys.argv[2:])\n"
+              "print(json.dumps([code, [m for m in json.loads(sys.argv[1]) "
+              "if m in sys.modules]]))\n")
+    out = tmp_path / "o.json"
+    argv = ["solve", str(c3_file), "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    for cached in (False, True):  # a cold solve, then a cache hit
+        run = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(UNUSED_BY_SOLVE), *argv],
+            env=env, capture_output=True, text=True, check=True)
+        assert json.loads(run.stdout) == [EXIT_OK, []]
+        assert read(out)["chi"] == 5
+        assert read(out).get("cached", False) is cached
 
 
 @pytest.mark.parametrize("command", ["solve", "label"])
@@ -130,6 +148,18 @@ def test_label_solver(c3_file, tmp_path):
                 "--cache-dir", str(tmp_path / "cache"),
                 "--out", str(cert_path)]) == EXIT_OK
     assert read(cert_path)["color_count"] == 5
+
+
+def test_cache_record_is_stamped_in_iso_utc(c3_file, tmp_path):
+    cache = tmp_path / "cache"
+    before = datetime.datetime.now(datetime.timezone.utc)
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                "--out", str(tmp_path / "o.json")]) == EXIT_OK
+    after = datetime.datetime.now(datetime.timezone.utc)
+    record = json.loads((cache / "cache.jsonl").read_text())
+    created = datetime.datetime.fromisoformat(record["created"])
+    assert record["created"].endswith("+00:00")
+    assert before - datetime.timedelta(seconds=1) <= created <= after
 
 
 def test_solve_and_cache_round_trip(c3_file, tmp_path, capsys):
@@ -331,6 +361,30 @@ def test_verify_bare_labeling(c3_file, tmp_path):
     assert doc["kind"] == "labeling"
     assert code == (EXIT_OK if doc["ok"] else EXIT_VERIFY)
     assert (doc["verdict"] == "local-antimagic") is doc["ok"]
+
+
+MALFORMED_DOCS = {
+    "list": [1, 2, 3, 4, 5, 6],
+    "string": "verdict",
+    "number": 7,
+    "labels-not-list": {"labels": 5},
+    "labels-string": {"labels": "123456"},
+    "certificate-labels-not-list": {
+        "schema_version": 1, "graph_hash": "", "labels": 5, "weights": [],
+        "color_count": 1, "verdict": "local-antimagic"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+def test_verify_and_export_dot_refuse_malformed_documents(c3_file, tmp_path,
+                                                          capsys, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_DOCS[name]))
+    assert run(["verify", str(c3_file), str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["export-dot", str(c3_file), "--certificate",
+                str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_wrong_graph_is_exit_3(f2_file, c3_file, tmp_path, capsys):

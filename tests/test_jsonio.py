@@ -21,3 +21,10 @@ def test_check_rejects_missing_and_wrong_versions():
 def test_schema_error_is_a_value_error():
     # the CLI maps usage errors to one exit code via this subclassing
     assert issubclass(jsonio.SchemaVersionError, ValueError)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "x", None, 3])
+def test_check_rejects_documents_that_are_not_objects(doc):
+    with pytest.raises(ValueError, match="certificate document is not a JSON "
+                                         "object"):
+        jsonio.check_version(doc, "certificate")
