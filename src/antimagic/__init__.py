@@ -23,12 +23,12 @@ _EXPORTS = {
     "graphs": ("Graph", "VertexRole", "complete", "corona", "cycle", "fan",
                "fan_corona", "friendship", "friendship_corona", "null_graph",
                "path"),
-    "labeling": ("Certificate", "GraphMismatchError", "InvalidLabelingError",
+    "labeling": ("BUDGET_EXHAUSTED", "Certificate", "EXACT", "FEASIBLE",
+                 "GraphMismatchError", "INFEASIBLE", "InvalidLabelingError",
                  "Verdict", "color_count", "is_local_antimagic",
                  "make_certificate", "validate_labeling",
                  "verify_certificate", "weights"),
-    "solver": ("BUDGET_EXHAUSTED", "EXACT", "FEASIBLE", "INFEASIBLE",
-               "SearchConfig", "SearchOutcome", "exact_chi_la",
+    "solver": ("SearchConfig", "SearchOutcome", "exact_chi_la",
                "feasible_with_k_colors", "lower_bound_prune"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -15,10 +15,11 @@ $ANTIMAGIC_CACHE_DIR, else ./.antimagic-cache.
 Exit codes: 0 success, 2 usage or domain error, 3 verification failure,
 4 budget exhausted.
 
-The bounds module is loaded only by ``bounds`` and ``sweep``, and the
-construction module only by ``label --method construction`` (and by the
-solver, for a graph the size of a friendship corona with one pendant per
-vertex), so a ``solve`` starts without them.
+The bounds module is loaded only by ``bounds`` and ``sweep``, the solver
+only by a ``solve`` or ``label --method solver`` that the cache cannot
+answer, and the construction module only by ``label --method construction``
+(and by the solver, for a graph the size of a friendship corona with one
+pendant per vertex), so a ``solve`` starts without them.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from . import jsonio
 from .graphs import (REPORT_FAMILIES, Graph, complete, corona, cycle, fan,
                      fan_corona, friendship, friendship_corona, null_graph,
                      path)
-from .labeling import (Certificate, GraphMismatchError, InvalidLabelingError,
-                       make_certificate, verify_certificate)
-from .solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
-                     SearchConfig, _check_k, exact_chi_la,
-                     feasible_with_k_colors)
+from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
+                       Certificate, GraphMismatchError, InvalidLabelingError,
+                       _check_k, make_certificate, verify_certificate)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -94,6 +93,8 @@ def _cache_lookup(cache: Path, g: Graph
     best = None
     with open(index) as fh:
         for line in fh:
+            if key not in line:
+                continue  # another graph's record: not worth parsing
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError:
@@ -173,14 +174,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        time_budget=args.time_budget,
-        node_budget=args.node_budget,
-        parallel_width=args.parallel,
-    )
-
-
 def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
     """Shared engine behind solve and label --method solver."""
     cache = _cache_dir(args.cache_dir)
@@ -200,7 +193,11 @@ def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
         elif exact is not None:
             return EXIT_OK, {"status": INFEASIBLE, "infeasible_k": target,
                              "cached": True}, None
-    cfg = _search_config(args)
+    # loaded only here, so that a cache hit never compiles the solver
+    from .solver import SearchConfig, exact_chi_la, feasible_with_k_colors
+    cfg = SearchConfig(time_budget=args.time_budget,
+                       node_budget=args.node_budget,
+                       parallel_width=args.parallel)
     if target is None:
         outcome = exact_chi_la(g, cfg)
     else:

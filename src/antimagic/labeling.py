@@ -14,6 +14,13 @@ from typing import NamedTuple, Sequence
 from .graphs import Graph
 from .jsonio import check_version, stamp
 
+# how a colour-count query was answered; the solver returns these, and the
+# CLI also reads them on a cache hit, which never loads the solver
+EXACT = "exact"
+FEASIBLE = "feasible"
+INFEASIBLE = "infeasible"
+BUDGET_EXHAUSTED = "budget-exhausted"
+
 
 class InvalidLabelingError(ValueError):
     """Labeling is not a bijection onto 1..q; carries the first bad label."""
@@ -123,6 +130,12 @@ def make_certificate(g: Graph, labels: Sequence[int]) -> Certificate:
             break
     return Certificate(g.content_hash(), tuple(labels), tuple(w),
                        len(set(w)), verdict)
+
+
+def _check_k(g: Graph, k: int) -> None:
+    """Reject a query for at most k colours unless 2 <= k <= p."""
+    if not 2 <= k <= g.p:
+        raise ValueError(f"k must be in 2..{g.p}, got {k}")
 
 
 def verify_certificate(cert: Certificate, g: Graph) -> bool:

@@ -10,7 +10,7 @@ k >= 2n+3 is answered with 0 nodes by the paper's construction, carried onto
 the graph's numbering and re-verified; the search then only has to prove
 that 2n+2 colours are too few.
 
-Pruning relies on three admissible observations:
+Pruning relies on four admissible observations:
 
 * every degree-1 vertex ("pendant") has weight equal to its single edge
   label, so all pendant weights in a labeling are pairwise distinct;
@@ -18,7 +18,12 @@ Pruning relies on three admissible observations:
   label W sits on a non-pendant edge;
 * the maximum-degree vertex ends with weight at least 1+2+...+deg, so when
   that exceeds q it contributes a weight above q distinct from every closed
-  weight above q realized by one of its neighbors.
+  weight above q realized by one of its neighbors;
+* a vertex with weight w and r open edges ends with weight at least
+  w+1+2+...+r; when that exceeds q it is *surely above q*, and the surely
+  above members of one clique of the graph without its pendants end with
+  pairwise distinct weights above q, so the weights above q number at least
+  the most such members in one maximal clique.
 
 The bound is evaluated for each candidate label from the would-be weights of
 the edge's closing endpoints, before the label is placed.  A label that the
@@ -39,12 +44,8 @@ from typing import NamedTuple
 
 from .graphs import (Graph, _friendship_o1_n, _isomorphism, _refine,
                      _triangular)
-from .labeling import Certificate, make_certificate
-
-EXACT = "exact"
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
-BUDGET_EXHAUSTED = "budget-exhausted"
+from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
+                       Certificate, _check_k, make_certificate)
 
 
 class _ConfigFields(NamedTuple):
@@ -98,11 +99,6 @@ def _validate_instance(g: Graph) -> None:
         raise ValueError("need a connected graph")
 
 
-def _check_k(g: Graph, k: int) -> None:
-    if not 2 <= k <= g.p:
-        raise ValueError(f"k must be in 2..{g.p}, got {k}")
-
-
 # -- edge ordering ------------------------------------------------------------
 
 
@@ -137,6 +133,36 @@ def _order_edges(g: Graph) -> list[int]:
         unassigned[b] -= 1
         touched[a] = touched[b] = True
     return order
+
+
+# -- clique term ---------------------------------------------------------------
+
+
+def _above_cut(w: int, r: int, q: int) -> int:
+    """Negative exactly when a vertex of weight w with r open edges is
+    surely above q: its final weight is at least w + 1 + 2 + ... + r."""
+    return q - w - _triangular(r)
+
+
+def _cliques(g: Graph) -> list[tuple[int, ...]]:
+    """Maximal cliques of g with its pendants removed (Bron-Kerbosch with
+    pivoting).  A pendant's weight is its label, never above q."""
+    nbrs = {v: {u for u in g.neighbors(v) if g.degree(u) > 1}
+            for v in range(g.p) if g.degree(v) > 1}
+    found: list[tuple[int, ...]] = []
+
+    def expand(clique, cand, excl):
+        if not cand and not excl:
+            found.append(tuple(sorted(clique)))
+            return
+        pivot = max(cand | excl, key=lambda u: len(nbrs[u] & cand))
+        for v in sorted(cand - nbrs[pivot]):
+            expand(clique + [v], cand & nbrs[v], excl & nbrs[v])
+            cand.discard(v)
+            excl.add(v)
+
+    expand([], set(nbrs), set())
+    return found
 
 
 # -- symmetry breaking ---------------------------------------------------------
@@ -199,8 +225,9 @@ def symmetry_pairs(g: Graph, order=None) -> list[tuple[int, int]]:
 # -- core search ---------------------------------------------------------------
 
 
-def _search(g: Graph, k: int, order, pairs, deadline: float | None,
-            node_budget: int | None, first_labels=None):
+def _search(g: Graph, k: int, order, pairs, cliques,
+            deadline: float | None, node_budget: int | None,
+            first_labels=None):
     """Depth-first search for a labeling with at most k distinct weights,
     assigning edges in ``order`` under the ``symmetry_pairs`` constraints.
 
@@ -209,6 +236,12 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
     endpoints would get, reading the closed-weight counts without changing
     them.  Only labels that pass are placed and recursed into, so a rejected
     label is not a node.
+
+    The clique term reads a count, per clique of ``_cliques(g)``, of its
+    surely-above members.  Only the edge's two endpoints can change their
+    status, each by a threshold on the label, so at a node the term takes
+    at most four values; they are worked out once, and only when the term
+    could prune.
 
     Returns (labels_in_edge_index_order | None, exhausted, nodes).
     """
@@ -229,6 +262,25 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
     smaller_than: dict[int, list[int]] = {}
     for ea, eb in pairs:
         smaller_than.setdefault(eb, []).append(ea)
+    # clique term: slack[r] - w < 0 when a vertex of weight w with r open
+    # edges is surely above q; n_above counts those members per clique
+    slack = [_above_cut(0, r, q) for r in range(max(degs) + 1)]
+    widest = max(map(len, cliques), default=0)
+    in_cliques: list[list[int]] = [[] for _ in range(p)]
+    for c, members in enumerate(cliques):
+        for v in members:
+            in_cliques[v].append(c)
+    n_above = [sum(slack[degs[v]] < 0 for v in members) for members in cliques]
+    # per position: the cliques holding neither endpoint, and the others
+    # with (a in clique, b in clique)
+    sides = []
+    for a, b in ends:
+        sides.append(([c for c, members in enumerate(cliques)
+                       if a not in members and b not in members],
+                      [(c, int(a in members), int(b in members))
+                       for c, members in enumerate(cliques)
+                       if a in members or b in members]))
+    could_prune = k - widest  # the term can prune only where low - gt > this
 
     lab = [0] * q
     used = [False] * (q + 2)
@@ -242,6 +294,27 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
     gt_adj = [0] * top
     nodes = 0
     solution: list[int] | None = None
+
+    def clique_term(pos: int, was_a: bool, was_b: bool):
+        # the most surely-above members of one clique once the edge at pos
+        # is placed, indexed by (a ends above) + 2 * (b ends above)
+        others, touching = sides[pos]
+        t0 = 0
+        for c in others:
+            if n_above[c] > t0:
+                t0 = n_above[c]
+        t1 = t2 = t3 = t0
+        for c, in_a, in_b in touching:
+            n = n_above[c] - (in_a and was_a) - (in_b and was_b)
+            if n > t0:
+                t0 = n
+            if n + in_a > t1:
+                t1 = n + in_a
+            if n + in_b > t2:
+                t2 = n + in_b
+            if n + in_a + in_b > t3:
+                t3 = n + in_a + in_b
+        return t0, t1, t2, t3
 
     def dfs(pos: int, n_gt: int, n_le: int, n_x: int, n_bad: int) -> bool:
         # distinct closed weights above q and at most q; those at most q
@@ -267,13 +340,37 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
             return False
         inner = inner_edge[e]
         heavy_open = heavy_static and rem[heavy] - (heavy == a or heavy == b) > 0
+        # a ends surely above q exactly when its label exceeds cut_a
+        cut_a = slack[rem[a] - 1] - wa
+        cut_b = slack[rem[b] - 1] - wb
+        was_a = slack[rem[a]] - wa < 0
+        was_b = slack[rem[b]] - wb < 0
+        # every candidate has low - gt >= base, and the clique term grows
+        # with the label; where it prunes at base, it prunes every label
+        # from that point on, so the candidates stop there
+        table = None
+        stop = q + 1
+        base = pendant_total + n_x
+        if n_le > base:
+            base = n_le
+        if base > could_prune:
+            table = clique_term(pos, was_a, was_b)
+            limit = k - base
+            lo, hi, first = ((cut_a, cut_b, 1) if cut_a <= cut_b
+                             else (cut_b, cut_a, 2))
+            if table[0] > limit:
+                stop = 1
+            elif table[first] > limit:
+                stop = lo + 1
+            elif table[3] > limit:
+                stop = hi + 1
         earlier = smaller_than.get(e)
         if pos == 0 and first_labels is not None:
-            candidates = first_labels
+            candidates = [lnum for lnum in first_labels if lnum < stop]
         elif earlier is not None:
-            candidates = range(max(lab[f] for f in earlier) + 1, q + 1)
+            candidates = range(max(lab[f] for f in earlier) + 1, stop)
         else:
-            candidates = range(1, q + 1)
+            candidates = range(1, stop)
         for lnum in candidates:
             if used[lnum]:
                 continue
@@ -310,6 +407,13 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
             # hold every closed weight above q, heavy's weight is a new one
             if low > k or low == k and heavy_open and not bad:
                 continue
+            # the clique term lifts the part above q from gt (+1) to its
+            # value; it is read only when it could exceed k - (low - gt)
+            if low - gt > could_prune:
+                if table is None:
+                    table = clique_term(pos, was_a, was_b)
+                if table[(lnum > cut_a) + 2 * (lnum > cut_b)] > k - low + gt:
+                    continue
             if a_closes:
                 w = wa + lnum
                 conflict = False
@@ -344,9 +448,23 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
                 w = wb + lnum
                 cnt[w] += 1
                 gt_adj[w] += by_heavy[b]
+            da = (lnum > cut_a) - was_a
+            if da:
+                for c in in_cliques[a]:
+                    n_above[c] += da
+            db = (lnum > cut_b) - was_b
+            if db:
+                for c in in_cliques[b]:
+                    n_above[c] += db
             if dfs(pos + 1, gt, le, x, bad):
                 return True
             # unplace
+            if da:
+                for c in in_cliques[a]:
+                    n_above[c] -= da
+            if db:
+                for c in in_cliques[b]:
+                    n_above[c] -= db
             if b_closes:
                 w = wb + lnum
                 cnt[w] -= 1
@@ -374,14 +492,15 @@ def _search(g: Graph, k: int, order, pairs, deadline: float | None,
 
 def _plan(g: Graph):
     """The construction's certificate (None unless g is a copy of
-    friendship_corona(n, 1)), and a function that gives the edge order and
-    symmetry pairs, computed on its first call, so only a step that searches
-    pays for them.  One plan serves a public call.  The construction module
-    is loaded only for a graph that passes the corona's cheap size test."""
+    friendship_corona(n, 1)), and a function that gives the edge order,
+    symmetry pairs and cliques, computed on its first call, so only a step
+    that searches pays for them.  One plan serves a public call.  The
+    construction module is loaded only for a graph that passes the corona's
+    cheap size test."""
     @functools.cache
     def search_plan():
         order = _order_edges(g)
-        return order, symmetry_pairs(g, order)
+        return order, symmetry_pairs(g, order), _cliques(g)
 
     seed = None
     if _friendship_o1_n(g) is not None:
@@ -397,11 +516,12 @@ def _certify(g: Graph, sol, k: int) -> Certificate:
     return cert
 
 
-def _solver_worker(graph_doc, k, order, pairs, first_labels, time_left,
-                   node_left):
+def _solver_worker(graph_doc, k, order, pairs, cliques, first_labels,
+                   time_left, node_left):
     g = Graph.from_doc(graph_doc)
     deadline = time.monotonic() + time_left if time_left is not None else None
-    return _search(g, k, order, pairs, deadline, node_left, first_labels)
+    return _search(g, k, order, pairs, cliques, deadline, node_left,
+                   first_labels)
 
 
 def _run_search(g: Graph, k: int, cfg: SearchConfig, plan, deadline,
@@ -409,9 +529,9 @@ def _run_search(g: Graph, k: int, cfg: SearchConfig, plan, deadline,
     seed, search_plan = plan
     if seed is not None and seed.color_count <= k:
         return list(seed.labels), False, 0
-    order, pairs = search_plan()
+    order, pairs, cliques = search_plan()
     if cfg.parallel_width <= 1:
-        return _search(g, k, order, pairs, deadline, node_left)
+        return _search(g, k, order, pairs, cliques, deadline, node_left)
     # imported here, so that a sequential run never pays for loading it
     from concurrent.futures import ProcessPoolExecutor
 
@@ -420,8 +540,8 @@ def _run_search(g: Graph, k: int, cfg: SearchConfig, plan, deadline,
     time_left = None if deadline is None else max(deadline - time.monotonic(), 0.01)
     doc = g.to_doc()
     with ProcessPoolExecutor(max_workers=width) as pool:
-        futures = [pool.submit(_solver_worker, doc, k, order, pairs, stripe,
-                               time_left, node_left)
+        futures = [pool.submit(_solver_worker, doc, k, order, pairs, cliques,
+                               stripe, time_left, node_left)
                    for stripe in stripes]
         results = [f.result() for f in futures]
     nodes = sum(r[2] for r in results)
@@ -569,4 +689,7 @@ def lower_bound_prune(g: Graph, partial) -> float:
         covered = {wt[v] for v in closed if wt[v] > q and v in heavy_adj}
         if gt <= covered:
             delta = 1
-    return len(gt) + delta + max(pendant_total + x, len(le))
+    # the surely-above members of one clique need distinct weights above q
+    above = [_above_cut(wt[v], rem[v], q) < 0 for v in range(g.p)]
+    clique = max((sum(above[v] for v in c) for c in _cliques(g)), default=0)
+    return max(len(gt) + delta, clique) + max(pendant_total + x, len(le))

@@ -124,9 +124,11 @@ def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
     out = tmp_path / "o.json"
     argv = ["solve", str(c3_file), "--cache-dir", str(tmp_path / "cache"),
             "--out", str(out)]
-    for cached in (False, True):  # a cold solve, then a cache hit
+    # a cold solve, then a cache hit, which does not load the solver either
+    for cached, unused in ((False, UNUSED_BY_SOLVE),
+                           (True, UNUSED_BY_SOLVE + ("antimagic.solver",))):
         run = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(UNUSED_BY_SOLVE), *argv],
+            [sys.executable, "-c", script, json.dumps(unused), *argv],
             env=env, capture_output=True, text=True, check=True)
         assert json.loads(run.stdout) == [EXIT_OK, []]
         assert read(out)["chi"] == 5
@@ -218,15 +220,21 @@ def test_cache_env_var(c3_file, tmp_path, monkeypatch):
     assert (flag_cache / "cache.jsonl").exists()
 
 
-@pytest.mark.parametrize("line", ["{not json", "null", "[]", "42"],
-                         ids=["torn", "null", "list", "number"])
+# index lines the lookup must skip; the last four hold the graph's hash, so
+# they pass the hash filter and reach the parse and the object check
+@pytest.mark.parametrize("line", ["{not json", "null", "[]", "42",
+                                  '{"graph_hash": "HASH"', '"HASH"',
+                                  '["HASH"]', '[{"graph_hash": "HASH"}]'],
+                         ids=["torn", "null", "list", "number", "torn-hash",
+                              "string-hash", "list-hash", "record-in-list"])
 def test_corrupt_cache_line_is_skipped(c3_file, tmp_path, line):
     cache = tmp_path / "cache"
     out = tmp_path / "o.json"
     assert run(["solve", str(c3_file), "--cache-dir", str(cache),
                 "--out", str(out)]) == EXIT_OK
+    key = Graph.from_doc(read(c3_file)).content_hash()
     with open(cache / "cache.jsonl", "a") as fh:
-        fh.write(line + "\n")
+        fh.write(line.replace("HASH", key) + "\n")
     assert run(["solve", str(c3_file), "--cache-dir", str(cache),
                 "--out", str(out)]) == EXIT_OK
     assert read(out)["cached"] is True

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from antimagic import solver
-from antimagic.graphs import (Graph, complete, corona, cycle, fan_corona,
-                              friendship_corona, null_graph, path)
+from antimagic.graphs import (Graph, complete, corona, cycle, fan, fan_corona,
+                              friendship, friendship_corona, null_graph, path)
 from antimagic.labeling import verify_certificate
 from antimagic.solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                               SearchConfig, _order_edges, exact_chi_la,
@@ -57,12 +57,15 @@ def test_f2_exact(f2_graph, f2_exact_outcome):
     out = f2_exact_outcome
     assert out.status == EXACT and out.chi == 7
     assert verify_certificate(out.certificate, f2_graph)
-    assert out.nodes_explored == 23_926 and out.wall_time >= 0.0
+    # 23,926 before the clique term: its triangles prune the proof of 6
+    assert out.nodes_explored == 8_546 and out.wall_time >= 0.0
 
 
-# Node counts are deterministic; a change that moves one must say why.
-@pytest.mark.parametrize("g, nodes", [(c3_o1(), 206),
-                                      (corona(cycle(3), null_graph(2)), 35_155)],
+# Node counts are deterministic; a change that moves one must say why.  The
+# clique term took C3oO1 from 206 and C3oO2 from 35,155: the base triangle's
+# vertices are surely above q, so they need three weights above q.
+@pytest.mark.parametrize("g, nodes", [(c3_o1(), 51),
+                                      (corona(cycle(3), null_graph(2)), 176)],
                          ids=["C3oO1", "C3oO2"])
 def test_exact_node_counts_pinned(g, nodes):
     assert exact_chi_la(g).nodes_explored == nodes
@@ -196,10 +199,15 @@ def _random_connected(seed: int) -> tuple[Graph, list[int]]:
     return Graph(p, edges), order
 
 
-BOUND_ORACLE_GRAPHS = ORACLE_GRAPHS + [c3_o1()] + [
+# graphs with triangles and larger cliques, where the clique term works
+CLIQUE_GRAPHS = [friendship(2), fan(4),
+                 Graph(5, complete(4).edges + ((0, 4),))]
+CLIQUE_IDS = ["f2", "F4", "K4+pendant"]
+
+BOUND_ORACLE_GRAPHS = ORACLE_GRAPHS + CLIQUE_GRAPHS + [c3_o1()] + [
     _random_connected(seed)[0] for seed in range(10)]
-BOUND_ORACLE_IDS = ORACLE_IDS + ["C3oO1"] + [f"random{seed}"
-                                             for seed in range(10)]
+BOUND_ORACLE_IDS = ORACLE_IDS + CLIQUE_IDS + ["C3oO1"] + [
+    f"random{seed}" for seed in range(10)]
 
 
 @pytest.mark.parametrize("g", BOUND_ORACLE_GRAPHS, ids=BOUND_ORACLE_IDS)
@@ -248,7 +256,8 @@ def test_symmetry_ignores_vertex_roles():
     tagged = exact_chi_la(g)
     plain = exact_chi_la(Graph(g.p, g.edges))
     assert tagged.chi == plain.chi == 7
-    assert tagged.nodes_explored == plain.nodes_explored == 91_066
+    # 91,066 before the clique term
+    assert tagged.nodes_explored == plain.nodes_explored == 10_761
 
 
 # -- budgets --------------------------------------------------------------------
@@ -306,6 +315,11 @@ def test_prune_bound_empty_partial():
     assert lower_bound_prune(f2, [None] * f2.q) == 6
     g = c3_o1()
     assert lower_bound_prune(g, [None] * g.q) == 3
+    # C3oO2: each triangle vertex ends at least 1+2+3+4 = 10 > q = 9, so the
+    # clique term counts three weights above q besides the six pendant
+    # weights; the heavy-vertex term alone gave 1 + 6 = 7, and chi is 9
+    g = corona(cycle(3), null_graph(2))
+    assert lower_bound_prune(g, [None] * g.q) == 9
 
 
 def test_prune_bound_complete_assignment_is_exact():
@@ -321,8 +335,8 @@ def test_prune_bound_admissible_for_c3(f2_graph, f2_exact_outcome):
     assert lower_bound_prune(f2_graph, [None] * f2_graph.q) <= 7
 
 
-@pytest.mark.parametrize("g", ORACLE_GRAPHS + [c3_o1()],
-                         ids=ORACLE_IDS + ["C3oO1"])
+@pytest.mark.parametrize("g", ORACLE_GRAPHS + CLIQUE_GRAPHS + [c3_o1()],
+                         ids=ORACLE_IDS + CLIQUE_IDS + ["C3oO1"])
 def test_prune_bound_never_overestimates(g):
     rng = random.Random(g.content_hash())
     for _ in range(10):
