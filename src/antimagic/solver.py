@@ -8,9 +8,10 @@ flips, so an Infeasible outcome is always a proof by exhaustion.
 On any copy of friendship_corona(n, 1), whatever its numbering, a step with
 k >= 2n+3 is answered with 0 nodes by the paper's construction, carried onto
 the graph's numbering and re-verified; the search then only has to prove
-that 2n+2 colours are too few.
+that 2n+2 colours are too few, and the light-vertex term below closes that
+proof at the root.
 
-Pruning relies on four admissible observations:
+Pruning relies on five admissible observations:
 
 * every degree-1 vertex ("pendant") has weight equal to its single edge
   label, so all pendant weights in a labeling are pairwise distinct;
@@ -23,7 +24,14 @@ Pruning relies on four admissible observations:
   w+1+2+...+r; when that exceeds q it is *surely above q*, and the surely
   above members of one clique of the graph without its pendants end with
   pairwise distinct weights above q, so the weights above q number at least
-  the most such members in one maximal clique.
+  the most such members in one maximal clique;
+* when the part of the bound above q comes from the closed weights (and the
+  heavy vertex), a completion with exactly that many colours has no other
+  weight above q, so an open non-pendant vertex adjacent to every closed
+  vertex above q (and to the heavy vertex when it counts) ends at most q.
+  If these *light* vertices' weights plus the least the open edges can add
+  (the smallest free labels, counted twice on edges with both ends light)
+  exceed q times their number, the bound rises by one.
 
 The bound is evaluated for each candidate label from the would-be weights of
 the edge's closing endpoints, before the label is placed.  A label that the
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import time
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .graphs import (Graph, _friendship_o1_n, _isomorphism, _refine,
@@ -165,6 +174,20 @@ def _cliques(g: Graph) -> list[tuple[int, ...]]:
     return found
 
 
+# -- light-vertex term ---------------------------------------------------------
+
+
+def _light_load(light: int, open_ends) -> tuple[int, int]:
+    """(n2, n2 + n1): the open edges with both ends, and with at least one
+    end, in the vertex mask ``light``."""
+    n2 = n12 = 0
+    for a, b in open_ends:
+        inside = (light >> a & 1) + (light >> b & 1)
+        n2 += inside == 2
+        n12 += inside > 0
+    return n2, n12
+
+
 # -- symmetry breaking ---------------------------------------------------------
 
 
@@ -243,6 +266,12 @@ def _search(g: Graph, k: int, order, pairs, cliques,
     at most four values; they are worked out once, and only when the term
     could prune.
 
+    The light-vertex term is read only for a label that passes every other
+    test and leaves a bound of exactly k.  Its light set is a vertex mask;
+    per position and mask, the set's vertices and open-edge counts are
+    worked out once, and per node the sums of the smallest free labels are
+    read from one prefix-sum list.
+
     Returns (labels_in_edge_index_order | None, exhausted, nodes).
     """
     q = g.q
@@ -281,9 +310,27 @@ def _search(g: Graph, k: int, order, pairs, cliques,
                        for c, members in enumerate(cliques)
                        if a in members or b in members]))
     could_prune = k - widest  # the term can prune only where low - gt > this
+    # light-vertex term: as vertex masks, the neighbours of each vertex, and
+    # per position the non-pendants with an edge there or later
+    nbr_mask = [sum(1 << u for u in adj[v]) for v in range(p)]
+    heavy_mask = nbr_mask[heavy]
+    open_at = [0] * (q + 1)
+    for pos in range(q - 1, -1, -1):
+        a, b = ends[pos]
+        open_at[pos] = (open_at[pos + 1] | (degs[a] > 1) << a
+                        | (degs[b] > 1) << b)
+    light_cache = [{} for _ in range(q)]
+
+    def light_entry(pos: int, lam: int):
+        # the light set lam once the edge at pos is placed: its vertices, how
+        # many ends of that edge it holds, |lam| * q, and (n2, n2 + n1)
+        verts = tuple(v for v in range(p) if lam >> v & 1)
+        a, b = ends[pos]
+        n2, n12 = _light_load(lam, ends[pos + 1:])
+        return verts, (lam >> a & 1) + (lam >> b & 1), len(verts) * q, n2, n12
 
     lab = [0] * q
-    used = [False] * (q + 2)
+    free = [True] * (q + 2)  # 0 stays free: it heads the sorted free labels
     nonpend = [False] * (q + 2)  # label sits on an edge between non-pendants
     wt = [0] * p
     rem = list(degs)
@@ -316,10 +363,12 @@ def _search(g: Graph, k: int, order, pairs, cliques,
                 t3 = n + in_a + in_b
         return t0, t1, t2, t3
 
-    def dfs(pos: int, n_gt: int, n_le: int, n_x: int, n_bad: int) -> bool:
+    def dfs(pos: int, n_gt: int, n_le: int, n_x: int, n_bad: int,
+            light: int) -> bool:
         # distinct closed weights above q and at most q; those at most q
         # that are also labels of inner edges (so no pendant can take them);
-        # those above q that no closed neighbour of heavy has
+        # those above q that no closed neighbour of heavy has; the vertices
+        # adjacent to every closed vertex above q
         nonlocal nodes, solution
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -364,6 +413,11 @@ def _search(g: Graph, k: int, order, pairs, cliques,
                 stop = lo + 1
             elif table[3] > limit:
                 stop = hi + 1
+        # the light set is open and only shrinks further down
+        light &= open_at[pos]
+        if light:
+            after = open_at[pos + 1]
+            ps = None
         earlier = smaller_than.get(e)
         if pos == 0 and first_labels is not None:
             candidates = [lnum for lnum in first_labels if lnum < stop]
@@ -372,7 +426,7 @@ def _search(g: Graph, k: int, order, pairs, cliques,
         else:
             candidates = range(1, stop)
         for lnum in candidates:
-            if used[lnum]:
+            if not free[lnum]:
                 continue
             gt, le, bad = n_gt, n_le, n_bad
             x = n_x + 1 if inner and cnt[lnum] else n_x
@@ -432,9 +486,41 @@ def _search(g: Graph, k: int, order, pairs, cliques,
                         break
                 if conflict:
                     continue
+            lc = light
+            if lc:
+                if a_closes and wa + lnum > q:
+                    lc &= nbr_mask[a]
+                if b_closes and wb + lnum > q:
+                    lc &= nbr_mask[b]
+                # a label that passed leaves a bound of at most k; the light
+                # term can only lift one of exactly k (with gt + heavy term
+                # >= the clique term, as passing then implies)
+                if low == k:
+                    lam = lc & after
+                elif low == k - 1 and heavy_open and not bad:
+                    lam = lc & after & heavy_mask
+                else:
+                    lam = 0
+                if lam:
+                    entry = light_cache[pos].get(lam)
+                    if entry is None:
+                        entry = light_entry(pos, lam)
+                        light_cache[pos][lam] = entry
+                    verts, ends_in, cap, n2, n12 = entry
+                    total = lnum * ends_in - cap
+                    for v in verts:
+                        total += wt[v]
+                    if ps is None:
+                        fl = list(compress(range(q + 1), free))
+                        ps = list(accumulate(fl))
+                    # S(n2) + S(n12) over the labels still free after lnum
+                    total += ps[n2] if lnum > fl[n2] else ps[n2 + 1] - lnum
+                    total += ps[n12] if lnum > fl[n12] else ps[n12 + 1] - lnum
+                    if total > 0:
+                        continue
             # place
             lab[e] = lnum
-            used[lnum] = True
+            free[lnum] = False
             nonpend[lnum] = inner
             wt[a] = wa + lnum
             rem[a] -= 1
@@ -456,7 +542,7 @@ def _search(g: Graph, k: int, order, pairs, cliques,
             if db:
                 for c in in_cliques[b]:
                     n_above[c] += db
-            if dfs(pos + 1, gt, le, x, bad):
+            if dfs(pos + 1, gt, le, x, bad, lc):
                 return True
             # unplace
             if da:
@@ -479,11 +565,11 @@ def _search(g: Graph, k: int, order, pairs, cliques,
             rem[b] += 1
             nonpend[lnum] = False
             lab[e] = 0
-            used[lnum] = False
+            free[lnum] = True
         return False
 
     try:
-        found = dfs(0, 0, 0, 0, 0)
+        found = dfs(0, 0, 0, 0, 0, (1 << p) - 1)
         exhausted = not found
     except _BudgetHit:
         return solution, False, nodes
@@ -692,4 +778,21 @@ def lower_bound_prune(g: Graph, partial) -> float:
     # the surely-above members of one clique need distinct weights above q
     above = [_above_cut(wt[v], rem[v], q) < 0 for v in range(g.p)]
     clique = max((sum(above[v] for v in c) for c in _cliques(g)), default=0)
-    return max(len(gt) + delta, clique) + max(pendant_total + x, len(le))
+    bound = max(len(gt) + delta, clique) + max(pendant_total + x, len(le))
+    if len(gt) + delta < clique:
+        return bound
+    # with exactly `bound` colours the weights above q are gt's (and heavy's):
+    # a light vertex, adjacent to all their closed holders, ends at most q
+    light = sum(1 << v for v in range(g.p) if rem[v] and degs[v] > 1)
+    for v in closed:
+        if wt[v] > q:
+            light &= sum(1 << u for u in g.neighbors(v))
+    if delta:
+        light &= sum(1 << u for u in g.neighbors(heavy))
+    n2, n12 = _light_load(light, [g.edges[e] for e in range(q)
+                                  if not labels[e]])
+    # the cheapest completion: the smallest free labels on the edges inside
+    free = [lnum for lnum in range(1, q + 1) if lnum not in used]
+    total = sum(wt[v] for v in range(g.p) if light >> v & 1)
+    total += sum(free[:n2]) + sum(free[:n12])
+    return bound + (total > light.bit_count() * q)

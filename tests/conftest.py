@@ -7,7 +7,7 @@ oracle enumerates all p! vertex permutations (p <= 8) and checks the
 solver's stabiliser chain.  The bound oracle re-runs the solver's search
 with ``lower_bound_prune`` as its only pruning rule.  The f2.O1 exact solve
 is session-scoped because several tests (solver behavior, acceptance budget)
-want the same, fairly expensive result.
+read the same result.
 """
 
 from __future__ import annotations
@@ -119,5 +119,5 @@ def f2_graph() -> Graph:
 
 @pytest.fixture(scope="session")
 def f2_exact_outcome(f2_graph):
-    """Full exact solve of f2.O1 (the costly shared computation)."""
+    """Full exact solve of f2.O1, shared by several tests."""
     return exact_chi_la(f2_graph, SearchConfig())

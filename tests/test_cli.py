@@ -326,9 +326,13 @@ def test_concurrent_solves_share_one_cache(c3_file, tmp_path):
         assert cert.color_count == value
 
 
-def test_solve_budget_exhaustion(f2_file, tmp_path):
+def test_solve_budget_exhaustion(tmp_path):
+    # f2oO1 closes in 1 node; F4oO1's proof of 7 is a search
+    f4_file = tmp_path / "f4.json"
+    assert run(["gen", "fan-corona", "--n", "4", "--m", "1",
+                "--out", str(f4_file)]) == EXIT_OK
     out = tmp_path / "o.json"
-    code = run(["solve", str(f2_file), "--node-budget", "10",
+    code = run(["solve", str(f4_file), "--node-budget", "10",
                 "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
     assert code == EXIT_BUDGET
     assert read(out)["status"] == "budget-exhausted"

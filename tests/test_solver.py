@@ -1,11 +1,13 @@
 """Branch-and-bound solver: exactness, budgets, pruning, symmetry, parallel."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from antimagic import solver
+from antimagic.bounds import lb_friendship
 from antimagic.graphs import (Graph, complete, corona, cycle, fan, fan_corona,
                               friendship, friendship_corona, null_graph, path)
 from antimagic.labeling import verify_certificate
@@ -57,14 +59,16 @@ def test_f2_exact(f2_graph, f2_exact_outcome):
     out = f2_exact_outcome
     assert out.status == EXACT and out.chi == 7
     assert verify_certificate(out.certificate, f2_graph)
-    # 23,926 before the clique term: its triangles prune the proof of 6
-    assert out.nodes_explored == 8_546 and out.wall_time >= 0.0
+    # 23,926 before the clique term, 8,546 before the light-vertex term,
+    # which proves 6 colours too few at the root (lower_bound_prune is 7)
+    assert out.nodes_explored == 1 and out.wall_time >= 0.0
 
 
 # Node counts are deterministic; a change that moves one must say why.  The
 # clique term took C3oO1 from 206 and C3oO2 from 35,155: the base triangle's
-# vertices are surely above q, so they need three weights above q.
-@pytest.mark.parametrize("g, nodes", [(c3_o1(), 51),
+# vertices are surely above q, so they need three weights above q.  The
+# light-vertex term took C3oO1 from 51 (see the mid-search case below).
+@pytest.mark.parametrize("g, nodes", [(c3_o1(), 42),
                                       (corona(cycle(3), null_graph(2)), 176)],
                          ids=["C3oO1", "C3oO2"])
 def test_exact_node_counts_pinned(g, nodes):
@@ -204,10 +208,32 @@ CLIQUE_GRAPHS = [friendship(2), fan(4),
                  Graph(5, complete(4).edges + ((0, 4),))]
 CLIQUE_IDS = ["f2", "F4", "K4+pendant"]
 
+
+def _random_with_pendants(seed: int) -> Graph:
+    """Connected graph with q <= 7: a random core of 3-5 vertices (a tree
+    plus chords) with pendants hung on it, where the light-vertex term
+    works."""
+    rng = random.Random(seed)
+    core = rng.randint(3, 5)
+    edges = [(rng.randrange(v), v) for v in range(1, core)]
+    for a, b in itertools.combinations(range(core), 2):
+        if len(edges) < 6 and (a, b) not in edges and rng.random() < 0.5:
+            edges.append((a, b))
+    p = core
+    while len(edges) < 7 and (p == core or rng.random() < 0.7):
+        edges.append((rng.randrange(core), p))
+        p += 1
+    rng.shuffle(edges)
+    return Graph(p, edges)
+
+
+PENDANT_GRAPHS = [_random_with_pendants(seed) for seed in range(10)]
+PENDANT_IDS = [f"pendants{seed}" for seed in range(10)]
+
 BOUND_ORACLE_GRAPHS = ORACLE_GRAPHS + CLIQUE_GRAPHS + [c3_o1()] + [
-    _random_connected(seed)[0] for seed in range(10)]
+    _random_connected(seed)[0] for seed in range(10)] + PENDANT_GRAPHS
 BOUND_ORACLE_IDS = ORACLE_IDS + CLIQUE_IDS + ["C3oO1"] + [
-    f"random{seed}" for seed in range(10)]
+    f"random{seed}" for seed in range(10)] + PENDANT_IDS
 
 
 @pytest.mark.parametrize("g", BOUND_ORACLE_GRAPHS, ids=BOUND_ORACLE_IDS)
@@ -218,6 +244,17 @@ def test_search_matches_reference_bound(g):
         out = feasible_with_k_colors(g, k)
         assert reference_search(g, k) == (out.nodes_explored,
                                           out.status == FEASIBLE), k
+
+
+def test_heavy_term_match_case_pinned():
+    # the heavy-vertex term's `bad -= 1` case (a weight above q closed away
+    # from heavy, later also closed next to it) clears bad, so the light
+    # term reads heavy's weight as the one new weight above q; without that
+    # case this search takes 13,966 nodes, and reference_search, whose
+    # bound reads the closed weights directly, takes 13,790
+    g, _ = _random_connected(26)
+    out = feasible_with_k_colors(g, 4)
+    assert out.status == FEASIBLE and out.nodes_explored == 13_790
 
 
 def _first_edges_come_first(pairs, order) -> bool:
@@ -256,14 +293,15 @@ def test_symmetry_ignores_vertex_roles():
     tagged = exact_chi_la(g)
     plain = exact_chi_la(Graph(g.p, g.edges))
     assert tagged.chi == plain.chi == 7
-    # 91,066 before the clique term
-    assert tagged.nodes_explored == plain.nodes_explored == 10_761
+    # 91,066 before the clique term, 10,761 before the light-vertex term
+    assert tagged.nodes_explored == plain.nodes_explored == 5_459
 
 
 # -- budgets --------------------------------------------------------------------
 
-def test_node_budget_exhaustion(f2_graph):
-    out = exact_chi_la(f2_graph, SearchConfig(node_budget=10))
+def test_node_budget_exhaustion():
+    # f2oO1 closes in 1 node; F4oO1's proof of 7 is a search
+    out = exact_chi_la(fan_corona(4, 1), SearchConfig(node_budget=10))
     assert out.status == BUDGET_EXHAUSTED
     assert out.chi is None
     assert out.nodes_explored <= 10 + 1
@@ -274,11 +312,13 @@ def test_time_budget_exhaustion(f2_graph):
     assert out.status == BUDGET_EXHAUSTED
 
 
-def test_budget_keeps_best_so_far(f2_graph):
-    # enough nodes to find some labeling, not enough to finish the descent
-    out = exact_chi_la(f2_graph, SearchConfig(node_budget=20000))
-    if out.status == BUDGET_EXHAUSTED and out.best_so_far is not None:
-        assert verify_certificate(out.best_so_far, f2_graph)
+def test_budget_keeps_best_so_far():
+    # enough nodes to find an 8-colouring, not enough to prove 7 too few
+    g = fan_corona(4, 1)
+    out = exact_chi_la(g, SearchConfig(node_budget=20_000))
+    assert out.status == BUDGET_EXHAUSTED
+    assert out.best_so_far.color_count == 8
+    assert verify_certificate(out.best_so_far, g)
 
 
 # -- validation -----------------------------------------------------------------
@@ -312,9 +352,12 @@ def test_config_validation():
 
 def test_prune_bound_empty_partial():
     f2 = friendship_corona(2, 1)
-    assert lower_bound_prune(f2, [None] * f2.q) == 6
+    assert lower_bound_prune(f2, [None] * f2.q) == 7  # 6 before the light term
+    # C3oO1: with 3 colours no weight is above q = 6, so the triangle's
+    # weights, at least 2 * (1 + 2 + 3) + 4 + 5 + 6 = 27 together, would fit
+    # in 3 * 6 = 18; the light-vertex term lifts 3 to 4, and chi is 5
     g = c3_o1()
-    assert lower_bound_prune(g, [None] * g.q) == 3
+    assert lower_bound_prune(g, [None] * g.q) == 4
     # C3oO2: each triangle vertex ends at least 1+2+3+4 = 10 > q = 9, so the
     # clique term counts three weights above q besides the six pendant
     # weights; the heavy-vertex term alone gave 1 + 6 = 7, and chi is 9
@@ -335,8 +378,9 @@ def test_prune_bound_admissible_for_c3(f2_graph, f2_exact_outcome):
     assert lower_bound_prune(f2_graph, [None] * f2_graph.q) <= 7
 
 
-@pytest.mark.parametrize("g", ORACLE_GRAPHS + CLIQUE_GRAPHS + [c3_o1()],
-                         ids=ORACLE_IDS + CLIQUE_IDS + ["C3oO1"])
+@pytest.mark.parametrize(
+    "g", ORACLE_GRAPHS + CLIQUE_GRAPHS + [c3_o1()] + PENDANT_GRAPHS,
+    ids=ORACLE_IDS + CLIQUE_IDS + ["C3oO1"] + PENDANT_IDS)
 def test_prune_bound_never_overestimates(g):
     rng = random.Random(g.content_hash())
     for _ in range(10):
@@ -349,6 +393,41 @@ def test_prune_bound_never_overestimates(g):
         except ValueError:  # no valid completion: any bound holds
             continue
         assert lower_bound_prune(g, partial) <= best, partial
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_prune_bound_root_reaches_lemma(n):
+    # the light-vertex term makes every proof of chi(f_n o O_1) >= 2n+3
+    # close at the root
+    g = friendship_corona(n, 1)
+    assert lower_bound_prune(g, [None] * g.q) == lb_friendship(n, 1)
+
+
+def test_prune_bound_light_term_f3_root():
+    # f3oO1: q = 16, and the hub (degree 7, weight >= 28) is the heavy
+    # vertex, so the bound without the term is 1 + 7 pendant weights = 8.
+    # With exactly 8 colours the hub's weight is the only one above q, so
+    # the six triangle vertices (all next to the hub) end at most 16 each,
+    # 96 together; but their 3 shared edges count twice and the 6 hub and
+    # 6 pendant edges once, so their weights sum to at least
+    # (1 + 2 + 3) + (1 + 2 + ... + 15) = 6 + 120 = 126 > 96.
+    g = friendship_corona(3, 1)
+    assert lower_bound_prune(g, [None] * g.q) == 9
+
+
+def test_prune_bound_light_term_mid_search():
+    # C3oO1 (q = 6) after the first three edges of the search order: vertex
+    # 0 closes with 1 + 2 + 4 = 7, and the bound without the term is 1 + 3
+    # pendant weights = 4.  With exactly 4 colours 7 is the only weight above
+    # q, so vertices 1 and 2 (both next to 0) end at most 6 each, 12
+    # together; they hold 1 + 2, and the free labels 3, 5, 6 on the edge
+    # (1, 2) and their pendant edges add at least 2 * 3 + 5 + 6 = 17.
+    g = c3_o1()
+    assert g.edges[:4] == ((0, 1), (1, 2), (0, 2), (0, 3))
+    assert _order_edges(g)[:3] == [3, 0, 2]
+    partial = [1, None, 2, 4, None, None]
+    assert lower_bound_prune(g, partial) == 5
+    assert naive_exact_chi_la(g, partial) == 6
 
 
 def test_prune_bound_adjacent_tie_is_infeasible():
