@@ -228,9 +228,18 @@ def cmd_solve(args) -> int:
     return code
 
 
+# solver flags, as (dest, value when not given)
+_SOLVER_FLAGS = (("target_colors", None), ("time_budget", None),
+                 ("node_budget", None), ("cache_dir", None), ("parallel", 1))
+
+
 def cmd_label(args) -> int:
     g = _load_graph(args.graph)
     if args.method == "construction":
+        for dest, unset in _SOLVER_FLAGS:
+            if getattr(args, dest) != unset:
+                raise ValueError(f"--{dest.replace('_', '-')} needs "
+                                 "--method solver")
         from .construction import certificate_for
         cert = certificate_for(g)
         if cert is None:

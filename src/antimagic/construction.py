@@ -42,7 +42,7 @@ def _require_even(n: int) -> None:
         raise ValueError(f"even-case formulas need even n >= 6, got {n}")
 
 
-def _check_k(k: int) -> None:
+def _check_row(k: int) -> None:
     if k not in (1, 2, 3):
         raise ValueError(f"row index k must be 1, 2 or 3, got {k}")
 
@@ -61,7 +61,7 @@ def _check_col(i: int, cols: int) -> None:
 
 def odd_u_entry(k: int, i: int, n: int) -> int:
     _require_odd(n)
-    _check_k(k)
+    _check_row(k)
     _check_col(i, n)
     if k == 1:
         return 4 * n + (i + 1) // 2 if i % 2 else _exact_div(9 * n + 1, 2) + i // 2
@@ -72,7 +72,7 @@ def odd_u_entry(k: int, i: int, n: int) -> int:
 
 def odd_v_entry(k: int, i: int, n: int) -> int:
     _require_odd(n)
-    _check_k(k)
+    _check_row(k)
     _check_col(i, n)
     if k == 1:
         return 3 * n + 1 - i
@@ -98,7 +98,7 @@ def odd_v_column_sum(n: int) -> int:
 
 def even_u_entry(k: int, i: int, n: int) -> int:
     _require_even(n)
-    _check_k(k)
+    _check_row(k)
     _check_col(i, n - 1)
     if k == 1:
         return 4 * n + 3 + (i - 1) // 2 if i % 2 else 9 * n // 2 + 2 + i // 2
@@ -109,7 +109,7 @@ def even_u_entry(k: int, i: int, n: int) -> int:
 
 def even_v_entry(k: int, i: int, n: int) -> int:
     _require_even(n)
-    _check_k(k)
+    _check_row(k)
     _check_col(i, n - 1)
     if k == 1:
         return 3 * n + 3 - i

@@ -5,11 +5,11 @@ The engine answers one question: does the graph admit a labeling with at most
 k distinct induced weights?  ``exact_chi_la`` descends k until the answer
 flips, so an Infeasible outcome is always a proof by exhaustion.
 
-On any copy of friendship_corona(n, 1), whatever its numbering, a step with
-k >= 2n+3 is answered with 0 nodes by the paper's construction, carried onto
-the graph's numbering and re-verified; the search then only has to prove
-that 2n+2 colours are too few, and the light-vertex term below closes that
-proof at the root.
+On any copy of friendship_corona(n, 1), whatever its numbering, the paper's
+construction, carried onto the graph's numbering and re-verified, is applied
+with 0 nodes before the first step whenever k >= 2n+3; the search then only
+has to prove that 2n+2 colours are too few, and the light-vertex term below
+closes that proof at the root.
 
 Pruning relies on five admissible observations:
 
@@ -46,7 +46,6 @@ the edges, in search order, yields constraints label(a) < label(b).
 
 from __future__ import annotations
 
-import functools
 import time
 from itertools import accumulate, compress
 from typing import NamedTuple
@@ -68,10 +67,15 @@ class SearchConfig(_ConfigFields):
 
     The edge order and the symmetry constraints are fixed, so these settings
     never change an exact answer, only whether it is reached.  Budgets are
-    totals for the public call (per worker when ``parallel_width`` > 1,
-    which splits the first edge's label choices across processes).  With a
-    binding time budget determinism is limited to the reported status; node
-    budgets are exact in sequential mode.
+    totals for the public call, checked before each step of the descent;
+    within a step they are per worker when ``parallel_width`` > 1, which
+    splits the first edge's label choices across processes.  An infeasible
+    step counts the same nodes at every width (the root, which every worker
+    visits, is counted once), but a feasible one counts every worker's
+    work, since the others run on after one finds a labeling: exact C3oO1
+    takes 42 nodes at width 1 and 48 at width 2.  With a binding time
+    budget determinism is limited to the reported status; node budgets are
+    exact in sequential mode.
     """
 
     __slots__ = ()
@@ -249,10 +253,10 @@ def symmetry_pairs(g: Graph, order=None) -> list[tuple[int, int]]:
 
 
 def _search(g: Graph, k: int, order, pairs, cliques,
-            deadline: float | None, node_budget: int | None,
-            first_labels=None):
+            time_left: float | None, node_budget: int | None, first_labels):
     """Depth-first search for a labeling with at most k distinct weights,
-    assigning edges in ``order`` under the ``symmetry_pairs`` constraints.
+    assigning edges in ``order`` under the ``symmetry_pairs`` constraints,
+    with the first edge's label taken from ``first_labels``.
 
     A candidate label is judged before it is placed: the adjacency check and
     the admissible bound are evaluated from the weights its edge's closing
@@ -274,6 +278,7 @@ def _search(g: Graph, k: int, order, pairs, cliques,
 
     Returns (labels_in_edge_index_order | None, exhausted, nodes).
     """
+    deadline = None if time_left is None else time.monotonic() + time_left
     q = g.q
     p = g.p
     ends = [g.edges[e] for e in order]
@@ -419,7 +424,7 @@ def _search(g: Graph, k: int, order, pairs, cliques,
             after = open_at[pos + 1]
             ps = None
         earlier = smaller_than.get(e)
-        if pos == 0 and first_labels is not None:
+        if pos == 0:
             candidates = [lnum for lnum in first_labels if lnum < stop]
         elif earlier is not None:
             candidates = range(max(lab[f] for f in earlier) + 1, stop)
@@ -576,67 +581,87 @@ def _search(g: Graph, k: int, order, pairs, cliques,
     return solution, exhausted, nodes
 
 
-def _plan(g: Graph):
-    """The construction's certificate (None unless g is a copy of
-    friendship_corona(n, 1)), and a function that gives the edge order,
-    symmetry pairs and cliques, computed on its first call, so only a step
-    that searches pays for them.  One plan serves a public call.  The
-    construction module is loaded only for a graph that passes the corona's
-    cheap size test."""
-    @functools.cache
-    def search_plan():
-        order = _order_edges(g)
-        return order, symmetry_pairs(g, order), _cliques(g)
+def _step(g: Graph, k: int, cfg: SearchConfig, plan, deadline, node_left):
+    """One feasibility step: the first edge's labels split into
+    ``parallel_width`` stripes, searched here for one stripe and in one
+    process each otherwise.  Returns (labels | None, exhausted, nodes), with
+    the root, which every stripe visits, counted once."""
+    order, pairs, cliques = plan
+    width = min(cfg.parallel_width, g.q)
+    time_left = None if deadline is None else deadline - time.monotonic()
+    args = (g, k, order, pairs, cliques, time_left, node_left)
+    stripes = [range(1 + i, g.q + 1, width) for i in range(width)]
+    if width == 1:
+        results = [_search(*args, stripes[0])]
+    else:
+        # imported here, so that a sequential run never pays for loading it
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=width) as pool:
+            futures = [pool.submit(_search, *args, s) for s in stripes]
+            results = [f.result() for f in futures]
+    nodes = sum(r[2] for r in results) - (width - 1)
+    sols = [r[0] for r in results if r[0] is not None]
+    if sols:
+        return min(sols, key=lambda s: s[order[0]]), False, nodes
+    return None, all(r[1] for r in results), nodes
 
-    seed = None
+
+def _descend(g: Graph, k: int, cfg: SearchConfig, once: bool
+             ) -> SearchOutcome:
+    """Feasibility steps from k down, each one below the last certificate's
+    colour count, until one is proven infeasible or the budgets run out;
+    with ``once``, the first certificate ends it too.
+
+    On a copy of friendship_corona(n, 1) the construction's certificate,
+    already verified by ``certificate_for``, is applied before the first
+    step when it has at most k colours.  The edge order, symmetry pairs and
+    cliques are computed at the first step that searches.
+    """
+    start = time.monotonic()
+    deadline = None if cfg.time_budget is None else start + cfg.time_budget
+    best: Certificate | None = None
     if _friendship_o1_n(g) is not None:
         from .construction import certificate_for
         seed = certificate_for(g)
-    return seed, search_plan
-
-
-def _certify(g: Graph, sol, k: int) -> Certificate:
-    cert = make_certificate(g, sol)
-    if not cert.verdict.ok or cert.color_count > k:
-        raise RuntimeError("solver produced an invalid certificate")
-    return cert
-
-
-def _solver_worker(graph_doc, k, order, pairs, cliques, first_labels,
-                   time_left, node_left):
-    g = Graph.from_doc(graph_doc)
-    deadline = time.monotonic() + time_left if time_left is not None else None
-    return _search(g, k, order, pairs, cliques, deadline, node_left,
-                   first_labels)
-
-
-def _run_search(g: Graph, k: int, cfg: SearchConfig, plan, deadline,
-                node_left):
-    seed, search_plan = plan
-    if seed is not None and seed.color_count <= k:
-        return list(seed.labels), False, 0
-    order, pairs, cliques = search_plan()
-    if cfg.parallel_width <= 1:
-        return _search(g, k, order, pairs, cliques, deadline, node_left)
-    # imported here, so that a sequential run never pays for loading it
-    from concurrent.futures import ProcessPoolExecutor
-
-    width = min(cfg.parallel_width, g.q)
-    stripes = [list(range(1 + i, g.q + 1, width)) for i in range(width)]
-    time_left = None if deadline is None else max(deadline - time.monotonic(), 0.01)
-    doc = g.to_doc()
-    with ProcessPoolExecutor(max_workers=width) as pool:
-        futures = [pool.submit(_solver_worker, doc, k, order, pairs, cliques,
-                               stripe, time_left, node_left)
-                   for stripe in stripes]
-        results = [f.result() for f in futures]
-    nodes = sum(r[2] for r in results)
-    sols = [r[0] for r in results if r[0] is not None]
-    if sols:
-        best = min(sols, key=lambda s: s[order[0]])
-        return best, False, nodes
-    exhausted = all(r[1] for r in results)
-    return None, exhausted, nodes
+        if seed is not None and seed.color_count <= k:
+            best, k = seed, seed.color_count - 1
+    nodes = 0
+    proven = False
+    plan = None
+    while best is None or not once and best.color_count > 2:
+        node_left = None
+        if cfg.node_budget is not None:
+            node_left = cfg.node_budget - nodes
+            if node_left <= 0:
+                break
+        if deadline is not None and time.monotonic() >= deadline:
+            break
+        if plan is None:
+            order = _order_edges(g)
+            plan = order, symmetry_pairs(g, order), _cliques(g)
+        sol, proven, step_nodes = _step(g, k, cfg, plan, deadline, node_left)
+        nodes += step_nodes
+        if sol is None:
+            break
+        best = make_certificate(g, sol)
+        if not best.verdict.ok or best.color_count > k:
+            raise RuntimeError("solver produced an invalid certificate")
+        k = best.color_count - 1
+    wall = time.monotonic() - start
+    if once:
+        if best is not None:
+            return SearchOutcome(FEASIBLE, certificate=best,
+                                 nodes_explored=nodes, wall_time=wall)
+        if proven:
+            return SearchOutcome(INFEASIBLE, infeasible_k=k,
+                                 nodes_explored=nodes, wall_time=wall)
+    elif proven or best is not None and best.color_count <= 2:
+        if best is None:
+            raise RuntimeError("graph admits no local antimagic labeling")
+        return SearchOutcome(EXACT, chi=best.color_count, certificate=best,
+                             nodes_explored=nodes, wall_time=wall)
+    return SearchOutcome(BUDGET_EXHAUSTED, best_so_far=best,
+                         nodes_explored=nodes, wall_time=wall)
 
 
 def feasible_with_k_colors(g: Graph, k: int, cfg: SearchConfig | None = None
@@ -645,75 +670,34 @@ def feasible_with_k_colors(g: Graph, k: int, cfg: SearchConfig | None = None
 
     Feasible carries a certificate; Infeasible is proven by exhausting the
     (symmetry-reduced) search space.  On a copy of friendship_corona(n, 1)
-    with k >= 2n+3 the certificate is the construction's, found with 0
-    nodes.
+    with k >= 2n+3 the certificate is the construction's, applied before
+    the step with 0 nodes.  Otherwise the call is one step of the descent
+    that ``exact_chi_la`` runs, so its budgets are per worker when
+    ``parallel_width`` > 1, and a time budget spent before the step starts
+    reports budget-exhausted with 0 nodes.
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)
     _check_k(g, k)
-    start = time.monotonic()
-    deadline = start + cfg.time_budget if cfg.time_budget is not None else None
-    sol, exhausted, nodes = _run_search(g, k, cfg, _plan(g), deadline,
-                                        cfg.node_budget)
-    elapsed = time.monotonic() - start
-    if sol is not None:
-        return SearchOutcome(FEASIBLE, certificate=_certify(g, sol, k),
-                             nodes_explored=nodes, wall_time=elapsed)
-    if exhausted:
-        return SearchOutcome(INFEASIBLE, infeasible_k=k,
-                             nodes_explored=nodes, wall_time=elapsed)
-    return SearchOutcome(BUDGET_EXHAUSTED, nodes_explored=nodes,
-                         wall_time=elapsed)
+    return _descend(g, k, cfg, once=True)
 
 
 def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Exact minimum number of distinct weights over all labelings.
 
-    Runs feasibility checks with decreasing k, starting from p (every
+    Runs feasibility steps with decreasing k, starting from p (every
     labeling has at most p weights) and continuing one below each
     certificate's colour count, until an exhaustive Infeasible answer pins
-    the minimum.  Budgets cover the whole descent.  On a copy of
-    friendship_corona(n, 1) the first step takes the construction's 2n+3
-    labeling with 0 nodes, so the search only proves 2n+2 infeasible.
+    the minimum.  Budgets cover the whole descent and are per worker within
+    a step; each step's nodes count as ``SearchConfig`` describes.  On a
+    copy of friendship_corona(n, 1) the descent starts from the
+    construction's 2n+3 labeling, applied with 0 nodes before any budget is
+    checked, so the search only proves 2n+2 infeasible, and a spent budget
+    still returns that labeling as the best so far.
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)
-    start = time.monotonic()
-    deadline = start + cfg.time_budget if cfg.time_budget is not None else None
-    nodes_total = 0
-    best: Certificate | None = None
-    k = g.p
-    plan = _plan(g)
-    while True:
-        node_left = None
-        if cfg.node_budget is not None:
-            node_left = cfg.node_budget - nodes_total
-            if node_left <= 0:
-                break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        sol, exhausted, nodes = _run_search(g, k, cfg, plan, deadline,
-                                            node_left)
-        nodes_total += nodes
-        if sol is not None:
-            best = _certify(g, sol, k)
-            if best.color_count <= 2:
-                return SearchOutcome(EXACT, chi=2, certificate=best,
-                                     nodes_explored=nodes_total,
-                                     wall_time=time.monotonic() - start)
-            k = best.color_count - 1
-            continue
-        if exhausted:
-            if best is not None:
-                return SearchOutcome(EXACT, chi=best.color_count,
-                                     certificate=best,
-                                     nodes_explored=nodes_total,
-                                     wall_time=time.monotonic() - start)
-            raise RuntimeError("graph admits no local antimagic labeling")
-        break
-    return SearchOutcome(BUDGET_EXHAUSTED, best_so_far=best,
-                         nodes_explored=nodes_total,
-                         wall_time=time.monotonic() - start)
+    return _descend(g, g.p, cfg, once=False)
 
 
 # -- standalone lower bound ----------------------------------------------------

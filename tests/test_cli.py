@@ -78,6 +78,22 @@ def test_label_construction(f2_file, tmp_path):
     assert run(["verify", str(f2_file), str(cert_path)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("flag", [["--target-colors", "5"],
+                                  ["--time-budget", "1"],
+                                  ["--node-budget", "7"],
+                                  ["--cache-dir", "cache"],
+                                  ["--parallel", "2"]],
+                         ids=lambda flag: flag[0])
+def test_label_construction_rejects_solver_flags(f2_file, flag, capsys):
+    assert run(["label", str(f2_file), "--method", "construction"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["label", str(f2_file), "--method", "construction",
+                *flag]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and flag[0] in captured.err
+
+
 def test_label_construction_rejects_other_graphs(tmp_path, c3_file, capsys):
     assert run(["label", str(c3_file), "--method", "construction"]) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -176,6 +176,41 @@ def test_parallel_matches_sequential():
     assert par.certificate.labels == seq.certificate.labels
 
 
+# every stripe visits the root; the merge counts it once
+@pytest.mark.parametrize("g, k", [(corona(cycle(3), null_graph(2)), 8),
+                                  (fan_corona(3, 1), 6),
+                                  (corona(complete(4), complete(1)), 6)],
+                         ids=["C3oO2", "F3oO1", "K4oK1"])
+def test_parallel_proof_counts_root_once(g, k):
+    seq = feasible_with_k_colors(g, k)
+    assert seq.status == INFEASIBLE
+    for width in (2, 3):
+        par = feasible_with_k_colors(g, k, SearchConfig(parallel_width=width))
+        assert par.status == INFEASIBLE
+        assert par.nodes_explored == seq.nodes_explored, width
+
+
+def test_seeded_parallel_step_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a seeded step started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    g = relabeled(friendship_corona(3, 1), seed=3)
+    out = feasible_with_k_colors(g, 9, SearchConfig(parallel_width=2))
+    assert out.status == FEASIBLE and out.nodes_explored == 0
+    assert verify_certificate(out.certificate, g)
+
+
+def test_parallel_budget_keeps_best_so_far():
+    g = fan_corona(4, 1)
+    out = exact_chi_la(g, SearchConfig(node_budget=20_000, parallel_width=2))
+    assert out.status == BUDGET_EXHAUSTED and out.chi is None
+    assert out.best_so_far.color_count == 8
+    assert verify_certificate(out.best_so_far, g)
+
+
 def test_symmetry_pairs_label_constraints():
     f2 = friendship_corona(2, 1)
     pairs = symmetry_pairs(f2)
@@ -308,8 +343,16 @@ def test_node_budget_exhaustion():
 
 
 def test_time_budget_exhaustion(f2_graph):
+    # the construction's labeling is applied before any budget is checked
     out = exact_chi_la(f2_graph, SearchConfig(time_budget=1e-9))
     assert out.status == BUDGET_EXHAUSTED
+    assert out.best_so_far.color_count == 7
+    assert verify_certificate(out.best_so_far, f2_graph)
+
+
+def test_spent_time_budget_stops_feasibility_before_its_step():
+    out = feasible_with_k_colors(c3_o1(), 4, SearchConfig(time_budget=1e-9))
+    assert out.status == BUDGET_EXHAUSTED and out.nodes_explored == 0
 
 
 def test_budget_keeps_best_so_far():
