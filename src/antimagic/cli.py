@@ -250,9 +250,14 @@ def cmd_label(args) -> int:
         _dump(cert.to_doc(), args.out)
         return EXIT_OK
     code, doc, cert = _solve(g, args)
+    # a proven-infeasible target leaves no certificate to write
+    if doc["status"] == INFEASIBLE:
+        k = doc["infeasible_k"]
+        raise ValueError(f"no labeling with at most {k} colours exists "
+                         f"(--target-colors {k} is proven infeasible)")
     if cert is None:
         _dump(doc, args.out)
-        return code if code != EXIT_OK else EXIT_BUDGET
+        return EXIT_BUDGET
     _dump(cert.to_doc(), args.out)
     return code
 
@@ -288,7 +293,8 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     from . import bounds
-    report = bounds.bound_report(args.family, args.n or 0, args.m or 1)
+    m = 1 if args.m is None else args.m
+    report = bounds.bound_report(args.family, args.n or 0, m)
     _dump(report.to_doc(), args.out)
     return EXIT_OK
 

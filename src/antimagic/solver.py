@@ -264,11 +264,11 @@ def _search(g: Graph, k: int, order, pairs, cliques,
     them.  Only labels that pass are placed and recursed into, so a rejected
     label is not a node.
 
-    The clique term reads a count, per clique of ``_cliques(g)``, of its
-    surely-above members.  Only the edge's two endpoints can change their
-    status, each by a threshold on the label, so at a node the term takes
-    at most four values; they are worked out once, and only when the term
-    could prune.
+    The clique term counts, per clique of ``_cliques(g)``, the members
+    other than the edge's two endpoints that are surely above q, reading
+    the node's weights.  The endpoints change their status each by a
+    threshold on the label, so at a node the term takes at most four
+    values; they are worked out once, and only when the term could prune.
 
     The light-vertex term is read only for a label that passes every other
     test and leaves a bound of exactly k.  Its light set is a vertex mask;
@@ -297,23 +297,14 @@ def _search(g: Graph, k: int, order, pairs, cliques,
     for ea, eb in pairs:
         smaller_than.setdefault(eb, []).append(ea)
     # clique term: slack[r] - w < 0 when a vertex of weight w with r open
-    # edges is surely above q; n_above counts those members per clique
+    # edges is surely above q
     slack = [_above_cut(0, r, q) for r in range(max(degs) + 1)]
     widest = max(map(len, cliques), default=0)
-    in_cliques: list[list[int]] = [[] for _ in range(p)]
-    for c, members in enumerate(cliques):
-        for v in members:
-            in_cliques[v].append(c)
-    n_above = [sum(slack[degs[v]] < 0 for v in members) for members in cliques]
-    # per position: the cliques holding neither endpoint, and the others
-    # with (a in clique, b in clique)
-    sides = []
-    for a, b in ends:
-        sides.append(([c for c, members in enumerate(cliques)
-                       if a not in members and b not in members],
-                      [(c, int(a in members), int(b in members))
-                       for c, members in enumerate(cliques)
-                       if a in members or b in members]))
+    # per position, for each clique: its members other than the endpoints,
+    # and (a in clique, b in clique)
+    sides = [[(tuple(v for v in members if v != a and v != b),
+               int(a in members), int(b in members)) for members in cliques]
+             for a, b in ends]
     could_prune = k - widest  # the term can prune only where low - gt > this
     # light-vertex term: as vertex masks, the neighbours of each vertex, and
     # per position the non-pendants with an edge there or later
@@ -347,17 +338,15 @@ def _search(g: Graph, k: int, order, pairs, cliques,
     nodes = 0
     solution: list[int] | None = None
 
-    def clique_term(pos: int, was_a: bool, was_b: bool):
+    def clique_term(pos: int):
         # the most surely-above members of one clique once the edge at pos
         # is placed, indexed by (a ends above) + 2 * (b ends above)
-        others, touching = sides[pos]
-        t0 = 0
-        for c in others:
-            if n_above[c] > t0:
-                t0 = n_above[c]
-        t1 = t2 = t3 = t0
-        for c, in_a, in_b in touching:
-            n = n_above[c] - (in_a and was_a) - (in_b and was_b)
+        t0 = t1 = t2 = t3 = 0
+        for others, in_a, in_b in sides[pos]:
+            n = 0
+            for v in others:
+                if slack[rem[v]] < wt[v]:
+                    n += 1
             if n > t0:
                 t0 = n
             if n + in_a > t1:
@@ -397,8 +386,6 @@ def _search(g: Graph, k: int, order, pairs, cliques,
         # a ends surely above q exactly when its label exceeds cut_a
         cut_a = slack[rem[a] - 1] - wa
         cut_b = slack[rem[b] - 1] - wb
-        was_a = slack[rem[a]] - wa < 0
-        was_b = slack[rem[b]] - wb < 0
         # every candidate has low - gt >= base, and the clique term grows
         # with the label; where it prunes at base, it prunes every label
         # from that point on, so the candidates stop there
@@ -408,7 +395,7 @@ def _search(g: Graph, k: int, order, pairs, cliques,
         if n_le > base:
             base = n_le
         if base > could_prune:
-            table = clique_term(pos, was_a, was_b)
+            table = clique_term(pos)
             limit = k - base
             lo, hi, first = ((cut_a, cut_b, 1) if cut_a <= cut_b
                              else (cut_b, cut_a, 2))
@@ -470,7 +457,7 @@ def _search(g: Graph, k: int, order, pairs, cliques,
             # value; it is read only when it could exceed k - (low - gt)
             if low - gt > could_prune:
                 if table is None:
-                    table = clique_term(pos, was_a, was_b)
+                    table = clique_term(pos)
                 if table[(lnum > cut_a) + 2 * (lnum > cut_b)] > k - low + gt:
                     continue
             if a_closes:
@@ -539,23 +526,9 @@ def _search(g: Graph, k: int, order, pairs, cliques,
                 w = wb + lnum
                 cnt[w] += 1
                 gt_adj[w] += by_heavy[b]
-            da = (lnum > cut_a) - was_a
-            if da:
-                for c in in_cliques[a]:
-                    n_above[c] += da
-            db = (lnum > cut_b) - was_b
-            if db:
-                for c in in_cliques[b]:
-                    n_above[c] += db
             if dfs(pos + 1, gt, le, x, bad, lc):
                 return True
             # unplace
-            if da:
-                for c in in_cliques[a]:
-                    n_above[c] -= da
-            if db:
-                for c in in_cliques[b]:
-                    n_above[c] -= db
             if b_closes:
                 w = wb + lnum
                 cnt[w] -= 1

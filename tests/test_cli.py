@@ -168,6 +168,34 @@ def test_label_solver(c3_file, tmp_path):
     assert read(cert_path)["color_count"] == 5
 
 
+def test_label_solver_infeasible_target_is_a_domain_error(c3_file, tmp_path,
+                                                         capsys):
+    # C3oO1 has chi = 5: no certificate with 4 colours exists to write, both
+    # when the search proves it and when a cached chi answers
+    cache = tmp_path / "cache"
+    label = ["label", str(c3_file), "--method", "solver",
+             "--cache-dir", str(cache), "--target-colors", "4"]
+    assert run(label) == EXIT_USAGE
+    assert not (cache / "cache.jsonl").exists()
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                "--out", str(tmp_path / "o.json")]) == EXIT_OK
+    capsys.readouterr()
+    assert run(label) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "4 colours" in err
+
+
+def test_label_solver_budget_exhaustion(tmp_path):
+    f4_file = tmp_path / "f4.json"
+    assert run(["gen", "fan-corona", "--n", "4", "--m", "1",
+                "--out", str(f4_file)]) == EXIT_OK
+    assert run(["label", str(f4_file), "--method", "solver",
+                "--target-colors", "7", "--node-budget", "10",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(tmp_path / "o.json")]) == EXIT_BUDGET
+
+
 def test_cache_record_is_stamped_in_iso_utc(c3_file, tmp_path):
     cache = tmp_path / "cache"
     before = datetime.datetime.now(datetime.timezone.utc)
@@ -431,6 +459,18 @@ def test_bounds_command(tmp_path):
     assert run(["bounds", "--family", "kn-k1", "--n", "4",
                 "--out", str(out)]) == EXIT_OK
     assert read(out)["exact"] == 7
+
+
+@pytest.mark.parametrize("family, n", [("friendship-corona", "3"),
+                                       ("fan-corona", "3"),
+                                       ("c3-corona", None)])
+def test_bounds_rejects_m_zero(family, n, capsys):
+    # --m defaults to 1 only when it is absent
+    args = ["bounds", "--family", family, "--m", "0"]
+    if n is not None:
+        args += ["--n", n]
+    assert run(args) == EXIT_USAGE
+    assert "need m >= 1, got 0" in capsys.readouterr().err
 
 
 def test_sweep_csv(tmp_path):

@@ -68,9 +68,13 @@ def test_f2_exact(f2_graph, f2_exact_outcome):
 # clique term took C3oO1 from 206 and C3oO2 from 35,155: the base triangle's
 # vertices are surely above q, so they need three weights above q.  The
 # light-vertex term took C3oO1 from 51 (see the mid-search case below).
-@pytest.mark.parametrize("g, nodes", [(c3_o1(), 42),
-                                      (corona(cycle(3), null_graph(2)), 176)],
-                         ids=["C3oO1", "C3oO2"])
+# K4oK1 took 265,257 nodes before the clique term: its four inner vertices
+# form one clique, so the term does the most work there.
+@pytest.mark.parametrize("g, nodes",
+                         [(c3_o1(), 42),
+                          (corona(cycle(3), null_graph(2)), 176),
+                          (corona(complete(4), complete(1)), 2_955)],
+                         ids=["C3oO1", "C3oO2", "K4oK1"])
 def test_exact_node_counts_pinned(g, nodes):
     assert exact_chi_la(g).nodes_explored == nodes
 
@@ -340,6 +344,26 @@ def test_node_budget_exhaustion():
     assert out.status == BUDGET_EXHAUSTED
     assert out.chi is None
     assert out.nodes_explored <= 10 + 1
+
+
+def test_node_budget_spent_between_steps():
+    # C3oO2's first step finds a 9-colouring in exactly 10 nodes (the proof
+    # of 8 takes 166), so the budget runs out before the second step starts
+    g = corona(cycle(3), null_graph(2))
+    out = exact_chi_la(g, SearchConfig(node_budget=10))
+    assert out.status == BUDGET_EXHAUSTED and out.nodes_explored == 10
+    assert out.best_so_far.color_count == 9
+    assert verify_certificate(out.best_so_far, g)
+
+
+def test_time_budget_stops_search_at_a_deadline_check():
+    # F4oO1's proof of 7 takes 1,035,191 nodes; the clock is read every
+    # 1,024 nodes, so a search stopped by it has a multiple of 1,024
+    out = feasible_with_k_colors(fan_corona(4, 1), 7,
+                                 SearchConfig(time_budget=0.2))
+    assert out.status == BUDGET_EXHAUSTED
+    assert 1_024 <= out.nodes_explored < 1_035_191
+    assert out.nodes_explored % 1_024 == 0
 
 
 def test_time_budget_exhaustion(f2_graph):
