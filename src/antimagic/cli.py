@@ -291,7 +291,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
+# family -> (flag it fixes, its only value)
+_FIXED_FLAGS = {"kn-k1": ("m", 1), "c3-corona": ("n", 3)}
+
+
 def cmd_bounds(args) -> int:
+    if args.family in _FIXED_FLAGS:
+        dest, only = _FIXED_FLAGS[args.family]
+        given = getattr(args, dest)
+        if given is not None and given != only:
+            raise ValueError(f"--family {args.family} has {dest} = {only}, "
+                             f"got --{dest} {given}")
     from . import bounds
     m = 1 if args.m is None else args.m
     report = bounds.bound_report(args.family, args.n or 0, m)

@@ -260,15 +260,19 @@ def _search(g: Graph, k: int, order, pairs, cliques,
 
     A candidate label is judged before it is placed: the adjacency check and
     the admissible bound are evaluated from the weights its edge's closing
-    endpoints would get, reading the closed-weight counts without changing
-    them.  Only labels that pass are placed and recursed into, so a rejected
-    label is not a node.
+    endpoints would get, reading the closed weights without changing them.
+    The closed vertices are kept as one vertex mask per weight, so a weight
+    is taken when its mask is non-zero and an adjacent tie is one AND with
+    the endpoint's neighbour mask.  Only labels that pass are placed and
+    recursed into, so a rejected label is not a node.
 
     The clique term counts, per clique of ``_cliques(g)``, the members
-    other than the edge's two endpoints that are surely above q, reading
-    the node's weights.  The endpoints change their status each by a
-    threshold on the label, so at a node the term takes at most four
-    values; they are worked out once, and only when the term could prune.
+    other than the edge's two endpoints that are surely above q.  The
+    surely-above vertices are a mask passed down with the node, in which
+    only the placed edge's two endpoints change.  The endpoints change their
+    status each by a threshold on the label, so at a node the term takes at
+    most four values; they are worked out once, and only when the term could
+    prune.
 
     The light-vertex term is read only for a label that passes every other
     test and leaves a bound of exactly k.  Its light set is a vertex mask;
@@ -282,33 +286,35 @@ def _search(g: Graph, k: int, order, pairs, cliques,
     q = g.q
     p = g.p
     ends = [g.edges[e] for e in order]
-    adj = [g.neighbors(v) for v in range(p)]
     degs = g.degrees
-    inner_edge = [degs[a] > 1 and degs[b] > 1 for a, b in g.edges]
     pendant_total = sum(1 for v in range(p) if degs[v] == 1)
     heavy = max(range(p), key=lambda v: (degs[v], -v))
     heavy_static = _triangular(degs[heavy]) > q
-    by_heavy = [False] * p
-    for v in adj[heavy]:
-        by_heavy[v] = True
     # in a stabiliser chain the first edge of a pair comes first in order,
     # so each edge's labels start above those of its earlier partners
     smaller_than: dict[int, list[int]] = {}
     for ea, eb in pairs:
         smaller_than.setdefault(eb, []).append(ea)
+    # per position: the edge, its ends and their bits, whether both ends are
+    # non-pendants, its earlier pair partners, and whether heavy is an end
+    steps = [(e, a, b, 1 << a, 1 << b, degs[a] > 1 and degs[b] > 1,
+              tuple(smaller_than.get(e, ())), int(heavy == a or heavy == b))
+             for e, (a, b) in zip(order, ends)]
+    everyone = (1 << p) - 1
+    keep = [everyone ^ 1 << a ^ 1 << b for a, b in ends]
     # clique term: slack[r] - w < 0 when a vertex of weight w with r open
     # edges is surely above q
     slack = [_above_cut(0, r, q) for r in range(max(degs) + 1)]
     widest = max(map(len, cliques), default=0)
-    # per position, for each clique: its members other than the endpoints,
-    # and (a in clique, b in clique)
-    sides = [[(tuple(v for v in members if v != a and v != b),
+    # per position, for each clique: the mask of its members other than the
+    # endpoints, and (a in clique, b in clique)
+    sides = [[(sum(1 << v for v in members if v != a and v != b),
                int(a in members), int(b in members)) for members in cliques]
              for a, b in ends]
-    could_prune = k - widest  # the term can prune only where low - gt > this
+    could_prune = k - widest  # the term can prune only where rest > this
     # light-vertex term: as vertex masks, the neighbours of each vertex, and
     # per position the non-pendants with an edge there or later
-    nbr_mask = [sum(1 << u for u in adj[v]) for v in range(p)]
+    nbr_mask = [sum(1 << u for u in g.neighbors(v)) for v in range(p)]
     heavy_mask = nbr_mask[heavy]
     open_at = [0] * (q + 1)
     for pos in range(q - 1, -1, -1):
@@ -330,23 +336,17 @@ def _search(g: Graph, k: int, order, pairs, cliques,
     nonpend = [False] * (q + 2)  # label sits on an edge between non-pendants
     wt = [0] * p
     rem = list(degs)
-    # by weight: closed vertices, and closed neighbours of heavy, with it
-    # (gt_adj is read only above q)
-    top = sum(range(q + 1 - degs[heavy], q + 1)) + 1
-    cnt = [0] * top
-    gt_adj = [0] * top
+    # by weight, the mask of the closed vertices with it
+    closed = [0] * (sum(range(q + 1 - degs[heavy], q + 1)) + 1)
     nodes = 0
     solution: list[int] | None = None
 
-    def clique_term(pos: int):
+    def clique_term(pos: int, above: int):
         # the most surely-above members of one clique once the edge at pos
         # is placed, indexed by (a ends above) + 2 * (b ends above)
         t0 = t1 = t2 = t3 = 0
         for others, in_a, in_b in sides[pos]:
-            n = 0
-            for v in others:
-                if slack[rem[v]] < wt[v]:
-                    n += 1
+            n = (above & others).bit_count()
             if n > t0:
                 t0 = n
             if n + in_a > t1:
@@ -358,11 +358,11 @@ def _search(g: Graph, k: int, order, pairs, cliques,
         return t0, t1, t2, t3
 
     def dfs(pos: int, n_gt: int, n_le: int, n_x: int, n_bad: int,
-            light: int) -> bool:
+            light: int, above: int) -> bool:
         # distinct closed weights above q and at most q; those at most q
         # that are also labels of inner edges (so no pendant can take them);
         # those above q that no closed neighbour of heavy has; the vertices
-        # adjacent to every closed vertex above q
+        # adjacent to every closed vertex above q; the surely-above vertices
         nonlocal nodes, solution
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -373,20 +373,20 @@ def _search(g: Graph, k: int, order, pairs, cliques,
         if pos == q:
             solution = lab[:]
             return True
-        e = order[pos]
-        a, b = ends[pos]
-        a_closes = rem[a] == 1
-        b_closes = rem[b] == 1
+        e, a, b, bit_a, bit_b, inner, earlier, at_heavy = steps[pos]
+        ra = rem[a]
+        rb = rem[b]
+        a_closes = ra == 1
+        b_closes = rb == 1
         wa = wt[a]
         wb = wt[b]
         if a_closes and b_closes and wa == wb:
             return False
-        inner = inner_edge[e]
-        heavy_open = heavy_static and rem[heavy] - (heavy == a or heavy == b) > 0
+        heavy_open = heavy_static and rem[heavy] > at_heavy
         # a ends surely above q exactly when its label exceeds cut_a
-        cut_a = slack[rem[a] - 1] - wa
-        cut_b = slack[rem[b] - 1] - wb
-        # every candidate has low - gt >= base, and the clique term grows
+        cut_a = slack[ra - 1] - wa
+        cut_b = slack[rb - 1] - wb
+        # every candidate has rest >= base, and the clique term grows
         # with the label; where it prunes at base, it prunes every label
         # from that point on, so the candidates stop there
         table = None
@@ -395,7 +395,7 @@ def _search(g: Graph, k: int, order, pairs, cliques,
         if n_le > base:
             base = n_le
         if base > could_prune:
-            table = clique_term(pos)
+            table = clique_term(pos, above)
             limit = k - base
             lo, hi, first = ((cut_a, cut_b, 1) if cut_a <= cut_b
                              else (cut_b, cut_a, 2))
@@ -410,74 +410,69 @@ def _search(g: Graph, k: int, order, pairs, cliques,
         if light:
             after = open_at[pos + 1]
             ps = None
-        earlier = smaller_than.get(e)
+        above &= keep[pos]
         if pos == 0:
             candidates = [lnum for lnum in first_labels if lnum < stop]
-        elif earlier is not None:
-            candidates = range(max(lab[f] for f in earlier) + 1, stop)
         else:
-            candidates = range(1, stop)
+            start = 1
+            for f in earlier:
+                if lab[f] >= start:
+                    start = lab[f] + 1
+            candidates = range(start, stop)
         for lnum in candidates:
             if not free[lnum]:
                 continue
             gt, le, bad = n_gt, n_le, n_bad
-            x = n_x + 1 if inner and cnt[lnum] else n_x
+            x = n_x + 1 if inner and closed[lnum] else n_x
             if a_closes:
                 w = wa + lnum
-                if not cnt[w]:
+                if not closed[w]:
                     if w > q:
                         gt += 1
-                        if not by_heavy[a]:
+                        if not bit_a & heavy_mask:
                             bad += 1
                     else:
                         le += 1
                         if nonpend[w]:
                             x += 1
-                elif w > q and by_heavy[a] and not gt_adj[w]:
+                elif w > q and bit_a & heavy_mask \
+                        and not closed[w] & heavy_mask:
                     bad -= 1
             if b_closes:
                 w = wb + lnum
-                if not cnt[w]:
+                if not closed[w]:
                     if w > q:
                         gt += 1
-                        if not by_heavy[b]:
+                        if not bit_b & heavy_mask:
                             bad += 1
                     else:
                         le += 1
                         if nonpend[w]:
                             x += 1
-                elif w > q and by_heavy[b] and not gt_adj[w]:
+                elif w > q and bit_b & heavy_mask \
+                        and not closed[w] & heavy_mask:
                     bad -= 1
-            low = gt + max(pendant_total + x, le)
+            # the part of the bound at most q, and the whole bound
+            rest = pendant_total + x
+            if le > rest:
+                rest = le
+            low = gt + rest
             # open heavy ends above q, unlike its closed neighbours; if they
             # hold every closed weight above q, heavy's weight is a new one
             if low > k or low == k and heavy_open and not bad:
                 continue
             # the clique term lifts the part above q from gt (+1) to its
-            # value; it is read only when it could exceed k - (low - gt)
-            if low - gt > could_prune:
+            # value; it is read only when it could exceed k - rest
+            if rest > could_prune:
                 if table is None:
-                    table = clique_term(pos)
-                if table[(lnum > cut_a) + 2 * (lnum > cut_b)] > k - low + gt:
+                    table = clique_term(pos, above)
+                if table[(lnum > cut_a) + 2 * (lnum > cut_b)] > k - rest:
                     continue
-            if a_closes:
-                w = wa + lnum
-                conflict = False
-                for u in adj[a]:
-                    if wt[u] == w and not rem[u]:
-                        conflict = True
-                        break
-                if conflict:
-                    continue
-            if b_closes:
-                w = wb + lnum
-                conflict = False
-                for u in adj[b]:
-                    if wt[u] == w and not rem[u]:
-                        conflict = True
-                        break
-                if conflict:
-                    continue
+            # an adjacent closed vertex already has the would-be weight
+            if a_closes and closed[wa + lnum] & nbr_mask[a]:
+                continue
+            if b_closes and closed[wb + lnum] & nbr_mask[b]:
+                continue
             lc = light
             if lc:
                 if a_closes and wa + lnum > q:
@@ -515,39 +510,33 @@ def _search(g: Graph, k: int, order, pairs, cliques,
             free[lnum] = False
             nonpend[lnum] = inner
             wt[a] = wa + lnum
-            rem[a] -= 1
+            rem[a] = ra - 1
             wt[b] = wb + lnum
-            rem[b] -= 1
+            rem[b] = rb - 1
             if a_closes:
-                w = wa + lnum
-                cnt[w] += 1
-                gt_adj[w] += by_heavy[a]
+                closed[wa + lnum] ^= bit_a
             if b_closes:
-                w = wb + lnum
-                cnt[w] += 1
-                gt_adj[w] += by_heavy[b]
-            if dfs(pos + 1, gt, le, x, bad, lc):
+                closed[wb + lnum] ^= bit_b
+            if dfs(pos + 1, gt, le, x, bad, lc, above
+                   | (lnum > cut_a) << a | (lnum > cut_b) << b):
                 return True
             # unplace
             if b_closes:
-                w = wb + lnum
-                cnt[w] -= 1
-                gt_adj[w] -= by_heavy[b]
+                closed[wb + lnum] ^= bit_b
             if a_closes:
-                w = wa + lnum
-                cnt[w] -= 1
-                gt_adj[w] -= by_heavy[a]
+                closed[wa + lnum] ^= bit_a
             wt[a] = wa
-            rem[a] += 1
+            rem[a] = ra
             wt[b] = wb
-            rem[b] += 1
+            rem[b] = rb
             nonpend[lnum] = False
             lab[e] = 0
             free[lnum] = True
         return False
 
+    above = sum(1 << v for v in range(p) if slack[degs[v]] < 0)
     try:
-        found = dfs(0, 0, 0, 0, 0, (1 << p) - 1)
+        found = dfs(0, 0, 0, 0, 0, everyone, above)
         exhausted = not found
     except _BudgetHit:
         return solution, False, nodes

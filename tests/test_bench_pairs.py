@@ -1,0 +1,64 @@
+"""tools/bench_pairs.py: result-line parsing and the paired summary (no
+benchmark is run)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _stdout(pass_s, rss, failed=0):
+    report = json.dumps({"report": {"workload": {"passes": 3}}})
+    result = json.dumps({
+        "correct": failed == 0, "attempted": 8, "failed": failed,
+        "metrics": {"setup_s": {"value": 0.001, "unit": "s"},
+                    "pass_s": {"value": pass_s, "unit": "s"},
+                    "peak_rss_mb": {"value": rss, "unit": "MB"}}})
+    return f"{report}\n{result}\n\n"
+
+
+def test_parse_result_reads_the_last_line():
+    out = bench_pairs.parse_result(_stdout(0.5, 23.5, failed=1))
+    assert out == {"correct": False, "failed": 1,
+                   "metrics": {"setup_s": 0.001, "pass_s": 0.5,
+                               "peak_rss_mb": 23.5}}
+
+
+def test_parse_result_rejects_empty_output():
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result("\n")
+
+
+def test_summarise_medians_quartiles_and_wins():
+    parent = [0.64, 0.66, 0.62, 0.70]
+    change = [0.45, 0.44, 0.63, 0.46]
+    failed = [0, 0, 0, 1]
+    pairs = [{"first": "parent" if i % 2 == 0 else "change",
+              "parent": bench_pairs.parse_result(_stdout(p, 23.8)),
+              "change": bench_pairs.parse_result(_stdout(c, 23.6, f))}
+             for i, (p, c, f) in enumerate(zip(parent, change, failed))]
+    summary = bench_pairs.summarise(pairs)
+    pass_s = summary["pass_s"]
+    assert pass_s["parent"]["median"] == pytest.approx(0.65)
+    assert pass_s["change"]["median"] == pytest.approx(0.455)
+    # statistics.quantiles' default (exclusive) method over four values
+    assert pass_s["parent"]["quartiles"] == pytest.approx([0.625, 0.69])
+    assert pass_s["change_lower_in"] == 3 and pass_s["pairs"] == 4
+    assert summary["peak_rss_mb"]["change_lower_in"] == 4
+    assert summary["setup_s"]["change_lower_in"] == 0
+    assert summary["failed"] == {"parent": 0, "change": 1}
+
+
+def test_summarise_one_pair():
+    pair = {"first": "parent",
+            "parent": bench_pairs.parse_result(_stdout(0.6, 23.0)),
+            "change": bench_pairs.parse_result(_stdout(0.7, 23.0))}
+    pass_s = bench_pairs.summarise([pair])["pass_s"]
+    assert pass_s["parent"] == {"median": 0.6, "quartiles": [0.6, 0.6]}
+    assert pass_s["change_lower_in"] == 0

@@ -461,6 +461,28 @@ def test_bounds_command(tmp_path):
     assert read(out)["exact"] == 7
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--family", "kn-k1", "--n", "4", "--m", "5"], "got --m 5"),
+    (["--family", "kn-k1", "--n", "4", "--m", "0"], "got --m 0"),
+    (["--family", "c3-corona", "--n", "7", "--m", "2"], "got --n 7")],
+    ids=["kn-k1-m5", "kn-k1-m0", "c3-corona-n7"])
+def test_bounds_rejects_flag_the_family_fixes(args, message, capsys):
+    assert run(["bounds", *args]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_bounds_accepts_the_fixed_value(tmp_path):
+    out = tmp_path / "b.json"
+    assert run(["bounds", "--family", "kn-k1", "--n", "4", "--m", "1",
+                "--out", str(out)]) == EXIT_OK
+    assert read(out)["exact"] == 7
+    assert run(["bounds", "--family", "c3-corona", "--n", "3", "--m", "2",
+                "--out", str(out)]) == EXIT_OK
+    doc = read(out)
+    assert (doc["n"], doc["m"], doc["exact"]) == (3, 2, 9)
+
+
 @pytest.mark.parametrize("family, n", [("friendship-corona", "3"),
                                        ("fan-corona", "3"),
                                        ("c3-corona", None)])

@@ -69,12 +69,14 @@ def test_f2_exact(f2_graph, f2_exact_outcome):
 # vertices are surely above q, so they need three weights above q.  The
 # light-vertex term took C3oO1 from 51 (see the mid-search case below).
 # K4oK1 took 265,257 nodes before the clique term: its four inner vertices
-# form one clique, so the term does the most work there.
+# form one clique, so the term does the most work there.  F3oO1 took 10,761
+# before the light-vertex term.
 @pytest.mark.parametrize("g, nodes",
                          [(c3_o1(), 42),
                           (corona(cycle(3), null_graph(2)), 176),
+                          (fan_corona(3, 1), 5_459),
                           (corona(complete(4), complete(1)), 2_955)],
-                         ids=["C3oO1", "C3oO2", "K4oK1"])
+                         ids=["C3oO1", "C3oO2", "F3oO1", "K4oK1"])
 def test_exact_node_counts_pinned(g, nodes):
     assert exact_chi_la(g).nodes_explored == nodes
 
@@ -290,10 +292,15 @@ def test_heavy_term_match_case_pinned():
     # from heavy, later also closed next to it) clears bad, so the light
     # term reads heavy's weight as the one new weight above q; without that
     # case this search takes 13,966 nodes, and reference_search, whose
-    # bound reads the closed weights directly, takes 13,790
+    # bound reads the closed weights directly, takes 13,790.  Here the case
+    # moves the count only at the edge's second end; on the next graph only
+    # at its first, where without it the search takes 4,528 nodes, not 4,355.
     g, _ = _random_connected(26)
     out = feasible_with_k_colors(g, 4)
     assert out.status == FEASIBLE and out.nodes_explored == 13_790
+    g, _ = _random_connected(48)
+    out = feasible_with_k_colors(g, 3)
+    assert out.status == FEASIBLE and out.nodes_explored == 4_355
 
 
 def _first_edges_come_first(pairs, order) -> bool:
@@ -385,6 +392,22 @@ def test_budget_keeps_best_so_far():
     out = exact_chi_la(g, SearchConfig(node_budget=20_000))
     assert out.status == BUDGET_EXHAUSTED
     assert out.best_so_far.color_count == 8
+    assert verify_certificate(out.best_so_far, g)
+
+
+# A budgeted search stops at the same node count whatever order it visits
+# nodes in; its best labeling pins that order.  These are the benchmark's
+# two budgeted ladder instances.
+@pytest.mark.parametrize("g, colours, labels", [
+    (fan_corona(4, 1), 8, (2, 6, 12, 7, 4, 11, 10, 1, 3, 5, 8, 9)),
+    (friendship_corona(2, 2), 14,
+     (3, 8, 15, 13, 6, 12, 1, 2, 4, 5, 9, 10, 7, 11, 14, 16))],
+    ids=["F4oO1", "f2oO2"])
+def test_budgeted_search_path_pinned(g, colours, labels):
+    out = exact_chi_la(g, SearchConfig(node_budget=100_000))
+    assert out.status == BUDGET_EXHAUSTED and out.nodes_explored == 100_001
+    assert out.best_so_far.color_count == colours
+    assert out.best_so_far.labels == labels
     assert verify_certificate(out.best_so_far, g)
 
 

@@ -1,0 +1,150 @@
+"""Paired benchmark runs of a parent commit against the working tree.
+
+    python3 tools/bench_pairs.py --parent HEAD --workload ladder \\
+        --workload relabeled --pairs 5 --seed 103 --seconds 20 \\
+        --out BENCH.json
+
+Run from anywhere inside the repository.  The parent commit is exported with
+``git archive`` into a temporary directory, and ``bench/run.py --workload W
+--seed S --seconds T --trace 0`` runs there and in the working tree in
+alternating pairs: the parent goes first in even pairs, the working tree in
+odd ones, so neither side always meets a warmer or colder host.  The output
+file holds each pair's end-to-end metrics and, per metric, each side's
+median and quartiles and the number of pairs the working tree read lower.
+The temporary directory is removed afterwards.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_result(stdout: str) -> dict:
+    """The result line ``bench/run.py`` prints last, as
+    ``{"correct", "failed", "metrics": {name: value}}``."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("bench/run.py printed nothing")
+    doc = json.loads(lines[-1])
+    metrics = {name: m["value"] for name, m in doc["metrics"].items()}
+    return {"correct": doc["correct"], "failed": doc["failed"],
+            "metrics": metrics}
+
+
+def summarise(pairs: list[dict]) -> dict:
+    """Per metric and side, the median and quartiles over the pairs, and the
+    pairs in which the change read lower (every end-to-end metric is
+    better lower); under ``failed``, each side's failed operations."""
+    names = pairs[0]["parent"]["metrics"]
+    out = {}
+    for name in names:
+        values = {side: [pair[side]["metrics"][name] for pair in pairs]
+                  for side in SIDES}
+        entry = {}
+        for side in SIDES:
+            vals = values[side]
+            q1, _, q3 = (statistics.quantiles(vals, n=4) if len(vals) > 1
+                         else (vals[0],) * 3)
+            entry[side] = {"median": statistics.median(vals),
+                           "quartiles": [q1, q3]}
+        entry["change_lower_in"] = sum(
+            c < p for p, c in zip(values["parent"], values["change"]))
+        entry["pairs"] = len(pairs)
+        out[name] = entry
+    out["failed"] = {side: sum(pair[side]["failed"] for pair in pairs)
+                     for side in SIDES}
+    return out
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    # 1 means a check failed; the result line still reports it
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"bench/run.py in {root} exited "
+                           f"{proc.returncode}: {proc.stderr.strip()}")
+    return parse_result(proc.stdout)
+
+
+def export_commit(repo: Path, ref: str, dest: Path) -> str:
+    """Unpack ``ref`` into ``dest``; returns its full commit hash."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", ref + "^{commit}"],
+                         cwd=repo, capture_output=True, text=True,
+                         check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha],
+                             cwd=repo, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return sha
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD",
+                        help="commit to compare against (default HEAD)")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    repo = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"],
+                               capture_output=True, text=True,
+                               check=True).stdout.strip())
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo,
+                          capture_output=True, text=True).stdout.strip()
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        parent = export_commit(repo, args.parent, tmp)
+        roots = {"parent": tmp, "change": repo}
+        workloads = {}
+        for workload in args.workload:
+            pairs = []
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_bench(roots[side], workload, args.seed,
+                                           args.seconds)
+                pairs.append(pair)
+                print(f"{workload} pair {i + 1}/{args.pairs}: pass_s "
+                      f"{pair['parent']['metrics'].get('pass_s')} -> "
+                      f"{pair['change']['metrics'].get('pass_s')}",
+                      file=sys.stderr)
+            workloads[workload] = {"pairs": pairs,
+                                   "summary": summarise(pairs)}
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    doc = {
+        "parent": parent,
+        "change": {"head": head, "tree": "working tree"},
+        "settings": {"seed": args.seed, "seconds": args.seconds,
+                     "pairs": args.pairs},
+        "host": {"python": platform.python_version(),
+                 "nproc": os.cpu_count(), "machine": platform.machine()},
+        "workloads": workloads,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
