@@ -12,8 +12,9 @@ with at least its colour count, and a cached chi answers the exact query and
 every feasibility query below it.  Cache location: --cache-dir, else
 $ANTIMAGIC_CACHE_DIR, else ./.antimagic-cache.
 
-Exit codes: 0 success, 2 usage or domain error, 3 verification failure,
-4 budget exhausted.
+Exit codes: 0 success, 1 standard output closed by its reader (as by
+``| head``), 2 usage or domain error, 3 verification failure, 4 budget
+exhausted.
 
 The bounds module is loaded only by ``bounds`` and ``sweep``, the solver
 only by a ``solve`` or ``label --method solver`` that the cache cannot
@@ -428,7 +429,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left goes to os.devnull, so that the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except GraphMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

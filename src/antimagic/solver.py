@@ -11,7 +11,7 @@ with 0 nodes before the first step whenever k >= 2n+3; the search then only
 has to prove that 2n+2 colours are too few, and the light-vertex term below
 closes that proof at the root.
 
-Pruning relies on five admissible observations:
+Pruning relies on six admissible observations:
 
 * every degree-1 vertex ("pendant") has weight equal to its single edge
   label, so all pendant weights in a labeling are pairwise distinct;
@@ -31,7 +31,13 @@ Pruning relies on five admissible observations:
   vertex above q (and to the heavy vertex when it counts) ends at most q.
   If these *light* vertices' weights plus the least the open edges can add
   (the smallest free labels, counted twice on edges with both ends light)
-  exceed q times their number, the bound rises by one.
+  exceed q times their number, the bound rises by one;
+* then a completion with one colour more has at most one weight above q
+  besides those, and the light vertices that end above q all take it, so
+  they are pairwise non-adjacent: at most alpha of them, their number less
+  a greedy matching among them.  If for every r = 1..alpha their weights
+  and least completion, less the r largest weights and open-edge counts,
+  still exceed q times (their number - r), the bound rises by two.
 
 The bound is evaluated for each candidate label from the would-be weights of
 the edge's closing endpoints, before the label is placed.  A label that the
@@ -73,7 +79,7 @@ class SearchConfig(_ConfigFields):
     step counts the same nodes at every width (the root, which every worker
     visits, is counted once), but a feasible one counts every worker's
     work, since the others run on after one finds a labeling: exact C3oO1
-    takes 42 nodes at width 1 and 48 at width 2.  With a binding time
+    takes 20 nodes at width 1 and 26 at width 2.  With a binding time
     budget determinism is limited to the reported status; node budgets are
     exact in sequential mode.
     """
@@ -181,15 +187,54 @@ def _cliques(g: Graph) -> list[tuple[int, ...]]:
 # -- light-vertex term ---------------------------------------------------------
 
 
-def _light_load(light: int, open_ends) -> tuple[int, int]:
-    """(n2, n2 + n1): the open edges with both ends, and with at least one
-    end, in the vertex mask ``light``."""
-    n2 = n12 = 0
+def _top_sums(values) -> list[int]:
+    """[0, v1, v1 + v2, ...] over the values, largest first."""
+    return [0, *accumulate(sorted(values, reverse=True))]
+
+
+def _light_load(light: int, verts, open_ends, edges):
+    """For the light vertices (the mask ``light``, listed in ``verts``):
+    (n2, n2 + n1), the open edges with both ends and with at least one end
+    among them; alpha, |verts| less a greedy maximal matching of ``edges``
+    inside them, so that at most alpha of them are pairwise non-adjacent;
+    and the ``_top_sums`` of their per-vertex counts of open edges leaving
+    the set and of open edges inside it."""
+    out = dict.fromkeys(verts, 0)
+    inner = dict.fromkeys(verts, 0)
     for a, b in open_ends:
-        inside = (light >> a & 1) + (light >> b & 1)
-        n2 += inside == 2
-        n12 += inside > 0
-    return n2, n12
+        if light >> a & 1:
+            if light >> b & 1:
+                inner[a] += 1
+                inner[b] += 1
+            else:
+                out[a] += 1
+        elif light >> b & 1:
+            out[b] += 1
+    matched = 0
+    for a, b in edges:
+        pair = 1 << a | 1 << b
+        if light & pair == pair and not matched & pair:
+            matched |= pair
+    n2 = sum(inner.values()) // 2
+    alpha = len(verts) - matched.bit_count() // 2
+    return (n2, n2 + sum(out.values()), alpha, _top_sums(out.values()),
+            _top_sums(inner.values()))
+
+
+def _spare_shut(weights, room: int, q: int, sums, n2: int, n12: int,
+                alpha: int, out_top, in_top) -> bool:
+    """The one-spare-colour test: whether the light vertices fail to fit at
+    most q once any r = 1..alpha of them, pairwise non-adjacent, take the
+    one spare weight above q.  The r removed take the r largest weights,
+    open edges leaving the set and open edges inside it; every open edge
+    inside the set keeps an end among the rest.  ``room`` is |verts| * q,
+    and ``sums[j]`` the sum of the j smallest free labels."""
+    top = _top_sums(weights)
+    for r in range(alpha, 0, -1):
+        if (top[-1] - top[r] + sums[n12 - out_top[r]]
+                + sums[max(0, n2 - in_top[r])] <= room - r * q):
+            return False
+    return True
 
 
 # -- symmetry breaking ---------------------------------------------------------
@@ -275,10 +320,13 @@ def _search(g: Graph, k: int, order, pairs, cliques,
     prune.
 
     The light-vertex term is read only for a label that passes every other
-    test and leaves a bound of exactly k.  Its light set is a vertex mask;
-    per position and mask, the set's vertices and open-edge counts are
-    worked out once, and per node the sums of the smallest free labels are
-    read from one prefix-sum list.
+    test and leaves a bound of exactly k, or of exactly k - 1 with gt + the
+    heavy term >= the clique term, where the spare-colour test follows it.
+    Its light set is a vertex mask; per position and mask, the set's
+    vertices, open-edge counts and alpha are worked out once, and per node
+    the sums of the smallest free labels are read from one prefix-sum list.
+    The free labels are also an int mask, from which each node's candidates
+    are cut.
 
     Returns (labels_in_edge_index_order | None, exhausted, nodes).
     """
@@ -325,14 +373,15 @@ def _search(g: Graph, k: int, order, pairs, cliques,
 
     def light_entry(pos: int, lam: int):
         # the light set lam once the edge at pos is placed: its vertices, how
-        # many ends of that edge it holds, |lam| * q, and (n2, n2 + n1)
+        # many ends of that edge it holds, |lam| * q, and _light_load's terms
         verts = tuple(v for v in range(p) if lam >> v & 1)
         a, b = ends[pos]
-        n2, n12 = _light_load(lam, ends[pos + 1:])
-        return verts, (lam >> a & 1) + (lam >> b & 1), len(verts) * q, n2, n12
+        return (verts, (lam >> a & 1) + (lam >> b & 1), len(verts) * q,
+                *_light_load(lam, verts, ends[pos + 1:], g.edges))
 
     lab = [0] * q
     free = [True] * (q + 2)  # 0 stays free: it heads the sorted free labels
+    below = [(1 << s) - 1 for s in range(q + 2)]  # as masks, the labels < s
     nonpend = [False] * (q + 2)  # label sits on an edge between non-pendants
     wt = [0] * p
     rem = list(degs)
@@ -358,11 +407,12 @@ def _search(g: Graph, k: int, order, pairs, cliques,
         return t0, t1, t2, t3
 
     def dfs(pos: int, n_gt: int, n_le: int, n_x: int, n_bad: int,
-            light: int, above: int) -> bool:
+            light: int, above: int, fmask: int) -> bool:
         # distinct closed weights above q and at most q; those at most q
         # that are also labels of inner edges (so no pendant can take them);
         # those above q that no closed neighbour of heavy has; the vertices
-        # adjacent to every closed vertex above q; the surely-above vertices
+        # adjacent to every closed vertex above q; the surely-above vertices;
+        # the free labels
         nonlocal nodes, solution
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -411,17 +461,15 @@ def _search(g: Graph, k: int, order, pairs, cliques,
             after = open_at[pos + 1]
             ps = None
         above &= keep[pos]
+        cand = fmask & below[stop] if stop > 0 else 0
         if pos == 0:
-            candidates = [lnum for lnum in first_labels if lnum < stop]
-        else:
-            start = 1
-            for f in earlier:
-                if lab[f] >= start:
-                    start = lab[f] + 1
-            candidates = range(start, stop)
-        for lnum in candidates:
-            if not free[lnum]:
-                continue
+            cand &= first_mask
+        for f in earlier:
+            cand &= ~below[lab[f] + 1]
+        while cand:
+            lbit = cand & -cand
+            cand ^= lbit
+            lnum = lbit.bit_length() - 1
             gt, le, bad = n_gt, n_le, n_bad
             x = n_x + 1 if inner and closed[lnum] else n_x
             if a_closes:
@@ -479,21 +527,31 @@ def _search(g: Graph, k: int, order, pairs, cliques,
                     lc &= nbr_mask[a]
                 if b_closes and wb + lnum > q:
                     lc &= nbr_mask[b]
-                # a label that passed leaves a bound of at most k; the light
-                # term can only lift one of exactly k (with gt + heavy term
-                # >= the clique term, as passing then implies)
-                if low == k:
+                # low takes the heavy term: a label that passed leaves it at
+                # most k.  The light term lifts a bound of exactly k by one
+                # (gt + heavy term >= the clique term, as passing then
+                # implies), and with the spare-colour test one of exactly
+                # k - 1 by two, where that condition is checked here
+                lam = 0
+                if low >= k - 2:
                     lam = lc & after
-                elif low == k - 1 and heavy_open and not bad:
-                    lam = lc & after & heavy_mask
-                else:
-                    lam = 0
+                    if heavy_open and not bad:
+                        low += 1
+                        lam &= heavy_mask
+                    if low < k - 1:
+                        lam = 0
+                    elif low < k and lam and rest >= could_prune:
+                        if table is None:
+                            table = clique_term(pos, above)
+                        if table[(lnum > cut_a) + 2 * (lnum > cut_b)] \
+                                >= k - rest:
+                            lam = 0
                 if lam:
                     entry = light_cache[pos].get(lam)
                     if entry is None:
                         entry = light_entry(pos, lam)
                         light_cache[pos][lam] = entry
-                    verts, ends_in, cap, n2, n12 = entry
+                    verts, ends_in, cap, n2, n12, alpha, out_top, in_top = entry
                     total = lnum * ends_in - cap
                     for v in verts:
                         total += wt[v]
@@ -503,7 +561,11 @@ def _search(g: Graph, k: int, order, pairs, cliques,
                     # S(n2) + S(n12) over the labels still free after lnum
                     total += ps[n2] if lnum > fl[n2] else ps[n2 + 1] - lnum
                     total += ps[n12] if lnum > fl[n12] else ps[n12 + 1] - lnum
-                    if total > 0:
+                    if total > 0 and (low == k or _spare_shut(
+                            [wt[v] + lnum if v == a or v == b else wt[v]
+                             for v in verts], cap, q,
+                            list(accumulate(f for f in fl if f != lnum)),
+                            n2, n12, alpha, out_top, in_top)):
                         continue
             # place
             lab[e] = lnum
@@ -518,7 +580,7 @@ def _search(g: Graph, k: int, order, pairs, cliques,
             if b_closes:
                 closed[wb + lnum] ^= bit_b
             if dfs(pos + 1, gt, le, x, bad, lc, above
-                   | (lnum > cut_a) << a | (lnum > cut_b) << b):
+                   | (lnum > cut_a) << a | (lnum > cut_b) << b, fmask ^ lbit):
                 return True
             # unplace
             if b_closes:
@@ -535,8 +597,9 @@ def _search(g: Graph, k: int, order, pairs, cliques,
         return False
 
     above = sum(1 << v for v in range(p) if slack[degs[v]] < 0)
+    first_mask = sum(1 << lnum for lnum in first_labels)
     try:
-        found = dfs(0, 0, 0, 0, 0, everyone, above)
+        found = dfs(0, 0, 0, 0, 0, everyone, above, below[q + 1] - 1)
         exhausted = not found
     except _BudgetHit:
         return solution, False, nodes
@@ -735,10 +798,16 @@ def lower_bound_prune(g: Graph, partial) -> float:
             light &= sum(1 << u for u in g.neighbors(v))
     if delta:
         light &= sum(1 << u for u in g.neighbors(heavy))
-    n2, n12 = _light_load(light, [g.edges[e] for e in range(q)
-                                  if not labels[e]])
+    verts = [v for v in range(g.p) if light >> v & 1]
+    n2, n12, *spare = _light_load(light, verts, [g.edges[e] for e in range(q)
+                                                 if not labels[e]], g.edges)
     # the cheapest completion: the smallest free labels on the edges inside
-    free = [lnum for lnum in range(1, q + 1) if lnum not in used]
-    total = sum(wt[v] for v in range(g.p) if light >> v & 1)
-    total += sum(free[:n2]) + sum(free[:n12])
-    return bound + (total > light.bit_count() * q)
+    sums = [0, *accumulate(lnum for lnum in range(1, q + 1)
+                           if lnum not in used)]
+    weights = [wt[v] for v in verts]
+    room = len(verts) * q
+    if sum(weights) + sums[n2] + sums[n12] <= room:
+        return bound
+    # with bound + 1 colours at most one weight above q is new, and the
+    # light vertices that end above q all take it
+    return bound + 1 + _spare_shut(weights, room, q, sums, n2, n12, *spare)

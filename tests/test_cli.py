@@ -187,11 +187,13 @@ def test_label_solver_infeasible_target_is_a_domain_error(c3_file, tmp_path,
 
 
 def test_label_solver_budget_exhaustion(tmp_path):
-    f4_file = tmp_path / "f4.json"
-    assert run(["gen", "fan-corona", "--n", "4", "--m", "1",
-                "--out", str(f4_file)]) == EXIT_OK
-    assert run(["label", str(f4_file), "--method", "solver",
-                "--target-colors", "7", "--node-budget", "10",
+    # F3oO2's proof of 10 takes 100,960 nodes (F4oO1's proof of 7, used
+    # before, now closes at the root)
+    f3_file = tmp_path / "f3.json"
+    assert run(["gen", "fan-corona", "--n", "3", "--m", "2",
+                "--out", str(f3_file)]) == EXIT_OK
+    assert run(["label", str(f3_file), "--method", "solver",
+                "--target-colors", "10", "--node-budget", "10",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--out", str(tmp_path / "o.json")]) == EXIT_BUDGET
 
@@ -371,7 +373,7 @@ def test_concurrent_solves_share_one_cache(c3_file, tmp_path):
 
 
 def test_solve_budget_exhaustion(tmp_path):
-    # f2oO1 closes in 1 node; F4oO1's proof of 7 is a search
+    # f2oO1 closes in 1 node; F4oO1's exact solve takes 394
     f4_file = tmp_path / "f4.json"
     assert run(["gen", "fan-corona", "--n", "4", "--m", "1",
                 "--out", str(f4_file)]) == EXIT_OK
@@ -380,6 +382,22 @@ def test_solve_budget_exhaustion(tmp_path):
                 "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
     assert code == EXIT_BUDGET
     assert read(out)["status"] == "budget-exhausted"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # as ``antimagic sweep fan | head -1``: the reader closes the pipe after
+    # one line, while the CSV, far larger than a pipe buffer, is being written
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "antimagic.cli", "sweep",
+                             "fan"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"name,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
 def test_verify_tampered_certificate(f2_file, tmp_path):

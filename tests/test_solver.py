@@ -7,10 +7,10 @@ import random
 import pytest
 
 from antimagic import solver
-from antimagic.bounds import lb_friendship
+from antimagic.bounds import lb_fan, lb_friendship
 from antimagic.graphs import (Graph, complete, corona, cycle, fan, fan_corona,
                               friendship, friendship_corona, null_graph, path)
-from antimagic.labeling import verify_certificate
+from antimagic.labeling import make_certificate, verify_certificate
 from antimagic.solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                               SearchConfig, _order_edges, exact_chi_la,
                               feasible_with_k_colors, lower_bound_prune,
@@ -70,12 +70,13 @@ def test_f2_exact(f2_graph, f2_exact_outcome):
 # light-vertex term took C3oO1 from 51 (see the mid-search case below).
 # K4oK1 took 265,257 nodes before the clique term: its four inner vertices
 # form one clique, so the term does the most work there.  F3oO1 took 10,761
-# before the light-vertex term.
+# before the light-vertex term.  The spare-colour test then took C3oO1 from
+# 42, C3oO2 from 176, F3oO1 from 5,459 and K4oK1 from 2,955.
 @pytest.mark.parametrize("g, nodes",
-                         [(c3_o1(), 42),
-                          (corona(cycle(3), null_graph(2)), 176),
-                          (fan_corona(3, 1), 5_459),
-                          (corona(complete(4), complete(1)), 2_955)],
+                         [(c3_o1(), 20),
+                          (corona(cycle(3), null_graph(2)), 40),
+                          (fan_corona(3, 1), 1_044),
+                          (corona(complete(4), complete(1)), 2_940)],
                          ids=["C3oO1", "C3oO2", "F3oO1", "K4oK1"])
 def test_exact_node_counts_pinned(g, nodes):
     assert exact_chi_la(g).nodes_explored == nodes
@@ -210,10 +211,10 @@ def test_seeded_parallel_step_starts_no_pool(monkeypatch):
 
 
 def test_parallel_budget_keeps_best_so_far():
-    g = fan_corona(4, 1)
+    g = fan_corona(3, 2)
     out = exact_chi_la(g, SearchConfig(node_budget=20_000, parallel_width=2))
     assert out.status == BUDGET_EXHAUSTED and out.chi is None
-    assert out.best_so_far.color_count == 8
+    assert out.best_so_far.color_count == 12
     assert verify_certificate(out.best_so_far, g)
 
 
@@ -291,16 +292,17 @@ def test_heavy_term_match_case_pinned():
     # the heavy-vertex term's `bad -= 1` case (a weight above q closed away
     # from heavy, later also closed next to it) clears bad, so the light
     # term reads heavy's weight as the one new weight above q; without that
-    # case this search takes 13,966 nodes, and reference_search, whose
-    # bound reads the closed weights directly, takes 13,790.  Here the case
+    # case this search takes 13,965 nodes, and reference_search, whose
+    # bound reads the closed weights directly, takes 13,789.  Here the case
     # moves the count only at the edge's second end; on the next graph only
-    # at its first, where without it the search takes 4,528 nodes, not 4,355.
+    # at its first, where without it the search takes 4,475 nodes, not 4,302
+    # (13,790 and 4,355 before the spare-colour test).
     g, _ = _random_connected(26)
     out = feasible_with_k_colors(g, 4)
-    assert out.status == FEASIBLE and out.nodes_explored == 13_790
+    assert out.status == FEASIBLE and out.nodes_explored == 13_789
     g, _ = _random_connected(48)
     out = feasible_with_k_colors(g, 3)
-    assert out.status == FEASIBLE and out.nodes_explored == 4_355
+    assert out.status == FEASIBLE and out.nodes_explored == 4_302
 
 
 def _first_edges_come_first(pairs, order) -> bool:
@@ -339,14 +341,15 @@ def test_symmetry_ignores_vertex_roles():
     tagged = exact_chi_la(g)
     plain = exact_chi_la(Graph(g.p, g.edges))
     assert tagged.chi == plain.chi == 7
-    # 91,066 before the clique term, 10,761 before the light-vertex term
-    assert tagged.nodes_explored == plain.nodes_explored == 5_459
+    # 91,066 before the clique term, 10,761 before the light-vertex term,
+    # 5,459 before the spare-colour test
+    assert tagged.nodes_explored == plain.nodes_explored == 1_044
 
 
 # -- budgets --------------------------------------------------------------------
 
 def test_node_budget_exhaustion():
-    # f2oO1 closes in 1 node; F4oO1's proof of 7 is a search
+    # f2oO1 closes in 1 node; F4oO1's exact solve takes 394
     out = exact_chi_la(fan_corona(4, 1), SearchConfig(node_budget=10))
     assert out.status == BUDGET_EXHAUSTED
     assert out.chi is None
@@ -364,12 +367,12 @@ def test_node_budget_spent_between_steps():
 
 
 def test_time_budget_stops_search_at_a_deadline_check():
-    # F4oO1's proof of 7 takes 1,035,191 nodes; the clock is read every
+    # F3oO2's proof of 10 takes 100,960 nodes; the clock is read every
     # 1,024 nodes, so a search stopped by it has a multiple of 1,024
-    out = feasible_with_k_colors(fan_corona(4, 1), 7,
-                                 SearchConfig(time_budget=0.2))
+    out = feasible_with_k_colors(fan_corona(3, 2), 10,
+                                 SearchConfig(time_budget=0.05))
     assert out.status == BUDGET_EXHAUSTED
-    assert 1_024 <= out.nodes_explored < 1_035_191
+    assert 1_024 <= out.nodes_explored < 100_960
     assert out.nodes_explored % 1_024 == 0
 
 
@@ -387,28 +390,34 @@ def test_spent_time_budget_stops_feasibility_before_its_step():
 
 
 def test_budget_keeps_best_so_far():
-    # enough nodes to find an 8-colouring, not enough to prove 7 too few
-    g = fan_corona(4, 1)
+    # enough nodes to find a 12-colouring, not enough to find one with 11
+    # (the lemma's value, found in 125,513 nodes at k = 11)
+    g = fan_corona(3, 2)
     out = exact_chi_la(g, SearchConfig(node_budget=20_000))
     assert out.status == BUDGET_EXHAUSTED
-    assert out.best_so_far.color_count == 8
+    assert out.best_so_far.color_count == 12
     assert verify_certificate(out.best_so_far, g)
 
 
 # A budgeted search stops at the same node count whatever order it visits
 # nodes in; its best labeling pins that order.  These are the benchmark's
-# two budgeted ladder instances.
-@pytest.mark.parametrize("g, colours, labels", [
-    (fan_corona(4, 1), 8, (2, 6, 12, 7, 4, 11, 10, 1, 3, 5, 8, 9)),
-    (friendship_corona(2, 2), 14,
+# two budgeted ladder instances.  F4oO1 spent its budget until the
+# spare-colour test closed its proof of 7 at the root; it is now exact, and
+# its certificate is the best labeling it used to stop with.
+@pytest.mark.parametrize("g, status, nodes, colours, labels", [
+    (fan_corona(4, 1), EXACT, 394, 8,
+     (2, 6, 12, 7, 4, 11, 10, 1, 3, 5, 8, 9)),
+    (friendship_corona(2, 2), BUDGET_EXHAUSTED, 100_001, 14,
      (3, 8, 15, 13, 6, 12, 1, 2, 4, 5, 9, 10, 7, 11, 14, 16))],
     ids=["F4oO1", "f2oO2"])
-def test_budgeted_search_path_pinned(g, colours, labels):
+def test_budgeted_search_path_pinned(g, status, nodes, colours, labels):
     out = exact_chi_la(g, SearchConfig(node_budget=100_000))
-    assert out.status == BUDGET_EXHAUSTED and out.nodes_explored == 100_001
-    assert out.best_so_far.color_count == colours
-    assert out.best_so_far.labels == labels
-    assert verify_certificate(out.best_so_far, g)
+    assert out.status == status and out.nodes_explored == nodes
+    best = out.certificate if status == EXACT else out.best_so_far
+    assert out.chi == (colours if status == EXACT else None)
+    assert best.color_count == colours
+    assert best.labels == labels
+    assert verify_certificate(best, g)
 
 
 # -- validation -----------------------------------------------------------------
@@ -445,9 +454,13 @@ def test_prune_bound_empty_partial():
     assert lower_bound_prune(f2, [None] * f2.q) == 7  # 6 before the light term
     # C3oO1: with 3 colours no weight is above q = 6, so the triangle's
     # weights, at least 2 * (1 + 2 + 3) + 4 + 5 + 6 = 27 together, would fit
-    # in 3 * 6 = 18; the light-vertex term lifts 3 to 4, and chi is 5
+    # in 3 * 6 = 18; the light-vertex term lifts 3 to 4.  With 4 colours
+    # one weight is above q, and the triangle vertices that take it are
+    # pairwise non-adjacent: the other two (at most 12 together) hold at
+    # least 1 + (1 + 2 + 3 + 4 + 5) = 16, so the spare-colour test lifts 4
+    # to 5, which is chi
     g = c3_o1()
-    assert lower_bound_prune(g, [None] * g.q) == 4
+    assert lower_bound_prune(g, [None] * g.q) == 5
     # C3oO2: each triangle vertex ends at least 1+2+3+4 = 10 > q = 9, so the
     # clique term counts three weights above q besides the six pendant
     # weights; the heavy-vertex term alone gave 1 + 6 = 7, and chi is 9
@@ -468,16 +481,25 @@ def test_prune_bound_admissible_for_c3(f2_graph, f2_exact_outcome):
     assert lower_bound_prune(f2_graph, [None] * f2_graph.q) <= 7
 
 
+# partials besides the random ones: a spare-colour test that took the r
+# smallest weights and edge counts instead of the largest gives 4 on P4
+# with the label 1 on its first edge, where the optimum is 3
+KNOWN_PARTIALS = {path(4).content_hash(): [[1, None, None]]}
+
+
 @pytest.mark.parametrize(
     "g", ORACLE_GRAPHS + CLIQUE_GRAPHS + [c3_o1()] + PENDANT_GRAPHS,
     ids=ORACLE_IDS + CLIQUE_IDS + ["C3oO1"] + PENDANT_IDS)
 def test_prune_bound_never_overestimates(g):
     rng = random.Random(g.content_hash())
+    partials = []
     for _ in range(10):
         fixed = rng.sample(range(g.q), rng.randint(0, g.q))
         partial = [None] * g.q
         for e, lab in zip(fixed, rng.sample(range(1, g.q + 1), len(fixed))):
             partial[e] = lab
+        partials.append(partial)
+    for partial in partials + KNOWN_PARTIALS.get(g.content_hash(), []):
         try:
             best = naive_exact_chi_la(g, partial)
         except ValueError:  # no valid completion: any bound holds
@@ -485,12 +507,73 @@ def test_prune_bound_never_overestimates(g):
         assert lower_bound_prune(g, partial) <= best, partial
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-def test_prune_bound_root_reaches_lemma(n):
-    # the light-vertex term makes every proof of chi(f_n o O_1) >= 2n+3
-    # close at the root
-    g = friendship_corona(n, 1)
-    assert lower_bound_prune(g, [None] * g.q) == lb_friendship(n, 1)
+# the light-vertex term makes every proof of chi(f_n o O_1) >= 2n+3 close at
+# the root (cases 2..7); on fans with n >= 4 and friendship coronas with
+# m >= 2 the spare-colour test lifts the root one more, to the lemma
+ROOT_LEMMA_CASES = ([(friendship_corona, n, 1) for n in range(2, 8)]
+                    + [(fan_corona, n, 1) for n in range(4, 9)]
+                    + [(fan_corona, n, 2) for n in range(4, 7)]
+                    + [(fan_corona, 4, 3)]
+                    + [(friendship_corona, n, 2) for n in range(2, 5)]
+                    + [(friendship_corona, 2, 3)])
+ROOT_LEMMA_IDS = [str(n) if m == 1 and family is friendship_corona
+                  else f"{'F' if family is fan_corona else 'f'}{n}oO{m}"
+                  for family, n, m in ROOT_LEMMA_CASES]
+
+
+def _lemma(family, n, m) -> int:
+    return (lb_fan if family is fan_corona else lb_friendship)(n, m)
+
+
+@pytest.mark.parametrize("family, n, m", ROOT_LEMMA_CASES, ids=ROOT_LEMMA_IDS)
+def test_prune_bound_root_reaches_lemma(family, n, m):
+    g = family(n, m)
+    assert lower_bound_prune(g, [None] * g.q) == _lemma(family, n, m)
+
+
+# the lemma's value less one is proven infeasible at the root: 1 node
+@pytest.mark.parametrize("family, n, m", [
+    (fan_corona, 4, 1), (fan_corona, 5, 1), (fan_corona, 6, 1),
+    (fan_corona, 4, 2), (friendship_corona, 2, 2), (friendship_corona, 3, 2)],
+    ids=["F4oO1", "F5oO1", "F6oO1", "F4oO2", "f2oO2", "f3oO2"])
+def test_lemma_minus_one_proven_at_root(family, n, m):
+    k = _lemma(family, n, m) - 1
+    out = feasible_with_k_colors(family(n, m), k)
+    assert out.status == INFEASIBLE and out.infeasible_k == k
+    assert out.nodes_explored == 1
+
+
+def test_f2_o2_is_13():
+    # the paper gives only the lower bound 13; this labeling (in edge-index
+    # order) meets it, and 12 colours are proven too few at the root
+    g = friendship_corona(2, 2)
+    cert = make_certificate(
+        g, [3, 5, 12, 13, 16, 7, 1, 2, 4, 6, 8, 9, 10, 11, 14, 15])
+    assert cert.verdict.ok and cert.color_count == 13 == lb_friendship(2, 2)
+    assert verify_certificate(cert, g)
+    out = feasible_with_k_colors(g, 12)
+    assert out.status == INFEASIBLE and out.nodes_explored == 1
+
+
+def test_prune_bound_spare_colour_f4_root():
+    # F4oO1: q = 12, and the hub (degree 5, weight >= 15 > q) is the heavy
+    # vertex, so the bound before the light terms is 1 + 5 pendant weights
+    # = 6.  The light set is the four path vertices, all next to the hub;
+    # they hold 3 path edges (both ends) and 8 hub and pendant edges (one
+    # end), and S(j) below is the sum of the j smallest labels.
+    g = fan_corona(4, 1)
+    assert g.q == 12
+    # with 6 colours they end at most 12 each, but S(11) + S(3) = 66 + 6 =
+    # 72 > 4 * 12 = 48: the light-vertex term gives 7
+    # with 7 colours one weight above q is spare, and the path vertices that
+    # take it are pairwise non-adjacent: at most 4 - 2 = 2 of them (the path
+    # has a matching of two edges).  If r of them take it, the rest end at
+    # most 12 each; each of the r takes away its 2 hub and pendant edges
+    # and at most 2 path edges, so
+    #   r = 1: S(11 - 2) + S(3 - 2) = 45 + 1 = 46 > 3 * 12 = 36,
+    #   r = 2: S(11 - 4) + S(0) = 28 > 2 * 12 = 24,
+    # and the spare-colour test gives 8, the lemma's value
+    assert lower_bound_prune(g, [None] * g.q) == 8 == lb_fan(4, 1)
 
 
 def test_prune_bound_light_term_f3_root():
@@ -515,8 +598,11 @@ def test_prune_bound_light_term_mid_search():
     g = c3_o1()
     assert g.edges[:4] == ((0, 1), (1, 2), (0, 2), (0, 3))
     assert _order_edges(g)[:3] == [3, 0, 2]
+    # With 5 colours the one weight above q besides 7 can go to only one of
+    # the adjacent 1 and 2; the other ends at most 6, but holds at least 1
+    # plus the two smallest of 3, 5, 6 on its open edges: 9 > 6
     partial = [1, None, 2, 4, None, None]
-    assert lower_bound_prune(g, partial) == 5
+    assert lower_bound_prune(g, partial) == 6
     assert naive_exact_chi_la(g, partial) == 6
 
 
