@@ -1,8 +1,12 @@
 """Command-line interface.
 
-Subcommands: gen (family generators), label (closed-form construction or
-solver), verify (labeling/certificate checker), solve (exact search), bounds
-(closed-form report), sweep (inequality audit as CSV), export-dot.
+Subcommands: gen (family generators), label (a verified certificate),
+verify (labeling/certificate checker), solve (exact search), bounds
+(closed-form report), sweep (inequality audit as CSV), export-dot.  Without
+``--target-colors``, ``label`` gives a copy of friendship_corona(n, 1) the
+paper's 2n+3 construction on its own numbering, with no search and no cache
+access (budget flags and ``--cache-dir`` go unused); any other call it
+answers as ``solve`` does, from the cache or the solver.
 
 Solver results are cached in one append-only JSONL index, keyed by graph
 content hash; each record carries its certificate and, for an exact solve,
@@ -17,10 +21,10 @@ Exit codes: 0 success, 1 standard output closed by its reader (as by
 exhausted.
 
 The bounds module is loaded only by ``bounds`` and ``sweep``, the solver
-only by a ``solve`` or ``label --method solver`` that the cache cannot
-answer, and the construction module only by ``label --method construction``
-(and by the solver, for a graph the size of a friendship corona with one
-pendant per vertex), so a ``solve`` starts without them.
+only by a ``solve`` or ``label`` that the cache cannot answer, and the
+construction module only for a graph with the size and degrees of a
+friendship corona with one pendant per vertex, so a ``solve`` of any other
+graph starts without them.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ import time
 from pathlib import Path
 
 from . import jsonio
-from .graphs import (REPORT_FAMILIES, Graph, complete, corona, cycle, fan,
-                     fan_corona, friendship, friendship_corona, null_graph,
-                     path)
+from .graphs import (REPORT_FAMILIES, Graph, _friendship_o1_n, complete,
+                     corona, cycle, fan, fan_corona, friendship,
+                     friendship_corona, null_graph, path)
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                        Certificate, GraphMismatchError, InvalidLabelingError,
                        _check_k, make_certificate, verify_certificate)
@@ -176,7 +180,7 @@ def cmd_gen(args) -> int:
 
 
 def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
-    """Shared engine behind solve and label --method solver."""
+    """Shared engine behind solve and label: the cache, then the solver."""
     cache = _cache_dir(args.cache_dir)
     target = args.target_colors
     if target is not None:
@@ -197,8 +201,7 @@ def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
     # loaded only here, so that a cache hit never compiles the solver
     from .solver import SearchConfig, exact_chi_la, feasible_with_k_colors
     cfg = SearchConfig(time_budget=args.time_budget,
-                       node_budget=args.node_budget,
-                       parallel_width=args.parallel)
+                       node_budget=args.node_budget)
     if target is None:
         outcome = exact_chi_la(g, cfg)
     else:
@@ -229,27 +232,14 @@ def cmd_solve(args) -> int:
     return code
 
 
-# solver flags, as (dest, value when not given)
-_SOLVER_FLAGS = (("target_colors", None), ("time_budget", None),
-                 ("node_budget", None), ("cache_dir", None), ("parallel", 1))
-
-
 def cmd_label(args) -> int:
     g = _load_graph(args.graph)
-    if args.method == "construction":
-        for dest, unset in _SOLVER_FLAGS:
-            if getattr(args, dest) != unset:
-                raise ValueError(f"--{dest.replace('_', '-')} needs "
-                                 "--method solver")
+    if args.target_colors is None and _friendship_o1_n(g) is not None:
         from .construction import certificate_for
         cert = certificate_for(g)
-        if cert is None:
-            raise ValueError(
-                "construction method needs a graph isomorphic to a friendship "
-                "corona with one pendant per vertex "
-                "(gen friendship-corona --n N --m 1)")
-        _dump(cert.to_doc(), args.out)
-        return EXIT_OK
+        if cert is not None:
+            _dump(cert.to_doc(), args.out)
+            return EXIT_OK
     code, doc, cert = _solve(g, args)
     # a proven-infeasible target leaves no certificate to write
     if doc["status"] == INFEASIBLE:
@@ -347,15 +337,25 @@ def cmd_export_dot(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+def _positive(kind):
+    """An argparse type: a ``kind`` above 0, checked while parsing, so that
+    a budget is refused even when the cache answers."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ..." errors
+    return parse
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-colors", type=int, default=None,
                    help="feasibility mode: search for <= K colors")
-    p.add_argument("--time-budget", type=float, default=None,
+    p.add_argument("--time-budget", type=_positive(float), default=None,
                    help="wall-clock budget in seconds")
-    p.add_argument("--node-budget", type=int, default=None,
+    p.add_argument("--node-budget", type=_positive(int), default=None,
                    help="search node budget")
-    p.add_argument("--parallel", type=int, default=1, metavar="W",
-                   help="split the first edge's labels over W processes")
     p.add_argument("--cache-dir", default=None,
                    help=f"certificate cache (default ${CACHE_ENV} or "
                         f"./{DEFAULT_CACHE})")
@@ -379,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="produce a verified certificate")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--method", choices=["construction", "solver"],
-                   default="construction")
     _add_solver_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_label)

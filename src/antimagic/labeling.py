@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .jsonio import check_version, stamp
 
 # how a colour-count query was answered; the solver returns these, and the
@@ -133,9 +133,9 @@ def make_certificate(g: Graph, labels: Sequence[int]) -> Certificate:
 
 
 def _check_k(g: Graph, k: int) -> None:
-    """Reject a query for at most k colours unless 2 <= k <= p."""
-    if not 2 <= k <= g.p:
-        raise ValueError(f"k must be in 2..{g.p}, got {k}")
+    """Reject a query for at most k colours unless k is an int in 2..p."""
+    if not (_is_int(k) and 2 <= k <= g.p):
+        raise ValueError(f"k must be in 2..{g.p}, got {k!r}")
 
 
 def verify_certificate(cert: Certificate, g: Graph) -> bool:

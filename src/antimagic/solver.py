@@ -56,8 +56,8 @@ import time
 from itertools import accumulate, compress
 from typing import NamedTuple
 
-from .graphs import (Graph, _friendship_o1_n, _isomorphism, _refine,
-                     _triangular)
+from .graphs import (Graph, _friendship_o1_n, _is_int, _isomorphism,
+                     _refine, _triangular)
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                        Certificate, _check_k, make_certificate)
 
@@ -742,9 +742,11 @@ def lower_bound_prune(g: Graph, partial) -> float:
     q = g.q
     if len(partial) != q:
         raise ValueError(f"expected {q} entries, got {len(partial)}")
-    labels = [0 if x in (None, 0) else int(x) for x in partial]
+    labels = [0 if x is None else x for x in partial]
     used = set()
     for lnum in labels:
+        if not _is_int(lnum):
+            raise ValueError(f"label {lnum!r} is not an int")
         if lnum == 0:
             continue
         if not 1 <= lnum <= q:

@@ -70,34 +70,38 @@ def test_unknown_subcommand_exits_2():
 
 def test_label_construction(f2_file, tmp_path):
     cert_path = tmp_path / "cert.json"
-    assert run(["label", str(f2_file), "--method", "construction",
-                "--out", str(cert_path)]) == EXIT_OK
+    assert run(["label", str(f2_file), "--out", str(cert_path)]) == EXIT_OK
     cert = read(cert_path)
     assert cert["color_count"] == 7
     assert cert["verdict"] == "local-antimagic"
     assert run(["verify", str(f2_file), str(cert_path)]) == EXIT_OK
 
 
-@pytest.mark.parametrize("flag", [["--target-colors", "5"],
-                                  ["--time-budget", "1"],
+@pytest.mark.parametrize("flag", [["--time-budget", "1"],
                                   ["--node-budget", "7"],
-                                  ["--cache-dir", "cache"],
-                                  ["--parallel", "2"]],
+                                  ["--cache-dir", "cache"]],
                          ids=lambda flag: flag[0])
-def test_label_construction_rejects_solver_flags(f2_file, flag, capsys):
-    assert run(["label", str(f2_file), "--method", "construction"]) == EXIT_OK
-    capsys.readouterr()
-    assert run(["label", str(f2_file), "--method", "construction",
-                *flag]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and flag[0] in captured.err
+def test_label_construction_ignores_budget_flags(f2_file, tmp_path, flag,
+                                                 capsys, monkeypatch):
+    # no search runs, so there is nothing to limit and nothing to cache
+    monkeypatch.chdir(tmp_path)
+    assert run(["label", str(f2_file)]) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert run(["label", str(f2_file), *flag]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["color_count"] == 7
+    assert sorted(os.listdir(tmp_path)) == ["f2.json"]
 
 
-def test_label_construction_rejects_other_graphs(tmp_path, c3_file, capsys):
-    assert run(["label", str(c3_file), "--method", "construction"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "friendship-corona" in err
+def test_label_target_on_friendship_o1_goes_to_the_solver(f2_file, tmp_path):
+    # a target is a solver query: the construction seeds it with 0 nodes,
+    # and the answer is cached
+    cache = tmp_path / "cache"
+    cert_path = tmp_path / "cert.json"
+    assert run(["label", str(f2_file), "--target-colors", "7",
+                "--cache-dir", str(cache), "--out", str(cert_path)]) == EXIT_OK
+    assert read(cert_path)["color_count"] == 7
+    assert (cache / "cache.jsonl").read_text().count("\n") == 1
 
 
 def test_label_construction_ignores_vertex_roles(tmp_path):
@@ -105,8 +109,7 @@ def test_label_construction_ignores_vertex_roles(tmp_path):
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps(Graph(g.p, g.edges).to_doc()))
     cert_path = tmp_path / "cert.json"
-    assert run(["label", str(plain), "--method", "construction",
-                "--out", str(cert_path)]) == EXIT_OK
+    assert run(["label", str(plain), "--out", str(cert_path)]) == EXIT_OK
     assert read(cert_path)["color_count"] == 9
     assert run(["verify", str(plain), str(cert_path)]) == EXIT_OK
 
@@ -116,20 +119,21 @@ def test_label_construction_accepts_any_numbering(tmp_path):
     path = tmp_path / "permuted.json"
     path.write_text(json.dumps(g.to_doc()))
     cert_path = tmp_path / "cert.json"
-    assert run(["label", str(path), "--method", "construction",
-                "--out", str(cert_path)]) == EXIT_OK
+    assert run(["label", str(path), "--out", str(cert_path)]) == EXIT_OK
     assert read(cert_path)["color_count"] == 7
     assert run(["verify", str(path), str(cert_path)]) == EXIT_OK
 
 
-# modules a sequential solve of a graph that is not a friendship corona never
-# runs, so its process must not load them
+# modules a solve of a graph that is not a friendship corona never runs, so
+# its process must not load them
 UNUSED_BY_SOLVE = ("dataclasses", "inspect", "datetime", "csv",
                    "concurrent.futures", "antimagic.bounds",
                    "antimagic.construction")
 
 
-def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
+def _run_fresh(unused, argv):
+    """cli.main(argv) in a new process: its exit code and the modules of
+    ``unused`` that it loaded."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
     script = ("import json, sys\n"
@@ -137,23 +141,45 @@ def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
               "code = cli.main(sys.argv[2:])\n"
               "print(json.dumps([code, [m for m in json.loads(sys.argv[1]) "
               "if m in sys.modules]]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(unused), *argv],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
     out = tmp_path / "o.json"
     argv = ["solve", str(c3_file), "--cache-dir", str(tmp_path / "cache"),
             "--out", str(out)]
     # a cold solve, then a cache hit, which does not load the solver either
     for cached, unused in ((False, UNUSED_BY_SOLVE),
                            (True, UNUSED_BY_SOLVE + ("antimagic.solver",))):
-        run = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(unused), *argv],
-            env=env, capture_output=True, text=True, check=True)
-        assert json.loads(run.stdout) == [EXIT_OK, []]
+        assert _run_fresh(unused, argv) == [EXIT_OK, []]
         assert read(out)["chi"] == 5
         assert read(out).get("cached", False) is cached
 
 
+def test_label_process_constructs_without_solver_or_cache(tmp_path):
+    # a relabeled copy of f2oO1, no target: the construction's certificate
+    # on the file's own numbering, with no solver loaded and no cache written
+    g = relabeled(friendship_corona(2, 1), seed=3)
+    path = tmp_path / "permuted.json"
+    path.write_text(json.dumps(g.to_doc()))
+    out = tmp_path / "cert.json"
+    cache = tmp_path / "cache"
+    argv = ["label", str(path), "--cache-dir", str(cache), "--out", str(out)]
+    unused = ["antimagic.solver", "antimagic.bounds", "concurrent.futures"]
+    assert _run_fresh(unused, argv) == [EXIT_OK, []]
+    cert = Certificate.from_doc(read(out))
+    assert cert.color_count == 7 and verify_certificate(cert, g)
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "label"])
 @pytest.mark.parametrize("flag", [["--edge-order", "input"],
-                                  ["--no-symmetry"]])
+                                  ["--no-symmetry"],
+                                  ["--method", "solver"],
+                                  ["--parallel", "2"]])
 def test_removed_solver_flags_are_rejected(c3_file, command, flag):
     with pytest.raises(SystemExit) as exc:
         run([command, str(c3_file), *flag])
@@ -161,11 +187,14 @@ def test_removed_solver_flags_are_rejected(c3_file, command, flag):
 
 
 def test_label_solver(c3_file, tmp_path):
+    # C3oO1 is no friendship corona: label solves it, as solve does
+    cache = tmp_path / "cache"
     cert_path = tmp_path / "cert.json"
-    assert run(["label", str(c3_file), "--method", "solver",
-                "--cache-dir", str(tmp_path / "cache"),
+    assert run(["label", str(c3_file), "--cache-dir", str(cache),
                 "--out", str(cert_path)]) == EXIT_OK
     assert read(cert_path)["color_count"] == 5
+    assert run(["verify", str(c3_file), str(cert_path)]) == EXIT_OK
+    assert (cache / "cache.jsonl").exists()
 
 
 def test_label_solver_infeasible_target_is_a_domain_error(c3_file, tmp_path,
@@ -173,8 +202,8 @@ def test_label_solver_infeasible_target_is_a_domain_error(c3_file, tmp_path,
     # C3oO1 has chi = 5: no certificate with 4 colours exists to write, both
     # when the search proves it and when a cached chi answers
     cache = tmp_path / "cache"
-    label = ["label", str(c3_file), "--method", "solver",
-             "--cache-dir", str(cache), "--target-colors", "4"]
+    label = ["label", str(c3_file), "--cache-dir", str(cache),
+             "--target-colors", "4"]
     assert run(label) == EXIT_USAGE
     assert not (cache / "cache.jsonl").exists()
     assert run(["solve", str(c3_file), "--cache-dir", str(cache),
@@ -192,9 +221,8 @@ def test_label_solver_budget_exhaustion(tmp_path):
     f3_file = tmp_path / "f3.json"
     assert run(["gen", "fan-corona", "--n", "3", "--m", "2",
                 "--out", str(f3_file)]) == EXIT_OK
-    assert run(["label", str(f3_file), "--method", "solver",
-                "--target-colors", "10", "--node-budget", "10",
-                "--cache-dir", str(tmp_path / "cache"),
+    assert run(["label", str(f3_file), "--target-colors", "10",
+                "--node-budget", "10", "--cache-dir", str(tmp_path / "cache"),
                 "--out", str(tmp_path / "o.json")]) == EXIT_BUDGET
 
 
@@ -251,6 +279,28 @@ def test_out_of_range_target_is_refused_whatever_the_cache(c3_file, tmp_path,
                 "--out", str(tmp_path / "o.json")]) == EXIT_OK
     assert (cache / "cache.jsonl").read_text().count("\n") == 1
     refused()
+
+
+@pytest.mark.parametrize("flag", [["--node-budget", "-5"],
+                                  ["--node-budget", "0"],
+                                  ["--time-budget", "-1"],
+                                  ["--time-budget", "0"]],
+                         ids=lambda flag: flag[0] + flag[1])
+def test_non_positive_budget_is_refused_whatever_the_cache(c3_file, tmp_path,
+                                                           capsys, flag):
+    cache = tmp_path / "cache"
+    solve = ["solve", str(c3_file), "--cache-dir", str(cache)]
+
+    def refused():
+        with pytest.raises(SystemExit) as exc:
+            run([*solve, *flag])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and flag[0] in err
+
+    refused()  # a miss, which would search
+    assert run([*solve, "--out", str(tmp_path / "o.json")]) == EXIT_OK
+    refused()  # a hit, which searches nothing
 
 
 def test_cache_env_var(c3_file, tmp_path, monkeypatch):
@@ -402,8 +452,7 @@ def test_closed_stdout_pipe_exits_quietly():
 
 def test_verify_tampered_certificate(f2_file, tmp_path):
     cert_path = tmp_path / "cert.json"
-    run(["label", str(f2_file), "--method", "construction",
-         "--out", str(cert_path)])
+    run(["label", str(f2_file), "--out", str(cert_path)])
     doc = read(cert_path)
     doc["labels"][0], doc["labels"][1] = doc["labels"][1], doc["labels"][0]
     bad = tmp_path / "bad.json"
@@ -417,8 +466,7 @@ def test_verify_tampered_certificate(f2_file, tmp_path):
 def test_verify_rejects_unknown_certificate_schema(f2_file, tmp_path,
                                                    capsys):
     cert_path = tmp_path / "cert.json"
-    run(["label", str(f2_file), "--method", "construction",
-         "--out", str(cert_path)])
+    run(["label", str(f2_file), "--out", str(cert_path)])
     doc = read(cert_path)
     doc["schema_version"] = 2
     cert_path.write_text(json.dumps(doc))
@@ -463,8 +511,7 @@ def test_verify_and_export_dot_refuse_malformed_documents(c3_file, tmp_path,
 
 def test_verify_wrong_graph_is_exit_3(f2_file, c3_file, tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
-    run(["label", str(f2_file), "--method", "construction",
-         "--out", str(cert_path)])
+    run(["label", str(f2_file), "--out", str(cert_path)])
     assert run(["verify", str(c3_file), str(cert_path)]) == EXIT_VERIFY
 
 
@@ -544,8 +591,7 @@ def test_export_dot(c3_file, tmp_path):
 
 def test_export_dot_with_certificate(f2_file, tmp_path):
     cert_path = tmp_path / "cert.json"
-    run(["label", str(f2_file), "--method", "construction",
-         "--out", str(cert_path)])
+    run(["label", str(f2_file), "--out", str(cert_path)])
     out = tmp_path / "g.dot"
     assert run(["export-dot", str(f2_file), "--certificate", str(cert_path),
                 "--out", str(out)]) == EXIT_OK

@@ -71,17 +71,22 @@ def test_corona_sizes():
     assert (k.p, k.q) == (6, 6)
 
 
+# the small cases and both ends of n = 2..100, m = 1..20
+FORMULA_NS = (2, 3, 4, 5, 6, 50, 99, 100)
+FORMULA_MS = (1, 2, 3, 10, 19, 20)
+
+
 def test_corona_q_formula_friendship():
-    for n in range(2, 101):
-        for m in range(1, 21):
+    for n in FORMULA_NS:
+        for m in FORMULA_MS:
             g = friendship_corona(n, m)
             assert g.q == m * (2 * n + 1) + 3 * n
             assert g.p == (2 * n + 1) * (1 + m)
 
 
 def test_corona_q_formula_fan():
-    for n in range(2, 101):
-        for m in range(1, 21):
+    for n in FORMULA_NS:
+        for m in FORMULA_MS:
             g = fan_corona(n, m)
             assert g.q == m * (n + 1) + 2 * n - 1
 

@@ -555,6 +555,28 @@ def test_f2_o2_is_13():
     assert out.status == INFEASIBLE and out.nodes_explored == 1
 
 
+# labelings at the lemma's count, in edge-index order; the root bound is the
+# lemma, so these values are exact
+LEMMA_LABELINGS = {
+    "F4oO2": (fan_corona, 4, 2, [13, 3, 10, 17, 4, 1, 8, 6, 12, 15, 16, 5, 2,
+                                 7, 11, 9, 14]),
+    "f3oO2": (friendship_corona, 3, 2, [18, 11, 4, 20, 12, 1, 16, 9, 6, 7, 21,
+                                        2, 17, 22, 23, 8, 3, 15, 14, 19, 13,
+                                        10, 5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_LABELINGS))
+def test_labeling_meets_the_lemma(name):
+    family, n, m, labels = LEMMA_LABELINGS[name]
+    g = family(n, m)
+    lemma = _lemma(family, n, m)
+    cert = make_certificate(g, labels)
+    assert cert.verdict.ok and cert.color_count == lemma
+    assert verify_certificate(cert, g)
+    assert lower_bound_prune(g, [None] * g.q) == lemma
+
+
 def test_prune_bound_spare_colour_f4_root():
     # F4oO1: q = 12, and the hub (degree 5, weight >= 15 > q) is the heavy
     # vertex, so the bound before the light terms is 1 + 5 pendant weights
@@ -611,6 +633,21 @@ def test_prune_bound_adjacent_tie_is_infeasible():
     # close hub (w=1+2+3+4+5) and u1 (w=1+6+8) with equal weight 15
     partial = [1, 2, 3, 4, 6, None, 5, 8, None, None, None]
     assert lower_bound_prune(f2, partial) == math.inf
+
+
+@pytest.mark.parametrize("label", [2.5, True, "3", 3.0],
+                         ids=["float", "bool", "str", "integral-float"])
+def test_prune_bound_rejects_non_int_labels(label):
+    f2 = friendship_corona(2, 1)
+    with pytest.raises(ValueError):
+        lower_bound_prune(f2, [label] + [None] * (f2.q - 1))
+
+
+@pytest.mark.parametrize("k", [4.5, 5.0, True, "5"],
+                         ids=["float", "integral-float", "bool", "str"])
+def test_feasibility_rejects_non_int_k(k):
+    with pytest.raises(ValueError):
+        feasible_with_k_colors(c3_o1(), k)
 
 
 def test_prune_bound_rejects_bad_partials():
