@@ -13,6 +13,7 @@ import pytest
 import antimagic
 from antimagic import jsonio
 from antimagic.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from antimagic.construction import certificate_for
 from antimagic.graphs import Graph, friendship_corona
 from antimagic.labeling import (Certificate, make_certificate,
                                 verify_certificate)
@@ -122,6 +123,24 @@ def test_label_construction_accepts_any_numbering(tmp_path):
     assert run(["label", str(path), "--out", str(cert_path)]) == EXIT_OK
     assert read(cert_path)["color_count"] == 7
     assert run(["verify", str(path), str(cert_path)]) == EXIT_OK
+
+
+def test_label_construction_rejects_other_graphs(tmp_path):
+    # the order, size and degrees of friendship_corona(2, 1), but no
+    # triangle: the construction turns it away, so the solver answers it and
+    # caches the answer, which the construction never does
+    g = Graph(10, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 4), (2, 4),
+                   (3, 4), (1, 7), (2, 8), (3, 9)])
+    assert certificate_for(g) is None
+    path = tmp_path / "lookalike.json"
+    path.write_text(json.dumps(g.to_doc()))
+    cache = tmp_path / "cache"
+    cert_path = tmp_path / "cert.json"
+    assert run(["label", str(path), "--cache-dir", str(cache),
+                "--out", str(cert_path)]) == EXIT_OK
+    assert read(cert_path)["color_count"] == 7
+    assert run(["verify", str(path), str(cert_path)]) == EXIT_OK
+    assert (cache / "cache.jsonl").read_text().count("\n") == 1
 
 
 # modules a solve of a graph that is not a friendship corona never runs, so
