@@ -107,7 +107,7 @@ class Graph:
         if p < 1:
             raise ValueError("graph order must be at least 1")
         index = {}  # edge -> position, also the duplicate check
-        for e in edges:
+        for pos, e in enumerate(edges):
             try:
                 a, b = e
             except (TypeError, ValueError):
@@ -123,7 +123,7 @@ class Graph:
             key = (a, b) if a < b else (b, a)
             if key in index:
                 raise ValueError(f"duplicate edge {key}")
-            index[key] = len(index)
+            index[key] = pos
         self.p = p
         self.q = len(index)
         self.edges = tuple(index)
@@ -132,33 +132,41 @@ class Graph:
         roles = tuple(roles)
         if len(roles) != p:
             raise ValueError("one role per vertex required")
+        if len(set(roles)) != p:
+            role_index = {}  # rescan only to name the first duplicate
+            for v, role in enumerate(roles):
+                if role in role_index:
+                    raise ValueError(f"duplicate role {role} on vertices "
+                                     f"{role_index[role]} and {v}")
+                role_index[role] = v
         self.roles = roles
         self.family = family
-        adj = [[] for _ in range(p)]
+        self._adj = self._degrees = None  # built by the first query
+        self._edge_index = index
+        self._hash = None
+
+    # -- basic queries ----------------------------------------------------
+
+    def _index_adjacency(self) -> None:
+        adj = [[] for _ in range(self.p)]
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
         self._adj = tuple(map(tuple, adj))
         self._degrees = tuple(map(len, adj))
-        self._edge_index = index
-        role_index = {}
-        for v, role in enumerate(roles):
-            if role in role_index:
-                raise ValueError(f"duplicate role {role} on vertices "
-                                 f"{role_index[role]} and {v}")
-            role_index[role] = v
-        self._hash = None
-
-    # -- basic queries ----------------------------------------------------
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if self._adj is None:
+            self._index_adjacency()
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return self.degrees[v]
 
     @property
     def degrees(self) -> tuple[int, ...]:
+        if self._degrees is None:
+            self._index_adjacency()
         return self._degrees
 
     def edge_index(self, a: int, b: int) -> int:
@@ -179,7 +187,7 @@ class Graph:
         stack = [0]
         while stack:
             v = stack.pop()
-            for u in self._adj[v]:
+            for u in self.neighbors(v):
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -367,24 +375,25 @@ def corona(g: Graph, h: Graph) -> Graph:
     fully joined to vertex i of g.
 
     When h is edgeless the copies are pendant groups and roles follow the
-    base vertex (hub pendants x_j, inner pendants u_i^j / v_i^j).
+    base vertex (hub pendants x_j, inner pendants u_i^j / v_i^j), unless g
+    already has pendant roles (g is itself such a corona): then, as for an
+    h with edges, copy vertex v is plain p_v.
     """
     p = g.p * (1 + h.p)
-    roles = list(g.roles)
-    edges = list(g.edges)
-    edgeless = h.q == 0
-    pendants = range(1, h.p + 1)
-    for base, (kind, side, i, _) in enumerate(g.roles):
-        start = g.p + base * h.p
-        if edgeless and kind == HUB:
-            roles += [VertexRole(HUB_PENDANT, "", 0, j) for j in pendants]
-        elif edgeless and kind == INNER:
-            roles += [VertexRole(PENDANT, side, i, j) for j in pendants]
-        else:
-            roles += [VertexRole(PLAIN, "", v)
-                      for v in range(start, start + h.p)]
-        edges += [(start + a, start + b) for a, b in h.edges]
-        edges += [(base, start + pos) for pos in range(h.p)]
+    named = h.q == 0 and {HUB_PENDANT, PENDANT}.isdisjoint(
+        role.kind for role in g.roles)
+    starts = range(g.p, p, h.p)  # first vertex of each base's copy
+    roles = list(g.roles) + [
+        VertexRole(HUB_PENDANT, "", 0, j) if named and kind == HUB
+        else VertexRole(PENDANT, side, i, j) if named and kind == INNER
+        else VertexRole(PLAIN, "", start + j - 1)
+        for (kind, side, i, _), start in zip(g.roles, starts)
+        for j in range(1, h.p + 1)]
+    # one block per copy: h's edges, then the joins to the base (a = -1)
+    block = list(h.edges) + [(-1, b) for b in range(h.p)]
+    edges = list(g.edges) + [
+        (start + a if a >= 0 else base, start + b)
+        for base, start in enumerate(starts) for a, b in block]
     family = None
     if g.family and h.family:
         family = f"corona({g.family},{h.family})"

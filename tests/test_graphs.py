@@ -98,6 +98,54 @@ def test_degree_sum_is_twice_edge_count(n, m):
     assert sum(g.degrees) == 2 * g.q
 
 
+@pytest.mark.parametrize("make, m", [
+    (lambda: friendship_corona(2, 1), 1),
+    (lambda: fan_corona(3, 1), 2),
+    (lambda: corona(cycle(3), null_graph(1)), 1),
+    (lambda: friendship_corona(3, 2), 3),
+], ids=["f2oO1-O1", "F3oO1-O2", "C3oO1-O1", "f3oO2-O3"])
+def test_corona_of_a_pendant_corona(make, m):
+    g = make()
+    gg = corona(g, null_graph(m))
+    assert (gg.p, gg.q) == (g.p * (1 + m), g.q + g.p * m)
+    assert len(set(gg.roles)) == gg.p
+    assert gg.roles[:g.p] == g.roles
+    # the new copies are plain vertices named by their index
+    assert gg.roles[g.p:] == tuple(VertexRole(PLAIN, i=v)
+                                   for v in range(g.p, gg.p))
+    assert gg.is_connected()
+    assert sorted(gg.degrees)[:g.p * m] == [1] * (g.p * m)
+
+
+@pytest.mark.parametrize("make, family", [
+    (lambda: friendship_corona(3, 2), "corona(friendship(3),null(2))"),
+    (lambda: fan_corona(4, 1), "corona(fan(4),null(1))"),
+    (lambda: corona(cycle(4), path(3)), "corona(cycle(4),path(3))"),
+    (lambda: corona(complete(3), complete(1)),
+     "corona(complete(3),complete(1))"),
+    (lambda: corona(friendship_corona(2, 1), null_graph(1)),
+     "corona(corona(friendship(2),null(1)),null(1))"),
+    (lambda: corona(Graph(2, [(0, 1)]), null_graph(1)), None),
+    (lambda: corona(cycle(3), Graph(1, [])), None),
+], ids=["f3oO2", "F4oO1", "C4oP3", "K3oK1", "f2oO1oO1", "unnamed-g",
+        "unnamed-h"])
+def test_corona_family_names(make, family):
+    assert make().family == family
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: friendship_corona(1, 1), "friendship graph needs n >= 2, got 1"),
+    (lambda: friendship_corona(2, 0), "null graph needs m >= 1, got 0"),
+    (lambda: friendship_corona(1, 0), "friendship graph needs n >= 2, got 1"),
+    (lambda: fan_corona(1, 1), "fan graph needs n >= 2, got 1"),
+    (lambda: fan_corona(3, 0), "null graph needs m >= 1, got 0"),
+], ids=["f1oO1", "f2oO0", "f1oO0", "F1oO1", "F3oO0"])
+def test_corona_family_domain_errors(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_corona_pendant_roles():
     g = friendship_corona(2, 2)
     hub = g.roles.index(VertexRole(HUB))
@@ -178,6 +226,14 @@ def test_graph_order_must_be_an_int(p):
 def test_graph_rejects_duplicate_roles():
     with pytest.raises(ValueError, match="duplicate role"):
         Graph(2, [(0, 1)], [VertexRole(HUB), VertexRole(HUB)])
+    # the message names the first repeat in vertex order
+    roles = [VertexRole(HUB), VertexRole(INNER, "u", 1), VertexRole(PLAIN),
+             VertexRole(INNER, "u", 1), VertexRole(HUB)]
+    with pytest.raises(ValueError) as exc:
+        Graph(5, [], roles)
+    assert str(exc.value) == (
+        "duplicate role VertexRole(kind='inner', side='u', i=1, j=0) "
+        "on vertices 1 and 3")
 
 
 def test_neighbors_and_edge_index():
@@ -193,6 +249,68 @@ def test_connectivity():
     assert friendship_corona(3, 2).is_connected()
     two_paths = Graph(4, [(0, 1), (2, 3)])
     assert not two_paths.is_connected()
+
+
+def _connected_from_edges(p, edges) -> bool:
+    parent = list(range(p))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    return len({root(v) for v in range(p)}) == 1
+
+
+# each query runs first on a fresh graph, so it is the one that indexes the
+# adjacency; the expected value is computed from the edge list alone
+ADJACENCY_QUERIES = {
+    "neighbors": (lambda g: [g.neighbors(v) for v in range(g.p)],
+                  lambda p, edges: [tuple(b if a == v else a
+                                          for a, b in edges if v in (a, b))
+                                    for v in range(p)]),
+    "degree": (lambda g: [g.degree(v) for v in range(g.p)],
+               lambda p, edges: [sum(v in e for e in edges)
+                                 for v in range(p)]),
+    "degrees": (lambda g: g.degrees,
+                lambda p, edges: tuple(sum(v in e for e in edges)
+                                       for v in range(p))),
+    "is_connected": (lambda g: g.is_connected(), _connected_from_edges),
+    "to_dot": (lambda g: [line for line in g.to_dot().splitlines()
+                          if "--" in line],
+               lambda p, edges: [f"  {a} -- {b};" for a, b in edges]),
+}
+
+ADJACENCY_GRAPHS = {
+    "init": lambda: Graph(6, [(0, 1), (2, 1), (4, 3), (5, 4), (1, 4)]),
+    "init-split": lambda: Graph(5, [(3, 4), (0, 2)]),
+    "init-single": lambda: Graph(1, []),
+    "doc": lambda: Graph.from_doc(fan_corona(3, 2).to_doc()),
+    "doc-split": lambda: Graph.from_doc(Graph(4, [(0, 1), (2, 3)]).to_doc()),
+}
+
+
+@pytest.mark.parametrize("query", ADJACENCY_QUERIES)
+@pytest.mark.parametrize("build", ADJACENCY_GRAPHS)
+def test_adjacency_queries_agree_with_edges(build, query):
+    g = ADJACENCY_GRAPHS[build]()
+    ask, expect = ADJACENCY_QUERIES[query]
+    assert ask(g) == expect(g.p, g.edges)
+    for other, _ in ADJACENCY_QUERIES.values():  # and once indexed
+        other(g)
+    assert ask(g) == expect(g.p, g.edges)
+
+
+def test_equality_ignores_whether_adjacency_is_indexed():
+    a, b = fan_corona(3, 2), Graph.from_doc(fan_corona(3, 2).to_doc())
+    assert a.degrees  # index a only
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a.content_hash() == b.content_hash()
+    assert len({a, b}) == 1
+    assert b.is_connected()
+    assert a == b and hash(a) == hash(b)
 
 
 def test_doc_round_trip():
@@ -263,6 +381,7 @@ def test_vertex_role_rejects_malformed_docs(doc):
 
 @pytest.mark.parametrize("field, value", [
     ("roles", "x"), ("edges", {"0": 1}), ("p", "3"),
+    ("roles", [{"kind": "inner", "i": 1}] * 3),
 ])
 def test_doc_rejects_malformed_fields(field, value):
     doc = cycle(3).to_doc()
