@@ -18,8 +18,9 @@ simplification is off (the inequality itself may still hold).
 from __future__ import annotations
 
 import csv
+import io
 import json
-from operator import attrgetter
+from itertools import islice
 from typing import NamedTuple
 
 from .graphs import REPORT_FAMILIES, _triangular
@@ -119,12 +120,9 @@ class InequalityWitness(NamedTuple):
         return self._asdict()
 
 
-def _witness(name, n, m, r, lhs, rhs, relation=">", in_scope=True,
-             printed=None) -> InequalityWitness:
-    holds = lhs > rhs if relation == ">" else lhs == rhs
-    matches = None if printed is None else printed == lhs - rhs
-    return InequalityWitness(name, n, m, r, lhs, rhs, relation, holds,
-                             in_scope, printed, matches)
+# Witnesses are built with tuple.__new__ rather than through the named
+# tuple's keyword constructor: the fan sweep makes 156,001 of them.
+_new = tuple.__new__
 
 
 def friendship_witnesses(n: int, m: int) -> list[InequalityWitness]:
@@ -143,24 +141,23 @@ def friendship_witnesses(n: int, m: int) -> list[InequalityWitness]:
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     q = _q_friendship(n, m)
-    out = []
-    out.append(_witness(
-        "friendship-hub-gap", n, m, None,
-        lhs=2 * _triangular(2 * n + m), rhs=2 * q,
-        printed=4 * n * n + m * m + m + 1))
+    W = InequalityWitness
+    lhs, rhs = 2 * _triangular(2 * n + m), 2 * q
+    printed = 4 * n * n + m * m + m + 1
+    hub = _new(W, ("friendship-hub-gap", n, m, None, lhs, rhs, ">",
+                   lhs > rhs, True, printed, printed == lhs - rhs))
     inner_edges = n * (2 * m + 3)
-    out.append(_witness(
-        "friendship-inner-pair-sum", n, m, None,
-        lhs=inner_edges * (inner_edges + 1), rhs=2 * n * (2 * q - 1),
-        printed=(4 * m * m * n * n + 4 * m * n * n - 2 * m * n
-                 - 3 * n * n + 5 * n)))
-    heavy_edges = n * (m + 2)
-    out.append(_witness(
-        "friendship-top-color-sum", n, m, None,
-        lhs=_triangular(heavy_edges), rhs=n * q,
-        printed=(2 * n * n * (m + 1) + n + m * n * (m * n + 1) // 2
-                 - (3 * n * n + m * n * (2 * n + 1)))))
-    return out
+    lhs, rhs = inner_edges * (inner_edges + 1), 2 * n * (2 * q - 1)
+    printed = (4 * m * m * n * n + 4 * m * n * n - 2 * m * n
+               - 3 * n * n + 5 * n)
+    inner = _new(W, ("friendship-inner-pair-sum", n, m, None, lhs, rhs, ">",
+                     lhs > rhs, True, printed, printed == lhs - rhs))
+    lhs, rhs = _triangular(n * (m + 2)), n * q
+    printed = (2 * n * n * (m + 1) + n + m * n * (m * n + 1) // 2
+               - (3 * n * n + m * n * (2 * n + 1)))
+    top = _new(W, ("friendship-top-color-sum", n, m, None, lhs, rhs, ">",
+                   lhs > rhs, True, printed, printed == lhs - rhs))
+    return [hub, inner, top]
 
 
 def fan_witnesses(n: int, m: int) -> list[InequalityWitness]:
@@ -183,32 +180,37 @@ def fan_witnesses(n: int, m: int) -> list[InequalityWitness]:
     if n < 3 or m < 1:
         raise ValueError("need n >= 3 and m >= 1")
     q = _q_fan(n, m)
-    out = []
-    out.append(_witness(
-        "fan-hub-gap", n, m, None,
-        lhs=2 * _triangular(m + n), rhs=2 * q,
-        printed=m * m - m + n * n - 3 * n + 1))
+    W = InequalityWitness
+    lhs, rhs = 2 * _triangular(m + n), 2 * q
+    printed = m * m - m + n * n - 3 * n + 1
+    out = [_new(W, ("fan-hub-gap", n, m, None, lhs, rhs, ">", lhs > rhs,
+                    True, printed, printed == lhs - rhs))]
+    append = out.append
+    chain = n * (m * m * n + n - 6)  # r-free, so the same for every r
+    chain_holds = chain > 0
+    m1, m2, mm2 = m + 1, m + 2, m * (m + 2)
     for r in range(1, n):
         in_scope = 2 * r <= n
-        light_edges = (m + 1) * (n - r) + n - 1
-        out.append(_witness(
-            "fan-light-edge-count", n, m, r,
-            lhs=(m + 2) * n - 1 - r * (m + 1), rhs=light_edges,
-            relation="=", in_scope=in_scope))
-        out.append(_witness(
-            "fan-light-sum-exact", n, m, r,
-            lhs=2 * _triangular(light_edges), rhs=2 * (n - r) * q,
-            in_scope=in_scope,
-            printed=((n - r) * (m * m * (n - r) + 2 * m * (n - r)
-                                - 3 * m - n - r - 1) + n * n - n)))
+        light = n - r
+        light_edges = m1 * light + n - 1
+        count = m2 * n - 1 - r * m1
+        holds = count == light_edges
+        # where the identity holds, both sides are one int object
+        append(_new(W, ("fan-light-edge-count", n, m, r,
+                        light_edges if holds else count, light_edges, "=",
+                        holds, in_scope, None, None)))
+        # twice the triangular number of light_edges
+        lhs, rhs = light_edges * (light_edges + 1), 2 * light * q
+        printed = light * (mm2 * light - 3 * m - n - r - 1) + n * n - n
+        append(_new(W, ("fan-light-sum-exact", n, m, r, lhs, rhs, ">",
+                        lhs > rhs, in_scope, printed, printed == lhs - rhs)))
         if in_scope:
-            out.append(_witness(
-                "fan-light-sum-chain", n, m, r,
-                lhs=n * (m * m * n + n - 6), rhs=0, in_scope=True))
+            append(_new(W, ("fan-light-sum-chain", n, m, r, chain, 0, ">",
+                            chain_holds, True, None, None)))
     if (n, m) == (3, 1):
-        out.append(_witness(
-            "fan-f3o1-refinement", 3, 1, None,
-            lhs=_triangular(6), rhs=2 * q))
+        lhs, rhs = _triangular(6), 2 * q
+        append(_new(W, ("fan-f3o1-refinement", 3, 1, None, lhs, rhs, ">",
+                        lhs > rhs, True, None, None)))
     return out
 
 
@@ -231,11 +233,43 @@ _CSV_COLUMNS = ("name", "n", "m", "r", "lhs", "rhs", "holds", "relation",
                 "in_proof_scope", "printed_form", "printed_matches")
 
 
+class _CsvForm(dict):
+    """A str field's text in a CSV row, computed once per distinct string
+    by ``csv`` itself (QUOTE_MINIMAL).  The string is written with a second,
+    empty field after it, because ``csv`` writes a lone empty field as
+    ``""`` but an empty field inside a row as nothing."""
+
+    def __missing__(self, s):
+        buf = io.StringIO()
+        csv.writer(buf).writerow((s, ""))
+        self[s] = form = buf.getvalue()[:-3]  # drop the trailing ",\r\n"
+        return form
+
+
+_CSV_ROWS_PER_WRITE = 4096
+
+
 def witnesses_to_csv(witnesses, fp) -> None:
-    """Write witnesses to an open text file as CSV (None fields blank)."""
-    writer = csv.writer(fp)
-    writer.writerow(_CSV_COLUMNS)
-    writer.writerows(map(attrgetter(*_CSV_COLUMNS), witnesses))
+    """Write witnesses to an open text file as CSV, byte for byte what
+    ``csv.writer`` writes for them.
+
+    The header row names the columns in ``_CSV_COLUMNS`` order; rows end in
+    ``\r\n`` and None is a blank cell.  Each row is one f-string over the
+    witness's fields, with ``name`` and ``relation`` quoted as ``csv``
+    quotes them (see ``_CsvForm``); rows are joined and written 4,096 at a
+    time, never as one string for the whole file.
+    """
+    form = _CsvForm()
+    fp.write(",".join(_CSV_COLUMNS) + "\r\n")
+    it = iter(witnesses)
+    while chunk := list(islice(it, _CSV_ROWS_PER_WRITE)):
+        fp.write("".join([
+            f"{form[name]},{n},{m},{'' if r is None else r},{lhs},{rhs},"
+            f"{holds},{form[relation]},{scope},"
+            f"{'' if printed is None else printed},"
+            f"{'' if matches is None else matches}\r\n"
+            for name, n, m, r, lhs, rhs, relation, holds, scope, printed,
+            matches in chunk]))
 
 
 def witnesses_to_json(witnesses) -> str:

@@ -57,12 +57,15 @@ def _check_col(i: int, cols: int) -> None:
 # (3) the triangle edge u_i v_i for the u-matrix; (1) is shared with the
 # u-matrix row 3, (2) the hub-v spoke, (3) the v-pendant edge for the
 # v-matrix.  Every column of a matrix has the same sum.
+# Each entry function makes one combined range test and runs the named
+# checks only when it fails, so that they raise their own messages.
 
 
 def odd_u_entry(k: int, i: int, n: int) -> int:
-    _require_odd(n)
-    _check_row(k)
-    _check_col(i, n)
+    if not (n >= 3 and n % 2 and k in (1, 2, 3) and 1 <= i <= n):
+        _require_odd(n)
+        _check_row(k)
+        _check_col(i, n)
     if k == 1:
         return 4 * n + (i + 1) // 2 if i % 2 else _exact_div(9 * n + 1, 2) + i // 2
     if k == 2:
@@ -71,9 +74,10 @@ def odd_u_entry(k: int, i: int, n: int) -> int:
 
 
 def odd_v_entry(k: int, i: int, n: int) -> int:
-    _require_odd(n)
-    _check_row(k)
-    _check_col(i, n)
+    if not (n >= 3 and n % 2 and k in (1, 2, 3) and 1 <= i <= n):
+        _require_odd(n)
+        _check_row(k)
+        _check_col(i, n)
     if k == 1:
         return 3 * n + 1 - i
     if k == 2:
@@ -97,9 +101,10 @@ def odd_v_column_sum(n: int) -> int:
 
 
 def even_u_entry(k: int, i: int, n: int) -> int:
-    _require_even(n)
-    _check_row(k)
-    _check_col(i, n - 1)
+    if not (n >= 6 and not n % 2 and k in (1, 2, 3) and 1 <= i <= n - 1):
+        _require_even(n)
+        _check_row(k)
+        _check_col(i, n - 1)
     if k == 1:
         return 4 * n + 3 + (i - 1) // 2 if i % 2 else 9 * n // 2 + 2 + i // 2
     if k == 2:
@@ -108,9 +113,10 @@ def even_u_entry(k: int, i: int, n: int) -> int:
 
 
 def even_v_entry(k: int, i: int, n: int) -> int:
-    _require_even(n)
-    _check_row(k)
-    _check_col(i, n - 1)
+    if not (n >= 6 and not n % 2 and k in (1, 2, 3) and 1 <= i <= n - 1):
+        _require_even(n)
+        _check_row(k)
+        _check_col(i, n - 1)
     if k == 1:
         return 3 * n + 3 - i
     if k == 2:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import itemgetter
 from typing import NamedTuple
 
 from .jsonio import check_version, stamp
@@ -375,13 +376,21 @@ def corona(g: Graph, h: Graph) -> Graph:
     fully joined to vertex i of g.
 
     When h is edgeless the copies are pendant groups and roles follow the
-    base vertex (hub pendants x_j, inner pendants u_i^j / v_i^j), unless g
-    already has pendant roles (g is itself such a corona): then, as for an
-    h with edges, copy vertex v is plain p_v.
+    base vertex (hub pendants x_j, inner pendants u_i^j / v_i^j), as long as
+    that naming is one-to-one: g has no pendant roles (g is not itself such
+    a corona), at most one hub, and no two inner vertices with the same side
+    and index.  Otherwise, as for an h with edges, copy vertex v is plain
+    p_v, and a plain role p_v that g already gives one of its own vertices
+    is an error.
     """
     p = g.p * (1 + h.p)
-    named = h.q == 0 and {HUB_PENDANT, PENDANT}.isdisjoint(
-        role.kind for role in g.roles)
+    kinds = list(map(itemgetter(0), g.roles))
+    # g's roles are distinct, so its inner (side, i) are too when every j is 0
+    named = (h.q == 0 and kinds.count(HUB) <= 1
+             and HUB_PENDANT not in kinds and PENDANT not in kinds
+             and (set(map(itemgetter(3), g.roles)) <= {0}
+                  or kinds.count(INNER) == len({(side, i) for kind, side, i, _
+                                                in g.roles if kind == INNER})))
     starts = range(g.p, p, h.p)  # first vertex of each base's copy
     roles = list(g.roles) + [
         VertexRole(HUB_PENDANT, "", 0, j) if named and kind == HUB
@@ -389,6 +398,13 @@ def corona(g: Graph, h: Graph) -> Graph:
         else VertexRole(PLAIN, "", start + j - 1)
         for (kind, side, i, _), start in zip(g.roles, starts)
         for j in range(1, h.p + 1)]
+    # a copy's role can only clash with a plain role of g
+    for v, role in enumerate(g.roles if PLAIN in kinds else ()):
+        i = role.i
+        if (role == (PLAIN, "", i, 0) and g.p <= i < p
+                and not (named and kinds[(i - g.p) // h.p] in (HUB, INNER))):
+            raise ValueError(f"vertex {v} has the plain role p{i}, which "
+                             f"the corona gives to copy vertex {i}")
     # one block per copy: h's edges, then the joins to the base (a = -1)
     block = list(h.edges) + [(-1, b) for b in range(h.p)]
     edges = list(g.edges) + [

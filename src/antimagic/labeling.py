@@ -40,14 +40,20 @@ def validate_labeling(g: Graph, labels: Sequence[int]) -> None:
     Reports the first duplicated label encountered scanning in edge order,
     or the first out-of-range value.
     """
-    if len(labels) != g.q:
+    q = g.q
+    if len(labels) != q:
         raise InvalidLabelingError(
-            f"expected {g.q} labels, got {len(labels)}")
-    seen = [False] * (g.q + 1)
+            f"expected {q} labels, got {len(labels)}")
+    # the common case, q distinct plain ints from 1 to q, in C-level passes;
+    # anything else is scanned below to name the first bad label
+    if (set(map(type, labels)) == {int} and len(set(labels)) == q
+            and min(labels) == 1 and max(labels) == q):
+        return
+    seen = [False] * (q + 1)
     for lab in labels:
-        if not isinstance(lab, int) or isinstance(lab, bool) or not 1 <= lab <= g.q:
+        if not isinstance(lab, int) or isinstance(lab, bool) or not 1 <= lab <= q:
             raise InvalidLabelingError(
-                f"label {lab!r} outside 1..{g.q}", bad_label=lab)
+                f"label {lab!r} outside 1..{q}", bad_label=lab)
         if seen[lab]:
             raise InvalidLabelingError(f"duplicate label {lab}", bad_label=lab)
         seen[lab] = True

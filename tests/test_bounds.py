@@ -4,9 +4,10 @@ import csv
 import hashlib
 import io
 import json
+from operator import attrgetter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import bounds
@@ -185,6 +186,45 @@ def test_csv_export_shape():
     assert hub["lhs"] == "30" and hub["rhs"] == "22"
     assert hub["holds"] == "True" and hub["printed_matches"] == "False"
     assert hub["r"] == ""
+
+
+def _reference_csv(witnesses) -> str:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(bounds._CSV_COLUMNS)
+    writer.writerows(map(attrgetter(*bounds._CSV_COLUMNS), witnesses))
+    return buf.getvalue()
+
+
+# names csv has to quote, or must leave alone, alongside arbitrary text
+_NAMES = st.one_of(st.sampled_from(["", " ", " lead", "a,b", 'say "hi"', '"',
+                                    "cr\rlf", "line\nbreak", "\r\n",
+                                    "fan-hub-gap"]),
+                   st.text(max_size=8))
+_INTS = st.integers(-10**30, 10**30)
+_WITNESSES = st.builds(
+    InequalityWitness, name=_NAMES, n=_INTS, m=_INTS,
+    r=st.none() | _INTS, lhs=_INTS, rhs=_INTS,
+    relation=st.sampled_from([">", "=", "", ","]), holds=st.booleans(),
+    in_proof_scope=st.booleans(), printed_form=st.none() | _INTS,
+    printed_matches=st.none() | st.booleans())
+
+
+@given(st.lists(_WITNESSES, max_size=12), st.integers(1, 5))
+# csv writes a lone empty field as "", but an empty name inside a row as
+# nothing
+@example([InequalityWitness("", 2, 1, None, 1, 0, ">", True)], 1)
+@settings(max_examples=150, deadline=None)
+def test_csv_matches_the_csv_module(witnesses, rows_per_write):
+    # small chunks, so that rows cross chunk boundaries
+    old = bounds._CSV_ROWS_PER_WRITE
+    bounds._CSV_ROWS_PER_WRITE = rows_per_write
+    try:
+        buf = io.StringIO(newline="")
+        witnesses_to_csv(iter(witnesses), buf)
+    finally:
+        bounds._CSV_ROWS_PER_WRITE = old
+    assert buf.getvalue() == _reference_csv(witnesses)
 
 
 def test_json_export_shape():

@@ -591,6 +591,19 @@ def test_sweep_csv(tmp_path):
     assert hub and hub[0]["lhs"] == "30" and hub[0]["holds"] == "True"
 
 
+def test_sweep_csv_stdout_matches_out_file(tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "fan", "--n-max", "6", "--m-max", "3"]
+    assert run(args + ["--out", str(out)]) == EXIT_OK
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "antimagic.cli", *args],
+                          env=env, capture_output=True, check=True)
+    assert proc.stdout == out.read_bytes()
+    assert proc.stdout.startswith(b"name,n,m,r,lhs,rhs,holds,relation,")
+    assert proc.stdout.count(b"\r\n") == len(proc.stdout.splitlines())
+
+
 def test_sweep_json_fan(tmp_path):
     out = tmp_path / "sweep.json"
     assert run(["sweep", "fan", "--n-max", "4", "--m-max", "1",

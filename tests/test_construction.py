@@ -99,6 +99,24 @@ def test_parity_guards():
         odd_u_entry(1, 0, 3)
 
 
+@pytest.mark.parametrize("entry, k, i, n, message", [
+    (odd_u_entry, 4, 0, 4, "odd-case formulas need odd n >= 3, got 4"),
+    (odd_v_entry, 1, 1, 1, "odd-case formulas need odd n >= 3, got 1"),
+    (odd_u_entry, 0, 0, 3, "row index k must be 1, 2 or 3, got 0"),
+    (odd_v_entry, 3, 4, 3, "column index i must be in 1..3, got 4"),
+    (even_u_entry, 1, 1, 7, "even-case formulas need even n >= 6, got 7"),
+    (even_v_entry, 1, 1, 4, "even-case formulas need even n >= 6, got 4"),
+    (even_u_entry, 4, 9, 6, "row index k must be 1, 2 or 3, got 4"),
+    (even_v_entry, 2, 6, 6, "column index i must be in 1..5, got 6"),
+    (even_u_entry, 1, 0, 8, "column index i must be in 1..7, got 0"),
+])
+def test_entry_errors_name_the_first_bad_argument(entry, k, i, n, message):
+    # n is checked before the row, the row before the column
+    with pytest.raises(ValueError) as exc:
+        entry(k, i, n)
+    assert str(exc.value) == message
+
+
 def test_construct_odd_n3_matches_reference_colors():
     report = construct_odd(3)
     assert report.colors == (frozenset(range(1, 4)) | frozenset(range(13, 17))

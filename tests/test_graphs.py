@@ -117,6 +117,37 @@ def test_corona_of_a_pendant_corona(make, m):
     assert sorted(gg.degrees)[:g.p * m] == [1] * (g.p * m)
 
 
+@pytest.mark.parametrize("kind", [INNER, HUB])
+def test_corona_names_copies_plainly_when_pendant_names_would_clash(kind):
+    # two inner vertices with one (side, i), or two hubs, would give their
+    # copies the same pendant role
+    g = Graph(2, [(0, 1)], [VertexRole(kind, "u", 1, 1),
+                            VertexRole(kind, "u", 1, 2)])
+    gg = corona(g, null_graph(1))
+    assert (gg.p, gg.q) == (4, 3)
+    assert gg.roles == g.roles + (VertexRole(PLAIN, i=2), VertexRole(PLAIN, i=3))
+
+
+def test_corona_names_pendants_of_inner_roles_that_carry_a_j():
+    g = Graph(2, [(0, 1)], [VertexRole(INNER, "u", 1, 1),
+                            VertexRole(INNER, "v", 1, 2)])
+    gg = corona(g, null_graph(1))
+    assert gg.roles[2:] == (VertexRole(PENDANT, "u", 1, 1),
+                            VertexRole(PENDANT, "v", 1, 1))
+
+
+def test_corona_names_the_plain_role_a_copy_would_repeat():
+    g = Graph(2, [(0, 1)], [VertexRole(PLAIN, i=2), VertexRole(PLAIN, i=0)])
+    with pytest.raises(ValueError) as exc:
+        corona(g, path(2))
+    assert str(exc.value) == ("vertex 0 has the plain role p2, which the "
+                              "corona gives to copy vertex 2")
+    # a hub's copy is a named pendant, so a plain p3 beside it is no clash
+    g = Graph(2, [(0, 1)], [VertexRole(HUB), VertexRole(PLAIN, i=3)])
+    assert [r.name() for r in corona(g, null_graph(2)).roles] == [
+        "x", "p3", "x_1", "x_2", "p4", "p5"]
+
+
 @pytest.mark.parametrize("make, family", [
     (lambda: friendship_corona(3, 2), "corona(friendship(3),null(2))"),
     (lambda: fan_corona(4, 1), "corona(fan(4),null(1))"),

@@ -72,6 +72,69 @@ def test_validation_accepts_exactly_the_permutations(labels):
             validate_labeling(g, labels)
 
 
+def _scan_verdict(q, labels):
+    """(message, bad_label) of the first fault, by the edge-order scan that
+    validate_labeling names faults with, or None for a permutation of 1..q."""
+    if len(labels) != q:
+        return f"expected {q} labels, got {len(labels)}", None
+    seen = set()
+    for lab in labels:
+        if not isinstance(lab, int) or isinstance(lab, bool) or not 1 <= lab <= q:
+            return f"label {lab!r} outside 1..{q}", lab
+        if lab in seen:
+            return f"duplicate label {lab}", lab
+        seen.add(lab)
+    return None
+
+
+class Label(int):
+    pass
+
+
+@pytest.mark.parametrize("labels, message, bad", [
+    ([True, 2, 3], "label True outside 1..3", True),
+    ([1, 2.0, 3], "label 2.0 outside 1..3", 2.0),
+    ([1, 2, "3"], "label '3' outside 1..3", "3"),
+    ([1, 2], "expected 3 labels, got 2", None),
+    ([1, 2, 3, 3], "expected 3 labels, got 4", None),
+    ([2, 2, 4], "duplicate label 2", 2),
+    ([4, 2, 2], "label 4 outside 1..3", 4),
+    ([0, 1, 2], "label 0 outside 1..3", 0),
+    ([3, 1, 3], "duplicate label 3", 3),
+], ids=["bool", "float", "str", "short", "long", "dup-then-range",
+        "range-then-dup", "zero", "dup-max"])
+def test_validation_names_the_first_bad_label(labels, message, bad):
+    g = cycle(3)
+    assert _scan_verdict(g.q, labels) == (message, bad)
+    with pytest.raises(InvalidLabelingError) as err:
+        validate_labeling(g, labels)
+    assert str(err.value) == message
+    assert err.value.bad_label == bad and type(err.value.bad_label) is type(bad)
+
+
+def test_validation_accepts_an_int_subclass():
+    g = cycle(3)
+    for labels in ([Label(2), 1, 3], (Label(1), Label(2), Label(3))):
+        validate_labeling(g, labels)
+        assert weights(g, labels) == weights(g, [int(x) for x in labels])
+
+
+@given(st.lists(st.one_of(st.integers(-1, 6), st.booleans(), st.just(2.0),
+                          st.builds(Label, st.integers(0, 6))),
+                max_size=6),
+       st.integers(0, 1))
+@settings(max_examples=300, deadline=None)
+def test_validation_matches_the_scan(labels, extra):
+    g = star(max(1, len(labels) - extra))
+    expected = _scan_verdict(g.q, labels)
+    if expected is None:
+        validate_labeling(g, labels)
+    else:
+        with pytest.raises(InvalidLabelingError) as err:
+            validate_labeling(g, labels)
+        assert (str(err.value), err.value.bad_label) == expected
+
+
 @st.composite
 def graph_and_labeling(draw):
     n = draw(st.integers(2, 5))
