@@ -151,19 +151,19 @@ def _cache_store(cache: Path, g: Graph, cert: Certificate,
 # -- subcommands -----------------------------------------------------------------
 
 
-def _build_family(args) -> Graph:
-    fam = args.family
-    if fam == "friendship-corona":
-        return friendship_corona(_req(args, "n"), _req(args, "m"))
-    if fam == "fan-corona":
-        return fan_corona(_req(args, "n"), _req(args, "m"))
-    if fam == "c3-corona":
-        return corona(cycle(3), null_graph(_req(args, "m")))
-    if fam == "kn-k1":
-        return corona(complete(_req(args, "n")), complete(1))
-    builders = {"friendship": friendship, "fan": fan, "cycle": cycle,
-                "path": path, "complete": complete, "null": null_graph}
-    return builders[fam](_req(args, "n"))
+# family -> (builder, the flags it reads as its arguments)
+_GEN_FAMILIES = {
+    "friendship-corona": (friendship_corona, ("n", "m")),
+    "fan-corona": (fan_corona, ("n", "m")),
+    "c3-corona": (lambda m: corona(cycle(3), null_graph(m)), ("m",)),
+    "kn-k1": (lambda n: corona(complete(n), complete(1)), ("n",)),
+    "friendship": (friendship, ("n",)),
+    "fan": (fan, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "path": (path, ("n",)),
+    "complete": (complete, ("n",)),
+    "null": (null_graph, ("n",)),
+}
 
 
 def _req(args, name: str) -> int:
@@ -174,7 +174,8 @@ def _req(args, name: str) -> int:
 
 
 def cmd_gen(args) -> int:
-    g = _build_family(args)
+    build, flags = _GEN_FAMILIES[args.family]
+    g = build(*[_req(args, name) for name in flags])
     _dump(g.to_doc(), args.out)
     return EXIT_OK
 
@@ -368,10 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph family instance")
-    p.add_argument("family", choices=["friendship-corona", "fan-corona",
-                                      "c3-corona", "kn-k1", "friendship",
-                                      "fan", "cycle", "path", "complete",
-                                      "null"])
+    p.add_argument("family", choices=list(_GEN_FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--out", default=None)

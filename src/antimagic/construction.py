@@ -96,8 +96,8 @@ def odd_v_column_sum(n: int) -> int:
 
 
 # -- matrix entries, even n >= 6 ---------------------------------------------
-# Columns run over the first n-1 triangles; the n-th triangle and the hub
-# pendant take the six special labels handled in construct_even.
+# Columns run over the first n-1 triangles; construct_even gives the n-th
+# triangle and the hub pendant six special labels.
 
 
 def even_u_entry(k: int, i: int, n: int) -> int:
@@ -158,38 +158,39 @@ def _check(condition: bool, what: str) -> None:
         raise ConstructionError(f"construction bug: {what}")
 
 
-def _assemble(n: int, case: str, cols: int, u_entry, v_entry, fixed,
-              closed: dict[str, int], checks) -> ConstructionReport:
-    """Label friendship_corona(n, 1) and check the induced weights.
+def _check_optimal(cert: Certificate, n: int, what: str) -> None:
+    """Require ``cert`` to be local antimagic with exactly 2n+3 colors."""
+    _check(cert.verdict.ok and cert.color_count == 2 * n + 3,
+           f"{what} is not local antimagic with {2 * n + 3} colors "
+           f"(ok={cert.verdict.ok}, {cert.color_count} colors)")
 
-    Vertices follow the corona's numbering: the hub is 0, u_i = i,
-    v_i = n+i, and the pendant of vertex b is 2n+1+b.  Triangles 1..cols
-    take their labels from the matrix entry functions, the edges in
-    ``fixed`` ((a, b), label) the rest.  Each ``(what, vertices, expected)``
-    in ``checks`` requires the set of weights on ``vertices`` to equal
-    ``expected``.
+
+def _rows(entry, cols: int, n: int) -> list[list[int]]:
+    """Rows 1, 2 and 3 of a matrix: entry(k, i, n) for i = 1..cols."""
+    return [[entry(k, i, n) for i in range(1, cols + 1)] for k in (1, 2, 3)]
+
+
+def _assemble(n: int, case: str, mu, mv, hub_pendant: int,
+              closed: dict[str, int], checks) -> ConstructionReport:
+    """Label friendship_corona(n, 1) with the rows of the n-column matrices
+    ``mu`` and ``mv`` and check the induced weights.
+
+    The labels are listed in the corona's edge order: the hub-u_i spokes
+    (u row 2), the hub-v_i spokes (v row 2), the triangle edges u_i v_i
+    (u row 3), the hub's pendant edge (``hub_pendant``), then the pendant
+    edges of the u_i (u row 1) and of the v_i (v row 3).  Each ``(what,
+    vertices, expected)`` in ``checks`` requires the set of weights on
+    ``vertices`` to equal ``expected``.
     """
     g = friendship_corona(n, 1)
-    labels = [0] * g.q
-    for (a, b), label in fixed:
-        labels[g.edge_index(a, b)] = label
-    x1 = 2 * n + 1
-    for i in range(1, cols + 1):
-        u, v = i, n + i
-        labels[g.edge_index(u, x1 + u)] = u_entry(1, i, n)
-        labels[g.edge_index(0, u)] = u_entry(2, i, n)
-        labels[g.edge_index(u, v)] = u_entry(3, i, n)
-        labels[g.edge_index(0, v)] = v_entry(2, i, n)
-        labels[g.edge_index(v, x1 + v)] = v_entry(3, i, n)
-    cert = make_certificate(g, labels)
+    cert = make_certificate(g, mu[1] + mv[1] + mu[2] + [hub_pendant]
+                            + mu[0] + mv[2])
+    _check_optimal(cert, n, f"{case} n={n} labeling")
     w = cert.weights
-    _check(cert.verdict.ok, f"{case} n={n} labeling is not local antimagic")
     for what, vertices, expected in checks:
         got = {w[x] for x in vertices}
         _check(got == expected, f"{case} n={n} {what} weights {sorted(got)} "
                                 f"!= {sorted(expected)}")
-    _check(cert.color_count == 2 * n + 3,
-           f"{case} n={n} color count {cert.color_count} != {2 * n + 3}")
     return ConstructionReport(n, case, g, cert, closed, frozenset(w))
 
 
@@ -216,15 +217,15 @@ def construct_odd(n: int) -> ConstructionReport:
         ("u-pendant", [x1 + b for b in u], set(range(4 * n + 1, 5 * n + 1))),
         ("v-pendant", [x1 + b for b in v], set(range(1, n + 1))),
     ]
-    return _assemble(n, "odd", n, odd_u_entry, odd_v_entry,
-                     [((0, x1), 5 * n + 1)], closed, checks)
+    return _assemble(n, "odd", _rows(odd_u_entry, n, n),
+                     _rows(odd_v_entry, n, n), 5 * n + 1, closed, checks)
 
 
 def construct_even(n: int) -> ConstructionReport:
     """Closed-form labeling for even n >= 6 with exactly 2n+3 colors.
 
-    The first n-1 triangles follow the matrices; the last triangle and the
-    hub pendant absorb the labels 1, 2n..2n+3 and 3n+3.
+    The first n-1 columns of the matrices follow the entry functions; their
+    n-th column and the hub pendant take the labels 1, 2n..2n+3 and 3n+3.
     """
     _require_even(n)
     x1 = 2 * n + 1  # the hub's pendant; vertex b's is x1 + b
@@ -244,8 +245,11 @@ def construct_even(n: int) -> ConstructionReport:
         "w_v_pendant_min": 2,
         "w_v_pendant_max": n,
     }
-    fixed = [((0, x1), 3 * n + 3), ((un, vn), 1), ((un, x1 + un), 2 * n + 2),
-             ((0, un), 2 * n), ((vn, x1 + vn), 2 * n + 3), ((0, vn), 2 * n + 1)]
+    mu, mv = _rows(even_u_entry, n - 1, n), _rows(even_v_entry, n - 1, n)
+    # the n-th column, u rows then v rows (v row 1 repeats u row 3)
+    for row, label in zip(mu + mv, (2 * n + 2, 2 * n, 1,
+                                    1, 2 * n + 1, 2 * n + 3)):
+        row.append(label)
     checks = [
         ("hub", [0], {closed["w_hub"]}),
         ("inner u", u, {closed["w_inner_u"]}),
@@ -258,8 +262,7 @@ def construct_even(n: int) -> ConstructionReport:
         ("last u-pendant", [x1 + un], {closed["w_u_last_pendant"]}),
         ("last v-pendant", [x1 + vn], {closed["w_v_last_pendant"]}),
     ]
-    return _assemble(n, "even", n - 1, even_u_entry, even_v_entry, fixed,
-                     closed, checks)
+    return _assemble(n, "even", mu, mv, 3 * n + 3, closed, checks)
 
 
 _FIXTURES = {2: "f2_o1_certificate.json", 4: "f4_o1_certificate.json"}
@@ -271,7 +274,6 @@ def construct_small(n: int) -> ConstructionReport:
     if n not in _FIXTURES:
         raise ValueError(f"small cases are n=2 and n=4, got {n}")
     g = friendship_corona(n, 1)
-    target = 2 * n + 3
     fixture = resources.files("antimagic").joinpath("fixtures", _FIXTURES[n])
     if not fixture.is_file():
         raise ConstructionError(f"bundled certificate for n={n} is missing")
@@ -280,9 +282,7 @@ def construct_small(n: int) -> ConstructionReport:
     if not verify_certificate(cert, g):
         raise ConstructionError(f"bundled certificate for n={n} failed "
                                 "re-verification")
-    _check(cert.verdict.ok, f"small n={n} certificate is not local antimagic")
-    _check(cert.color_count == target,
-           f"small n={n} color count {cert.color_count} != {target}")
+    _check_optimal(cert, n, f"small n={n} certificate")
     return ConstructionReport(n, "small", g, cert, {}, frozenset(cert.weights))
 
 
@@ -316,6 +316,5 @@ def certificate_for(g: Graph) -> Certificate | None:
     for (a, b), label in zip(h.edges, report.certificate.labels):
         labels[g.edge_index(pi[a], pi[b])] = label
     cert = make_certificate(g, labels)
-    _check(cert.verdict.ok and cert.color_count == 2 * n + 3,
-           f"n={n} labeling mapped onto an isomorphic copy does not verify")
+    _check_optimal(cert, n, f"n={n} labeling mapped onto an isomorphic copy")
     return cert

@@ -177,10 +177,6 @@ class Graph:
         except KeyError:
             raise KeyError(f"no edge between {a} and {b}") from None
 
-    def has_edge(self, a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        return key in self._edge_index
-
     def is_connected(self) -> bool:
         if self.p == 1:
             return True
@@ -317,7 +313,13 @@ def _isomorphism(adj, left, right, other=None) -> list[int] | None:
 
 
 def friendship(n: int) -> Graph:
-    """n triangles sharing one hub: order 2n+1, size 3n.  Requires n >= 2."""
+    """n triangles sharing one hub: order 2n+1, size 3n.  Requires n >= 2.
+
+    The hub is vertex 0, u_i is vertex i and v_i vertex n+i.  The edges
+    come in this order, each group by i: the hub-u_i spokes, the hub-v_i
+    spokes, then the triangle edges u_i v_i (``construction`` lists its
+    labels in this order).
+    """
     if n < 2:
         raise ValueError(f"friendship graph needs n >= 2, got {n}")
     roles = [VertexRole(HUB)]

@@ -1,8 +1,9 @@
-"""tools/bench_pairs.py: result-line parsing and the paired summary (no
-benchmark is run)."""
+"""tools/bench_pairs.py: result-line parsing, the paired summary and the
+working-tree export (no benchmark is run)."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,29 @@ def test_summarise_one_pair():
     pass_s = bench_pairs.summarise([pair])["pass_s"]
     assert pass_s["parent"] == {"median": 0.6, "quartiles": [0.6, 0.6]}
     assert pass_s["change_lower_in"] == 0
+
+
+def test_export_worktree_takes_edits_and_untracked_files(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "mod.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("x = 2\n")
+    (repo / "pkg" / "new.py").write_text("y = 1\n")
+    (repo / "gone.py").unlink()
+    (repo / "pkg" / "__pycache__").mkdir()
+    (repo / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"")
+    bench_pairs.export_worktree(repo, dest)
+    files = sorted(str(f.relative_to(dest)) for f in dest.rglob("*")
+                   if f.is_file())
+    assert files == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "x = 2\n"

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import antimagic
-from antimagic import jsonio
+from antimagic import graphs, jsonio
 from antimagic.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from antimagic.construction import certificate_for
 from antimagic.graphs import Graph, friendship_corona
@@ -52,9 +52,32 @@ def test_gen_writes_graph_doc(f2_file):
     assert doc["p"] == 10 and len(doc["edges"]) == 11
 
 
+@pytest.mark.parametrize("family, flags, expected", [
+    ("friendship-corona", ["--n", "3", "--m", "2"],
+     graphs.friendship_corona(3, 2)),
+    ("fan-corona", ["--n", "4", "--m", "1"], graphs.fan_corona(4, 1)),
+    ("c3-corona", ["--m", "2"],
+     graphs.corona(graphs.cycle(3), graphs.null_graph(2))),
+    ("kn-k1", ["--n", "4"],
+     graphs.corona(graphs.complete(4), graphs.complete(1))),
+    ("friendship", ["--n", "3"], graphs.friendship(3)),
+    ("fan", ["--n", "3"], graphs.fan(3)),
+    ("cycle", ["--n", "5"], graphs.cycle(5)),
+    ("path", ["--n", "4"], graphs.path(4)),
+    ("complete", ["--n", "4"], graphs.complete(4)),
+    ("null", ["--n", "3"], graphs.null_graph(3)),
+])
+def test_gen_builds_every_family(tmp_path, family, flags, expected):
+    out = tmp_path / "g.json"
+    assert run(["gen", family, *flags, "--out", str(out)]) == EXIT_OK
+    assert read(out) == expected.to_doc()
+
+
 def test_gen_requires_n(capsys):
     assert run(["gen", "friendship-corona", "--m", "1"]) == EXIT_USAGE
-    assert "error" in capsys.readouterr().err
+    assert "requires --n" in capsys.readouterr().err
+    assert run(["gen", "c3-corona"]) == EXIT_USAGE
+    assert "requires --m" in capsys.readouterr().err
 
 
 def test_unknown_family_exits_2():

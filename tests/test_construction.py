@@ -169,6 +169,40 @@ def test_construct_even_spot_checks():
         assert 4 * n + 3 <= un <= 5 * n + 1 and 4 * n + 3 <= vn <= 5 * n + 1
 
 
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 8, 12])
+def test_labels_sit_on_their_entries_edges(n):
+    # the reference placement: each matrix entry and special label put on
+    # the edge that edge_index names for its pair of vertices
+    report = construct(n)
+    g, labels = report.graph, report.certificate.labels
+    if n % 2:
+        u_entry, v_entry, cols = odd_u_entry, odd_v_entry, n
+    else:
+        u_entry, v_entry, cols = even_u_entry, even_v_entry, n - 1
+    x1 = 2 * n + 1  # the hub's pendant; vertex b's is x1 + b
+
+    def label(a, b):
+        return labels[g.edge_index(a, b)]
+
+    for i in range(1, cols + 1):
+        u, v = i, n + i
+        assert label(u, x1 + u) == u_entry(1, i, n)
+        assert label(0, u) == u_entry(2, i, n)
+        assert label(u, v) == u_entry(3, i, n) == v_entry(1, i, n)
+        assert label(0, v) == v_entry(2, i, n)
+        assert label(v, x1 + v) == v_entry(3, i, n)
+    if n % 2:
+        assert label(0, x1) == 5 * n + 1
+    else:
+        un, vn = n, 2 * n
+        assert label(0, x1) == 3 * n + 3
+        assert label(un, vn) == 1
+        assert label(un, x1 + un) == 2 * n + 2
+        assert label(0, un) == 2 * n
+        assert label(vn, x1 + vn) == 2 * n + 3
+        assert label(0, vn) == 2 * n + 1
+
+
 def test_construct_even_rejects_small_and_odd():
     for bad in (2, 4, 7):
         with pytest.raises(ValueError):

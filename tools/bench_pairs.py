@@ -5,13 +5,16 @@
         --out BENCH.json
 
 Run from anywhere inside the repository.  The parent commit is exported with
-``git archive`` into a temporary directory, and ``bench/run.py --workload W
---seed S --seconds T --trace 0`` runs there and in the working tree in
-alternating pairs: the parent goes first in even pairs, the working tree in
-odd ones, so neither side always meets a warmer or colder host.  The output
-file holds each pair's end-to-end metrics and, per metric, each side's
-median and quartiles and the number of pairs the working tree read lower.
-The temporary directory is removed afterwards.  Standard library only.
+``git archive`` into a temporary directory, and the working tree into
+another: its tracked files as they stand, edits included, and its untracked
+files that git does not ignore, so neither side starts with build outputs
+such as a ``__pycache__``.  ``bench/run.py --workload W --seed S --seconds T
+--trace 0`` runs in the two exports in alternating pairs: the parent goes
+first in even pairs, the working tree in odd ones, so neither side always
+meets a warmer or colder host.  The output file holds each pair's end-to-end
+metrics and, per metric, each side's median and quartiles and the number of
+pairs the working tree read lower.  The temporary directories are removed
+afterwards.  Standard library only.
 """
 
 from __future__ import annotations
@@ -93,6 +96,20 @@ def export_commit(repo: Path, ref: str, dest: Path) -> str:
     return sha
 
 
+def export_worktree(repo: Path, dest: Path) -> None:
+    """Copy into ``dest`` the working tree's tracked files that still exist
+    and its untracked files that git does not ignore."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=repo, capture_output=True, check=True).stdout
+    for name in set(os.fsdecode(listed).split("\0")) - {""}:
+        src = repo / name
+        if not os.path.lexists(src):  # deleted, not yet committed
+            continue
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src, dest / name, follow_symlinks=False)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD",
@@ -113,8 +130,9 @@ def main(argv=None) -> int:
                           capture_output=True, text=True).stdout.strip()
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        parent = export_commit(repo, args.parent, tmp)
-        roots = {"parent": tmp, "change": repo}
+        roots = {side: tmp / side for side in SIDES}
+        parent = export_commit(repo, args.parent, roots["parent"])
+        export_worktree(repo, roots["change"])
         workloads = {}
         for workload in args.workload:
             pairs = []
