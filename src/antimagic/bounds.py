@@ -317,7 +317,11 @@ class BoundReport(_BoundFields):
 
 
 def bound_report(family: str, n: int, m: int) -> BoundReport:
-    """Aggregate the known bounds for one family instance."""
+    """Aggregate the known bounds for one family instance.
+
+    c3-corona has n = 3 and kn-k1 has m = 1; another value raises
+    ValueError.
+    """
     if family == "friendship-corona":
         lemma = lb_friendship(n, m)
         if m == 1:
@@ -337,12 +341,16 @@ def bound_report(family: str, n: int, m: int) -> BoundReport:
                            provenance=FAN_LOWER, lemma_lower=lemma,
                            lemma_provenance=FAN_LOWER)
     if family == "c3-corona":
+        if n != 3:
+            raise ValueError(f"c3-corona has n = 3, got n = {n}")
         exact = known_exact_c3_corona(m)
-        return BoundReport(family, 3, m, lower=exact, upper=exact,
+        return BoundReport(family, n, m, lower=exact, upper=exact,
                            exact=exact, provenance=C3_EXACT)
     if family == "kn-k1":
+        if m != 1:
+            raise ValueError(f"kn-k1 has m = 1, got m = {m}")
         exact = known_exact_kn_k1(n)
-        return BoundReport(family, n, 1, lower=exact, upper=exact,
+        return BoundReport(family, n, m, lower=exact, upper=exact,
                            exact=exact, provenance=KN_K1_EXACT)
     raise ValueError(f"unknown family {family!r}; "
                      f"expected one of {', '.join(REPORT_FAMILIES)}")

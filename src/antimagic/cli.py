@@ -8,6 +8,10 @@ paper's 2n+3 construction on its own numbering, with no search and no cache
 access (budget flags and ``--cache-dir`` go unused); any other call it
 answers as ``solve`` does, from the cache or the solver.
 
+``gen`` and ``bounds`` take a family's ``--n`` and ``--m`` by one rule: a flag
+the family reads is required, a flag it fixes (n = 3 for c3-corona, m = 1 for
+kn-k1) is accepted only at that value, and any other flag given is refused.
+
 Solver results are cached in one append-only JSONL index, keyed by graph
 content hash; each record carries its certificate and, for an exact solve,
 chi.  A record is trusted only after its certificate re-verifies and agrees
@@ -82,10 +86,6 @@ def _load_graph(path: str) -> Graph:
 # -- certificate cache ---------------------------------------------------------
 
 
-def _cache_dir(arg: str | None) -> Path:
-    return Path(arg or os.environ.get(CACHE_ENV) or DEFAULT_CACHE)
-
-
 def _cache_lookup(cache: Path, g: Graph
                   ) -> tuple[Certificate, int | None] | None:
     """Certificate and exact chi (None for a feasibility answer) of the last
@@ -151,38 +151,54 @@ def _cache_store(cache: Path, g: Graph, cert: Certificate,
 # -- subcommands -----------------------------------------------------------------
 
 
-# family -> (builder, the flags it reads as its arguments)
-_GEN_FAMILIES = {
-    "friendship-corona": (friendship_corona, ("n", "m")),
-    "fan-corona": (fan_corona, ("n", "m")),
-    "c3-corona": (lambda m: corona(cycle(3), null_graph(m)), ("m",)),
-    "kn-k1": (lambda n: corona(complete(n), complete(1)), ("n",)),
-    "friendship": (friendship, ("n",)),
-    "fan": (fan, ("n",)),
-    "cycle": (cycle, ("n",)),
-    "path": (path, ("n",)),
-    "complete": (complete, ("n",)),
-    "null": (null_graph, ("n",)),
+# family -> (builder, the flags it reads, the flags it fixes with their
+# values); the builder takes the family's n and m, those it has, in order
+_FAMILIES = {
+    "friendship-corona": (friendship_corona, ("n", "m"), {}),
+    "fan-corona": (fan_corona, ("n", "m"), {}),
+    "c3-corona": (lambda n, m: corona(cycle(n), null_graph(m)), ("m",),
+                  {"n": 3}),
+    "kn-k1": (lambda n, m: corona(complete(n), complete(m)), ("n",),
+              {"m": 1}),
+    "friendship": (friendship, ("n",), {}),
+    "fan": (fan, ("n",), {}),
+    "cycle": (cycle, ("n",), {}),
+    "path": (path, ("n",), {}),
+    "complete": (complete, ("n",), {}),
+    "null": (null_graph, ("n",), {}),
 }
 
 
-def _req(args, name: str) -> int:
-    value = getattr(args, name, None)
-    if value is None:
-        raise ValueError(f"family {args.family!r} requires --{name}")
-    return value
+def _family_args(args) -> list[int]:
+    """The family's n and m, those it has, in order, by the module's rule."""
+    _build, reads, fixes = _FAMILIES[args.family]
+    values = []
+    for name in ("n", "m"):
+        given = getattr(args, name)
+        if name in reads:
+            if given is None:
+                raise ValueError(f"family {args.family!r} requires --{name}")
+            values.append(given)
+        elif name in fixes:
+            if given not in (None, fixes[name]):
+                raise ValueError(f"family {args.family!r} has {name} = "
+                                 f"{fixes[name]}, got --{name} {given}")
+            values.append(fixes[name])
+        elif given is not None:
+            raise ValueError(f"family {args.family!r} does not read --{name}")
+    return values
 
 
 def cmd_gen(args) -> int:
-    build, flags = _GEN_FAMILIES[args.family]
-    g = build(*[_req(args, name) for name in flags])
+    build = _FAMILIES[args.family][0]
+    g = build(*_family_args(args))
     _dump(g.to_doc(), args.out)
     return EXIT_OK
 
 
 def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
     """Shared engine behind solve and label: the cache, then the solver."""
-    cache = _cache_dir(args.cache_dir)
+    cache = Path(args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE)
     target = args.target_colors
     if target is not None:
         _check_k(g, target)  # before the cache, which would answer any k
@@ -260,12 +276,11 @@ def cmd_verify(args) -> int:
     try:
         # a document that is not an object is refused by Certificate.from_doc
         if not isinstance(doc, dict) or "verdict" in doc:
+            kind = "certificate"
             cert = Certificate.from_doc(doc)
             ok = verify_certificate(cert, g)
-            report = {"kind": "certificate", "ok": bool(ok),
-                      "color_count": cert.color_count,
-                      "verdict": cert.verdict.to_doc()}
         else:
+            kind = "labeling"
             labels = doc["labels"]
             if not isinstance(labels, list):
                 raise ValueError("labeling labels must be a list")
@@ -273,30 +288,19 @@ def cmd_verify(args) -> int:
                 raise GraphMismatchError("labeling was made for a different "
                                          "graph (content hash mismatch)")
             cert = make_certificate(g, labels)
-            report = {"kind": "labeling", "ok": cert.verdict.ok,
-                      "color_count": cert.color_count,
-                      "verdict": cert.verdict.to_doc()}
+            ok = cert.verdict.ok
     except (InvalidLabelingError, GraphMismatchError) as exc:
         _dump({"ok": False, "error": str(exc)}, args.out)
         return EXIT_VERIFY
-    _dump(report, args.out)
-    return EXIT_OK if report["ok"] else EXIT_VERIFY
-
-
-# family -> (flag it fixes, its only value)
-_FIXED_FLAGS = {"kn-k1": ("m", 1), "c3-corona": ("n", 3)}
+    _dump({"kind": kind, "ok": bool(ok), "color_count": cert.color_count,
+           "verdict": cert.verdict.to_doc()}, args.out)
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_bounds(args) -> int:
-    if args.family in _FIXED_FLAGS:
-        dest, only = _FIXED_FLAGS[args.family]
-        given = getattr(args, dest)
-        if given is not None and given != only:
-            raise ValueError(f"--family {args.family} has {dest} = {only}, "
-                             f"got --{dest} {given}")
+    n, m = _family_args(args)
     from . import bounds
-    m = 1 if args.m is None else args.m
-    report = bounds.bound_report(args.family, args.n or 0, m)
+    report = bounds.bound_report(args.family, n, m)
     _dump(report.to_doc(), args.out)
     return EXIT_OK
 
@@ -369,36 +373,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph family instance")
-    p.add_argument("family", choices=list(_GEN_FAMILIES))
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("label", help="produce a verified certificate")
     p.add_argument("graph", help="graph JSON file")
     _add_solver_flags(p)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("verify", help="check a labeling or certificate")
     p.add_argument("graph")
     p.add_argument("labeling", help="labeling or certificate JSON file")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="exact search for the optimum")
     p.add_argument("graph")
     _add_solver_flags(p)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", help="closed-form bound report")
     p.add_argument("--family", required=True,
                    choices=list(REPORT_FAMILIES))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--m", type=int, default=1)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="evaluate bound inequalities over a grid")
@@ -408,16 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-min", type=int, default=1)
     p.add_argument("--m-max", type=int, default=50)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-dot", help="write Graphviz DOT")
     p.add_argument("graph")
     p.add_argument("--certificate", default=None,
                    help="overlay labels/weights from a certificate")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_dot)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -1,9 +1,10 @@
 """tools/bench_pairs.py: result-line parsing, the paired summary and the
-working-tree export (no benchmark is run)."""
+commit and working-tree exports (no benchmark is run)."""
 
 import importlib.util
 import json
 import subprocess
+import warnings
 from pathlib import Path
 
 import pytest
@@ -65,20 +66,38 @@ def test_summarise_one_pair():
     assert pass_s["change_lower_in"] == 0
 
 
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], cwd=repo, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def test_export_commit_unpacks_the_commit_and_returns_its_hash(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("x = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("x = 2\n")  # not committed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # tarfile warns without a filter
+        sha = bench_pairs.export_commit(repo, "HEAD", dest)
+    assert sha == _git(repo, "rev-parse", "HEAD").strip()
+    assert [str(f.relative_to(dest)) for f in dest.rglob("*")
+            if f.is_file()] == ["pkg/mod.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "x = 1\n"
+
+
 def test_export_worktree_takes_edits_and_untracked_files(tmp_path):
     repo, dest = tmp_path / "repo", tmp_path / "export"
-
-    def git(*args):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
-                        *args], cwd=repo, check=True, capture_output=True)
-
     (repo / "pkg").mkdir(parents=True)
     (repo / ".gitignore").write_text("__pycache__/\n")
     (repo / "pkg" / "mod.py").write_text("x = 1\n")
     (repo / "gone.py").write_text("")
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "base")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
     (repo / "pkg" / "mod.py").write_text("x = 2\n")
     (repo / "pkg" / "new.py").write_text("y = 1\n")
     (repo / "gone.py").unlink()

@@ -311,6 +311,10 @@ def test_bound_report_c3_and_kn():
 def test_bound_report_rejects_bad_input():
     with pytest.raises(ValueError):
         bound_report("moebius-kantor", 3, 1)
+    with pytest.raises(ValueError, match="kn-k1 has m = 1, got m = 5"):
+        bound_report("kn-k1", 4, 5)
+    with pytest.raises(ValueError, match="c3-corona has n = 3, got n = 7"):
+        bound_report("c3-corona", 7, 2)
     with pytest.raises(ValueError):
         BoundReport(family="fan-corona", n=3, m=1, lower=10, upper=None,
                     exact=7, provenance=bounds.FAN_LOWER)

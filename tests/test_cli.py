@@ -80,6 +80,31 @@ def test_gen_requires_n(capsys):
     assert "requires --m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, flags, message", [
+    ("cycle", ["--n", "5", "--m", "3"], "does not read --m"),
+    ("kn-k1", ["--n", "3", "--m", "7"], "got --m 7"),
+    ("c3-corona", ["--n", "4", "--m", "2"], "got --n 4")],
+    ids=["cycle-m3", "kn-k1-m7", "c3-corona-n4"])
+def test_gen_refuses_flags_the_family_does_not_take(family, flags, message,
+                                                    tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert run(["gen", family, *flags, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, flags, fixed", [
+    ("kn-k1", ["--n", "3"], ["--m", "1"]),
+    ("c3-corona", ["--m", "2"], ["--n", "3"])])
+def test_gen_accepts_the_fixed_value(family, flags, fixed, tmp_path):
+    plain, given = tmp_path / "plain.json", tmp_path / "given.json"
+    assert run(["gen", family, *flags, "--out", str(plain)]) == EXIT_OK
+    assert run(["gen", family, *flags, *fixed,
+                "--out", str(given)]) == EXIT_OK
+    assert given.read_text() == plain.read_text()
+
+
 def test_unknown_family_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["gen", "petersen", "--n", "5"])
@@ -588,6 +613,14 @@ def test_bounds_accepts_the_fixed_value(tmp_path):
                 "--out", str(out)]) == EXIT_OK
     doc = read(out)
     assert (doc["n"], doc["m"], doc["exact"]) == (3, 2, 9)
+
+
+@pytest.mark.parametrize("family", ["friendship-corona", "fan-corona",
+                                    "kn-k1"])
+def test_bounds_requires_n(family, capsys):
+    assert run(["bounds", "--family", family]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"family {family!r} requires --n" in err and "got 0" not in err
 
 
 @pytest.mark.parametrize("family, n", [("friendship-corona", "3"),

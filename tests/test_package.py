@@ -1,12 +1,16 @@
 """The package surface: public names resolved on first use, the immutable
-result records, and the solver's construction seed reached through a lazy
-import in a fresh process."""
+result records, the solver's construction seed reached through a lazy
+import in a fresh process, the README's Python examples and the package
+data that ships the fixtures."""
 
+import doctest
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,13 @@ from antimagic.cli import EXIT_OK
 from conftest import relabeled
 
 SRC = os.path.dirname(os.path.dirname(antimagic.__file__))
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+# each fenced Python block of the README, without its fences, and the number
+# of README lines before it
+README_BLOCKS = [(README.count("\n", 0, block.start(1)), block.group(1))
+                 for block in re.finditer(r"^```python\n(.*?)^```$", README,
+                                          re.M | re.S)]
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -122,3 +133,31 @@ def test_relabeled_corona_solve_is_seeded_in_a_fresh_process(tmp_path):
         doc = json.loads(out.read_text())
         assert doc["status"] == "feasible" and doc["nodes_explored"] == 0
         assert doc["certificate"]["color_count"] == 9
+
+
+def test_readme_has_python_examples():
+    assert len(README_BLOCKS) >= 3
+
+
+@pytest.mark.parametrize("offset, block", README_BLOCKS, ids=[
+    f"block-{i}" for i in range(1, len(README_BLOCKS) + 1)])
+def test_readme_python_blocks_run_as_doctests(offset, block):
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md",
+                                               "README.md", offset)
+    report = []
+    runner = doctest.DocTestRunner(optionflags=doctest.REPORT_NDIFF)
+    result = runner.run(test, out=report.append)
+    assert result.attempted and not result.failed, "".join(report)
+
+
+def test_package_data_globs_cover_every_fixture():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        setuptools = tomllib.load(fh)["tool"]["setuptools"]
+    package = ROOT / "src" / "antimagic"
+    packaged = {path for pattern in setuptools["package-data"]["antimagic"]
+                for path in package.glob(pattern)}
+    fixtures = {path for path in (package / "fixtures").rglob("*")
+                if path.is_file()}
+    assert fixtures and fixtures <= packaged, sorted(
+        str(path.relative_to(package)) for path in fixtures - packaged)

@@ -92,7 +92,7 @@ def export_commit(repo: Path, ref: str, dest: Path) -> str:
     archive = subprocess.run(["git", "archive", "--format=tar", sha],
                              cwd=repo, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest)
+        tar.extractall(dest, filter="data")
     return sha
 
 
