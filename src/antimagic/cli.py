@@ -435,8 +435,10 @@ def main(argv=None) -> int:
     except GraphMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, KeyError, FileNotFoundError,
-            jsonio.SchemaVersionError) as exc:
+    except KeyError as exc:  # a field a document must have
+        print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

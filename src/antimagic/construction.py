@@ -25,13 +25,6 @@ class ConstructionError(RuntimeError):
     """Internal consistency failure while materializing a labeling."""
 
 
-def _exact_div(a: int, b: int) -> int:
-    quot, rem = divmod(a, b)
-    if rem:
-        raise ConstructionError(f"{a} is not divisible by {b}")
-    return quot
-
-
 def _require_odd(n: int) -> None:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"odd-case formulas need odd n >= 3, got {n}")
@@ -42,86 +35,63 @@ def _require_even(n: int) -> None:
         raise ValueError(f"even-case formulas need even n >= 6, got {n}")
 
 
-def _check_row(k: int) -> None:
-    if k not in (1, 2, 3):
-        raise ValueError(f"row index k must be 1, 2 or 3, got {k}")
+# -- the matrices -------------------------------------------------------------
+# Column i of a matrix holds triangle i's labels.  The u-matrix's rows label
+# (1) the u-pendant edge, (2) the hub-u spoke and (3) the triangle edge
+# u_i v_i; the v-matrix's rows label (1) the triangle edge again, (2) the
+# hub-v spoke and (3) the v-pendant edge.  Every column of a matrix but the
+# even case's n-th has the same sum.
 
 
-def _check_col(i: int, cols: int) -> None:
-    if not 1 <= i <= cols:
-        raise ValueError(f"column index i must be in 1..{cols}, got {i}")
+def odd_matrices(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The u- and v-matrices for odd n >= 3, three rows of n columns each.
 
-
-# -- matrix entries, odd n >= 3 ----------------------------------------------
-# Rows label, per triangle i: (1) the u-pendant edge, (2) the hub-u spoke,
-# (3) the triangle edge u_i v_i for the u-matrix; (1) is shared with the
-# u-matrix row 3, (2) the hub-v spoke, (3) the v-pendant edge for the
-# v-matrix.  Every column of a matrix has the same sum.
-# Each entry function makes one combined range test and runs the named
-# checks only when it fails, so that they raise their own messages.
-
-
-def odd_u_entry(k: int, i: int, n: int) -> int:
-    if not (n >= 3 and n % 2 and k in (1, 2, 3) and 1 <= i <= n):
-        _require_odd(n)
-        _check_row(k)
-        _check_col(i, n)
-    if k == 1:
-        return 4 * n + (i + 1) // 2 if i % 2 else _exact_div(9 * n + 1, 2) + i // 2
-    if k == 2:
-        return _exact_div(7 * n + 1, 2) + (i - 1) // 2 if i % 2 else 3 * n + i // 2
-    return 3 * n + 1 - i
-
-
-def odd_v_entry(k: int, i: int, n: int) -> int:
-    if not (n >= 3 and n % 2 and k in (1, 2, 3) and 1 <= i <= n):
-        _require_odd(n)
-        _check_row(k)
-        _check_col(i, n)
-    if k == 1:
-        return 3 * n + 1 - i
-    if k == 2:
-        return _exact_div(3 * n + 1, 2) + (i - 1) // 2 if i % 2 else n + i // 2
-    return (i + 1) // 2 if i % 2 else _exact_div(n + 1, 2) + i // 2
+    Every halving below is exact because n is odd."""
+    _require_odd(n)
+    cols = range(1, n + 1)
+    triangle = [3 * n + 1 - i for i in cols]
+    mu = [[4 * n + (i + 1) // 2 if i % 2 else (9 * n + 1) // 2 + i // 2
+           for i in cols],
+          [(7 * n + 1) // 2 + (i - 1) // 2 if i % 2 else 3 * n + i // 2
+           for i in cols],
+          triangle]
+    mv = [triangle.copy(),
+          [(3 * n + 1) // 2 + (i - 1) // 2 if i % 2 else n + i // 2
+           for i in cols],
+          [(i + 1) // 2 if i % 2 else (n + 1) // 2 + i // 2 for i in cols]]
+    return mu, mv
 
 
 def odd_u_column_sum(n: int) -> int:
     _require_odd(n)
-    return _exact_div(21 * n + 3, 2)
+    return (21 * n + 3) // 2
 
 
 def odd_v_column_sum(n: int) -> int:
     _require_odd(n)
-    return _exact_div(9 * n + 3, 2)
+    return (9 * n + 3) // 2
 
 
-# -- matrix entries, even n >= 6 ---------------------------------------------
-# Columns run over the first n-1 triangles; construct_even gives the n-th
-# triangle and the hub pendant six special labels.
+def even_matrices(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The u- and v-matrices for even n >= 6, three rows of n columns each.
 
-
-def even_u_entry(k: int, i: int, n: int) -> int:
-    if not (n >= 6 and not n % 2 and k in (1, 2, 3) and 1 <= i <= n - 1):
-        _require_even(n)
-        _check_row(k)
-        _check_col(i, n - 1)
-    if k == 1:
-        return 4 * n + 3 + (i - 1) // 2 if i % 2 else 9 * n // 2 + 2 + i // 2
-    if k == 2:
-        return 7 * n // 2 + 3 + (i - 1) // 2 if i % 2 else 3 * n + 3 + i // 2
-    return 3 * n + 3 - i
-
-
-def even_v_entry(k: int, i: int, n: int) -> int:
-    if not (n >= 6 and not n % 2 and k in (1, 2, 3) and 1 <= i <= n - 1):
-        _require_even(n)
-        _check_row(k)
-        _check_col(i, n - 1)
-    if k == 1:
-        return 3 * n + 3 - i
-    if k == 2:
-        return 3 * n // 2 + (i - 1) // 2 if i % 2 else n + i // 2
-    return (i + 3) // 2 if i % 2 else n // 2 + 1 + i // 2
+    The first n-1 columns follow the formulas and share the column sums; the
+    n-th takes the special labels 2n+2, 2n, 1 (u rows) and 1, 2n+1, 2n+3
+    (v rows)."""
+    _require_even(n)
+    cols = range(1, n)
+    triangle = [3 * n + 3 - i for i in cols] + [1]
+    mu = [[4 * n + 3 + (i - 1) // 2 if i % 2 else 9 * n // 2 + 2 + i // 2
+           for i in cols] + [2 * n + 2],
+          [7 * n // 2 + 3 + (i - 1) // 2 if i % 2 else 3 * n + 3 + i // 2
+           for i in cols] + [2 * n],
+          triangle]
+    mv = [triangle.copy(),
+          [3 * n // 2 + (i - 1) // 2 if i % 2 else n + i // 2
+           for i in cols] + [2 * n + 1],
+          [(i + 3) // 2 if i % 2 else n // 2 + 1 + i // 2
+           for i in cols] + [2 * n + 3]]
+    return mu, mv
 
 
 def even_u_column_sum(n: int) -> int:
@@ -158,33 +128,36 @@ def _check(condition: bool, what: str) -> None:
         raise ConstructionError(f"construction bug: {what}")
 
 
+def _span(closed: dict[str, int], side: str) -> set[int]:
+    """The weights w_{side}_pendant_min..w_{side}_pendant_max."""
+    return set(range(closed[f"w_{side}_pendant_min"],
+                     closed[f"w_{side}_pendant_max"] + 1))
+
+
 def _check_optimal(cert: Certificate, n: int, what: str) -> None:
     """Require ``cert`` to be local antimagic with exactly 2n+3 colors."""
-    _check(cert.verdict.ok and cert.color_count == 2 * n + 3,
-           f"{what} is not local antimagic with {2 * n + 3} colors "
+    chi = chi_la_friendship_o1(n)
+    _check(cert.verdict.ok and cert.color_count == chi,
+           f"{what} is not local antimagic with {chi} colors "
            f"(ok={cert.verdict.ok}, {cert.color_count} colors)")
 
 
-def _rows(entry, cols: int, n: int) -> list[list[int]]:
-    """Rows 1, 2 and 3 of a matrix: entry(k, i, n) for i = 1..cols."""
-    return [[entry(k, i, n) for i in range(1, cols + 1)] for k in (1, 2, 3)]
-
-
-def _assemble(n: int, case: str, mu, mv, hub_pendant: int,
-              closed: dict[str, int], checks) -> ConstructionReport:
+def _assemble(n: int, case: str, mu, mv, closed: dict[str, int],
+              checks) -> ConstructionReport:
     """Label friendship_corona(n, 1) with the rows of the n-column matrices
     ``mu`` and ``mv`` and check the induced weights.
 
     The labels are listed in the corona's edge order: the hub-u_i spokes
     (u row 2), the hub-v_i spokes (v row 2), the triangle edges u_i v_i
-    (u row 3), the hub's pendant edge (``hub_pendant``), then the pendant
-    edges of the u_i (u row 1) and of the v_i (v row 3).  Each ``(what,
-    vertices, expected)`` in ``checks`` requires the set of weights on
-    ``vertices`` to equal ``expected``.
+    (u row 3), the hub's pendant edge (labelled with its pendant's weight,
+    ``closed["w_hub_pendant"]``), then the pendant edges of the u_i (u row
+    1) and of the v_i (v row 3).  Each ``(what, vertices, expected)`` in
+    ``checks`` requires the set of weights on ``vertices`` to equal
+    ``expected``.
     """
     g = friendship_corona(n, 1)
-    cert = make_certificate(g, mu[1] + mv[1] + mu[2] + [hub_pendant]
-                            + mu[0] + mv[2])
+    cert = make_certificate(g, mu[1] + mv[1] + mu[2]
+                            + [closed["w_hub_pendant"]] + mu[0] + mv[2])
     _check_optimal(cert, n, f"{case} n={n} labeling")
     w = cert.weights
     for what, vertices, expected in checks:
@@ -214,19 +187,14 @@ def construct_odd(n: int) -> ConstructionReport:
         ("inner u", u, {closed["w_inner_u"]}),
         ("inner v", v, {closed["w_inner_v"]}),
         ("hub pendant", [x1], {closed["w_hub_pendant"]}),
-        ("u-pendant", [x1 + b for b in u], set(range(4 * n + 1, 5 * n + 1))),
-        ("v-pendant", [x1 + b for b in v], set(range(1, n + 1))),
+        ("u-pendant", [x1 + b for b in u], _span(closed, "u")),
+        ("v-pendant", [x1 + b for b in v], _span(closed, "v")),
     ]
-    return _assemble(n, "odd", _rows(odd_u_entry, n, n),
-                     _rows(odd_v_entry, n, n), 5 * n + 1, closed, checks)
+    return _assemble(n, "odd", *odd_matrices(n), closed, checks)
 
 
 def construct_even(n: int) -> ConstructionReport:
-    """Closed-form labeling for even n >= 6 with exactly 2n+3 colors.
-
-    The first n-1 columns of the matrices follow the entry functions; their
-    n-th column and the hub pendant take the labels 1, 2n..2n+3 and 3n+3.
-    """
+    """Closed-form labeling for even n >= 6 with exactly 2n+3 colors."""
     _require_even(n)
     x1 = 2 * n + 1  # the hub's pendant; vertex b's is x1 + b
     u, v = range(1, n), range(n + 1, 2 * n)
@@ -245,11 +213,6 @@ def construct_even(n: int) -> ConstructionReport:
         "w_v_pendant_min": 2,
         "w_v_pendant_max": n,
     }
-    mu, mv = _rows(even_u_entry, n - 1, n), _rows(even_v_entry, n - 1, n)
-    # the n-th column, u rows then v rows (v row 1 repeats u row 3)
-    for row, label in zip(mu + mv, (2 * n + 2, 2 * n, 1,
-                                    1, 2 * n + 1, 2 * n + 3)):
-        row.append(label)
     checks = [
         ("hub", [0], {closed["w_hub"]}),
         ("inner u", u, {closed["w_inner_u"]}),
@@ -257,12 +220,12 @@ def construct_even(n: int) -> ConstructionReport:
         ("last u", [un], {closed["w_u_last"]}),
         ("last v", [vn], {closed["w_v_last"]}),
         ("hub pendant", [x1], {closed["w_hub_pendant"]}),
-        ("u-pendant", [x1 + b for b in u], set(range(4 * n + 3, 5 * n + 2))),
-        ("v-pendant", [x1 + b for b in v], set(range(2, n + 1))),
+        ("u-pendant", [x1 + b for b in u], _span(closed, "u")),
+        ("v-pendant", [x1 + b for b in v], _span(closed, "v")),
         ("last u-pendant", [x1 + un], {closed["w_u_last_pendant"]}),
         ("last v-pendant", [x1 + vn], {closed["w_v_last_pendant"]}),
     ]
-    return _assemble(n, "even", mu, mv, 3 * n + 3, closed, checks)
+    return _assemble(n, "even", *even_matrices(n), closed, checks)
 
 
 _FIXTURES = {2: "f2_o1_certificate.json", 4: "f4_o1_certificate.json"}

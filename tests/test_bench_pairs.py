@@ -103,8 +103,14 @@ def test_export_worktree_takes_edits_and_untracked_files(tmp_path):
     (repo / "gone.py").unlink()
     (repo / "pkg" / "__pycache__").mkdir()
     (repo / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"")
-    bench_pairs.export_worktree(repo, dest)
+    status = _git(repo, "status", "--porcelain")
+    tree = bench_pairs.export_worktree(repo, dest)
     files = sorted(str(f.relative_to(dest)) for f in dest.rglob("*")
                    if f.is_file())
     assert files == [".gitignore", "pkg/mod.py", "pkg/new.py"]
     assert (dest / "pkg" / "mod.py").read_text() == "x = 2\n"
+    # the tree was staged in a temporary index, not the repository's own
+    assert _git(repo, "status", "--porcelain") == status
+    assert _git(repo, "cat-file", "-t", tree).strip() == "tree"
+    assert _git(repo, "rev-parse", "HEAD:pkg/mod.py") != _git(
+        repo, "rev-parse", f"{tree}:pkg/mod.py")

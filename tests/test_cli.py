@@ -576,6 +576,25 @@ def test_verify_and_export_dot_refuse_malformed_documents(c3_file, tmp_path,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind, field", [("labeling", "labels"),
+                                         ("graph", "roles"),
+                                         ("certificate", "graph_hash")])
+def test_missing_field_is_named(c3_file, tmp_path, capsys, kind, field):
+    g = Graph.from_doc(read(c3_file))
+    doc = {"labeling": {"labels": [1, 2, 3, 4, 5, 6]},
+           "graph": g.to_doc(),
+           "certificate": make_certificate(g, range(1, 7)).to_doc()}[kind]
+    del doc[field]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    if kind == "graph":
+        args = ["solve", str(bad), "--cache-dir", str(tmp_path / "cache")]
+    else:
+        args = ["verify", str(c3_file), str(bad)]
+    assert run(args) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: missing field '{field}'\n"
+
+
 def test_verify_wrong_graph_is_exit_3(f2_file, c3_file, tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     run(["label", str(f2_file), "--out", str(cert_path)])

@@ -1,4 +1,4 @@
-"""Closed-form labelings: matrix entries, column sums, assembled reports."""
+"""Closed-form labelings: matrices, column sums, assembled reports."""
 
 import hashlib
 import json
@@ -8,17 +8,15 @@ import pytest
 from antimagic import construction
 from antimagic.construction import (ConstructionError, chi_la_friendship_o1,
                                     construct, construct_even, construct_odd,
-                                    construct_small, even_u_column_sum,
-                                    even_u_entry, even_v_column_sum,
-                                    even_v_entry, odd_u_column_sum,
-                                    odd_u_entry, odd_v_column_sum,
-                                    odd_v_entry)
+                                    construct_small, even_matrices,
+                                    even_u_column_sum, even_v_column_sum,
+                                    odd_matrices, odd_u_column_sum,
+                                    odd_v_column_sum)
 
 
-def _rows(entry, cols, n):
-    """The three matrix rows entry(k, i, n), i = 1..cols."""
-    return tuple(tuple(entry(k, i, n) for i in range(1, cols + 1))
-                 for k in (1, 2, 3))
+def _formula_columns(rows):
+    """The even case's rows without their n-th, special column."""
+    return [row[:-1] for row in rows]
 
 
 def _column_sums(rows):
@@ -30,35 +28,37 @@ def _values(rows):
 
 
 def test_odd_entry_values_n3():
-    assert odd_u_entry(1, 1, 3) == 13
-    assert odd_u_entry(1, 2, 3) == 15
-    assert odd_u_entry(3, 1, 3) == 9
-    assert odd_v_entry(2, 1, 3) == 5
-    assert odd_v_entry(2, 2, 3) == 4
-    assert odd_v_entry(3, 1, 3) == 1
+    mu, mv = odd_matrices(3)
+    assert mu[0][0] == 13
+    assert mu[0][1] == 15
+    assert mu[2][0] == 9
+    assert mv[1][0] == 5
+    assert mv[1][1] == 4
+    assert mv[2][0] == 1
 
 
 def test_odd_matrices_n3():
-    assert _rows(odd_u_entry, 3, 3) == ((13, 15, 14), (11, 10, 12), (9, 8, 7))
-    assert _rows(odd_v_entry, 3, 3) == ((9, 8, 7), (5, 4, 6), (1, 3, 2))
+    assert odd_matrices(3) == ([[13, 15, 14], [11, 10, 12], [9, 8, 7]],
+                               [[9, 8, 7], [5, 4, 6], [1, 3, 2]])
 
 
 def test_odd_column_sums():
     for n in (3, 5, 9, 99):
-        assert _column_sums(_rows(odd_u_entry, n, n)) == {odd_u_column_sum(n)}
-        assert _column_sums(_rows(odd_v_entry, n, n)) == {odd_v_column_sum(n)}
+        mu, mv = odd_matrices(n)
+        assert _column_sums(mu) == {odd_u_column_sum(n)}
+        assert _column_sums(mv) == {odd_v_column_sum(n)}
     assert odd_u_column_sum(3) == 33
     assert odd_v_column_sum(3) == 15
 
 
 def test_odd_row_ranges():
     for n in (3, 7, 21):
-        mu, mv = _rows(odd_u_entry, n, n), _rows(odd_v_entry, n, n)
+        mu, mv = odd_matrices(n)
         assert sorted(mu[0]) == list(range(4 * n + 1, 5 * n + 1))
         assert sorted(mu[1]) == list(range(3 * n + 1, 4 * n + 1))
         assert sorted(mu[2]) == list(range(2 * n + 1, 3 * n + 1))
         # first v-row repeats the third u-row (shared triangle edges)
-        assert mv[0] == mu[2]
+        assert mv[0] == mu[2] and mv[0] is not mu[2]
         assert sorted(mv[1]) == list(range(n + 1, 2 * n + 1))
         assert sorted(mv[2]) == list(range(1, n + 1))
         everything = _values(mu) + _values(mv)[n:] + [5 * n + 1]
@@ -66,54 +66,49 @@ def test_odd_row_ranges():
 
 
 def test_even_entry_values_n6():
-    mu, mv = _rows(even_u_entry, 5, 6), _rows(even_v_entry, 5, 6)
-    assert mu[0] == (27, 30, 28, 31, 29)
-    assert _column_sums(mu) == {71} and even_u_column_sum(6) == 71
-    assert _column_sums(mv) == {31} and even_v_column_sum(6) == 31
-    assert mv[0] == mu[2]
+    mu, mv = even_matrices(6)
+    assert mu[0] == [27, 30, 28, 31, 29, 14]
+    assert _column_sums(_formula_columns(mu)) == {71}
+    assert even_u_column_sum(6) == 71
+    assert _column_sums(_formula_columns(mv)) == {31}
+    assert even_v_column_sum(6) == 31
+    assert mv[0] == mu[2] and mv[0] is not mu[2]
 
 
 def test_even_row_ranges():
     for n in (6, 8, 30):
-        mu, mv = _rows(even_u_entry, n - 1, n), _rows(even_v_entry, n - 1, n)
+        mu, mv = even_matrices(n)
+        # the n-th column, u rows then v rows, and the hub pendant
+        assert [row[-1] for row in mu + mv] == [2 * n + 2, 2 * n, 1,
+                                                1, 2 * n + 1, 2 * n + 3]
+        everything = _values(mu) + _values(mv)[n:] + [3 * n + 3]
+        assert sorted(everything) == list(range(1, 5 * n + 2))
+        mu, mv = _formula_columns(mu), _formula_columns(mv)
         assert sorted(mu[0]) == list(range(4 * n + 3, 5 * n + 2))
         assert sorted(mu[1]) == list(range(3 * n + 4, 4 * n + 3))
         assert sorted(mu[2]) == list(range(2 * n + 4, 3 * n + 3))
         assert sorted(mv[1]) == list(range(n + 1, 2 * n))
         assert sorted(mv[2]) == list(range(2, n + 1))
-        specials = [3 * n + 3, 1, 2 * n + 2, 2 * n, 2 * n + 3, 2 * n + 1]
-        everything = _values(mu) + _values(mv)[n - 1:] + specials
-        assert sorted(everything) == list(range(1, 5 * n + 2))
 
 
 def test_parity_guards():
     with pytest.raises(ValueError):
-        odd_u_entry(1, 1, 4)
+        odd_matrices(4)
     with pytest.raises(ValueError):
-        even_u_entry(1, 1, 7)
+        even_matrices(7)
     with pytest.raises(ValueError):
-        even_u_entry(1, 1, 4)  # even but below the case's range
-    with pytest.raises(ValueError):
-        odd_u_entry(4, 1, 3)
-    with pytest.raises(ValueError):
-        odd_u_entry(1, 0, 3)
+        even_matrices(4)  # even but below the case's range
 
 
-@pytest.mark.parametrize("entry, k, i, n, message", [
-    (odd_u_entry, 4, 0, 4, "odd-case formulas need odd n >= 3, got 4"),
-    (odd_v_entry, 1, 1, 1, "odd-case formulas need odd n >= 3, got 1"),
-    (odd_u_entry, 0, 0, 3, "row index k must be 1, 2 or 3, got 0"),
-    (odd_v_entry, 3, 4, 3, "column index i must be in 1..3, got 4"),
-    (even_u_entry, 1, 1, 7, "even-case formulas need even n >= 6, got 7"),
-    (even_v_entry, 1, 1, 4, "even-case formulas need even n >= 6, got 4"),
-    (even_u_entry, 4, 9, 6, "row index k must be 1, 2 or 3, got 4"),
-    (even_v_entry, 2, 6, 6, "column index i must be in 1..5, got 6"),
-    (even_u_entry, 1, 0, 8, "column index i must be in 1..7, got 0"),
-])
-def test_entry_errors_name_the_first_bad_argument(entry, k, i, n, message):
-    # n is checked before the row, the row before the column
+@pytest.mark.parametrize("matrices, n, message", [
+    (odd_matrices, 4, "odd-case formulas need odd n >= 3, got 4"),
+    (odd_matrices, 1, "odd-case formulas need odd n >= 3, got 1"),
+    (even_matrices, 7, "even-case formulas need even n >= 6, got 7"),
+    (even_matrices, 4, "even-case formulas need even n >= 6, got 4"),
+], ids=["odd-4", "odd-1", "even-7", "even-4"])
+def test_entry_errors_name_the_first_bad_argument(matrices, n, message):
     with pytest.raises(ValueError) as exc:
-        entry(k, i, n)
+        matrices(n)
     assert str(exc.value) == message
 
 
@@ -176,9 +171,9 @@ def test_labels_sit_on_their_entries_edges(n):
     report = construct(n)
     g, labels = report.graph, report.certificate.labels
     if n % 2:
-        u_entry, v_entry, cols = odd_u_entry, odd_v_entry, n
+        (mu, mv), cols = odd_matrices(n), n
     else:
-        u_entry, v_entry, cols = even_u_entry, even_v_entry, n - 1
+        (mu, mv), cols = even_matrices(n), n - 1
     x1 = 2 * n + 1  # the hub's pendant; vertex b's is x1 + b
 
     def label(a, b):
@@ -186,11 +181,11 @@ def test_labels_sit_on_their_entries_edges(n):
 
     for i in range(1, cols + 1):
         u, v = i, n + i
-        assert label(u, x1 + u) == u_entry(1, i, n)
-        assert label(0, u) == u_entry(2, i, n)
-        assert label(u, v) == u_entry(3, i, n) == v_entry(1, i, n)
-        assert label(0, v) == v_entry(2, i, n)
-        assert label(v, x1 + v) == v_entry(3, i, n)
+        assert label(u, x1 + u) == mu[0][i - 1]
+        assert label(0, u) == mu[1][i - 1]
+        assert label(u, v) == mu[2][i - 1] == mv[0][i - 1]
+        assert label(0, v) == mv[1][i - 1]
+        assert label(v, x1 + v) == mv[2][i - 1]
     if n % 2:
         assert label(0, x1) == 5 * n + 1
     else:

@@ -1,13 +1,14 @@
 """The package surface: public names resolved on first use, the immutable
 result records, the solver's construction seed reached through a lazy
-import in a fresh process, the README's Python examples and the package
-data that ships the fixtures."""
+import in a fresh process, the README's Python examples and CLI block, and
+the package data that ships the fixtures."""
 
 import doctest
 import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import antimagic
 from antimagic import (BoundReport, Certificate, ConstructionReport,
                        SearchConfig, SearchOutcome, Verdict, bound_report,
                        construct, friendship_corona, make_certificate)
-from antimagic.cli import EXIT_OK
+from antimagic.cli import EXIT_OK, main
 from conftest import relabeled
 
 SRC = os.path.dirname(os.path.dirname(antimagic.__file__))
@@ -148,6 +149,23 @@ def test_readme_python_blocks_run_as_doctests(offset, block):
     runner = doctest.DocTestRunner(optionflags=doctest.REPORT_NDIFF)
     result = runner.run(test, out=report.append)
     assert result.attempted and not result.failed, "".join(report)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # the sh block under "## CLI", each command run through cli.main in a
+    # fresh working directory with the default cache
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```$", README,
+                      re.M | re.S).group(1)
+    commands = [shlex.split(line.split("#")[0])
+                for line in block.splitlines() if line.strip()]
+    assert commands and all(cmd[0] == "antimagic" for cmd in commands)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ANTIMAGIC_CACHE_DIR", raising=False)
+    for cmd in commands:
+        assert main(cmd[1:]) == EXIT_OK, cmd
+    capsys.readouterr()
+    for name in ("f2.cert.json", "sweep.csv", "f2.dot"):
+        assert (tmp_path / name).is_file(), name
 
 
 def test_package_data_globs_cover_every_fixture():

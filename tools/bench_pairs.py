@@ -4,11 +4,13 @@
         --workload relabeled --pairs 5 --seed 103 --seconds 20 \\
         --out BENCH.json
 
-Run from anywhere inside the repository.  The parent commit is exported with
-``git archive`` into a temporary directory, and the working tree into
-another: its tracked files as they stand, edits included, and its untracked
-files that git does not ignore, so neither side starts with build outputs
-such as a ``__pycache__``.  ``bench/run.py --workload W --seed S --seconds T
+Run from anywhere inside the repository.  Both sides are unpacked with
+``git archive`` into temporary directories: the parent commit, and the
+working tree written as a tree object through a temporary index (its files
+as ``git add -A`` would stage them, edits and files git does not ignore
+included, deleted files left out), so neither side starts with build
+outputs such as a ``__pycache__`` and the repository's own index is not
+touched.  ``bench/run.py --workload W --seed S --seconds T
 --trace 0`` runs in the two exports in alternating pairs: the parent goes
 first in even pairs, the working tree in odd ones, so neither side always
 meets a warmer or colder host.  The output file holds each pair's end-to-end
@@ -84,30 +86,37 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_result(proc.stdout)
 
 
-def export_commit(repo: Path, ref: str, dest: Path) -> str:
-    """Unpack ``ref`` into ``dest``; returns its full commit hash."""
-    sha = subprocess.run(["git", "rev-parse", "--verify", ref + "^{commit}"],
-                         cwd=repo, capture_output=True, text=True,
-                         check=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", "--format=tar", sha],
+def _git(repo: Path, *args: str, env=None) -> str:
+    return subprocess.run(["git", *args], cwd=repo, env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def _unpack(repo: Path, treeish: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", "--format=tar", treeish],
                              cwd=repo, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def export_commit(repo: Path, ref: str, dest: Path) -> str:
+    """Unpack ``ref`` into ``dest``; returns its full commit hash."""
+    sha = _git(repo, "rev-parse", "--verify", ref + "^{commit}")
+    _unpack(repo, sha, dest)
     return sha
 
 
-def export_worktree(repo: Path, dest: Path) -> None:
-    """Copy into ``dest`` the working tree's tracked files that still exist
-    and its untracked files that git does not ignore."""
-    listed = subprocess.run(
-        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=repo, capture_output=True, check=True).stdout
-    for name in set(os.fsdecode(listed).split("\0")) - {""}:
-        src = repo / name
-        if not os.path.lexists(src):  # deleted, not yet committed
-            continue
-        (dest / name).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(src, dest / name, follow_symlinks=False)
+def export_worktree(repo: Path, dest: Path) -> str:
+    """Unpack into ``dest`` the working tree as ``git add -A`` would stage
+    it; returns the hash of that tree.  The tree is written through a
+    temporary index, so the repository's own index is left as it was."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        _git(repo, "read-tree", "HEAD", env=env)
+        _git(repo, "add", "-A", env=env)
+        tree = _git(repo, "write-tree", env=env)
+    _unpack(repo, tree, dest)
+    return tree
 
 
 def main(argv=None) -> int:
@@ -123,16 +132,13 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    repo = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"],
-                               capture_output=True, text=True,
-                               check=True).stdout.strip())
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo,
-                          capture_output=True, text=True).stdout.strip()
+    repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    head = _git(repo, "rev-parse", "HEAD")
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         roots = {side: tmp / side for side in SIDES}
         parent = export_commit(repo, args.parent, roots["parent"])
-        export_worktree(repo, roots["change"])
+        tree = export_worktree(repo, roots["change"])
         workloads = {}
         for workload in args.workload:
             pairs = []
@@ -153,7 +159,7 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
     doc = {
         "parent": parent,
-        "change": {"head": head, "tree": "working tree"},
+        "change": {"head": head, "tree": tree},
         "settings": {"seed": args.seed, "seconds": args.seconds,
                      "pairs": args.pairs},
         "host": {"python": platform.python_version(),
