@@ -25,8 +25,7 @@ _EXPORTS = {
                "path"),
     "labeling": ("BUDGET_EXHAUSTED", "Certificate", "EXACT", "FEASIBLE",
                  "GraphMismatchError", "INFEASIBLE", "InvalidLabelingError",
-                 "Verdict", "color_count", "is_local_antimagic",
-                 "make_certificate", "validate_labeling",
+                 "Verdict", "make_certificate", "validate_labeling",
                  "verify_certificate", "weights"),
     "solver": ("SearchConfig", "SearchOutcome", "exact_chi_la",
                "feasible_with_k_colors", "lower_bound_prune"),

@@ -324,10 +324,9 @@ def bound_report(family: str, n: int, m: int) -> BoundReport:
     """
     if family == "friendship-corona":
         lemma = lb_friendship(n, m)
-        if m == 1:
-            exact = 2 * n + 3
-            return BoundReport(family, n, m, lower=exact, upper=exact,
-                               exact=exact, provenance=FN_O1_EXACT,
+        if m == 1:  # the lemma's bound, 2n+3, is exact at m = 1
+            return BoundReport(family, n, m, lower=lemma, upper=lemma,
+                               exact=lemma, provenance=FN_O1_EXACT,
                                lemma_lower=lemma,
                                lemma_provenance=FRIENDSHIP_LOWER)
         return BoundReport(family, n, m, lower=lemma,

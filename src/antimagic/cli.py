@@ -438,7 +438,9 @@ def main(argv=None) -> int:
     except KeyError as exc:  # a field a document must have
         print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
+        # an OSError is a path that cannot be read or written, as a
+        # directory named where a file is wanted
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,20 +5,18 @@ For every n >= 2 these graphs admit a labeling with exactly 2n+3 distinct
 induced weights, which is optimal.  The labeling is given in closed form by
 two 3-row integer matrices whose columns all share the same sum, so every
 inner u-vertex gets one common weight and every inner v-vertex another.  The
-odd and even cases use different matrices; n=2 and n=4 do not fit either
-pattern and are served from pre-computed certificates bundled with the
-package and re-verified on load.  ``certificate_for`` carries the labeling
-onto any isomorphic copy of the corona, whatever its numbering.
+odd and even cases use different matrices; n=2 and n=4 fit neither case's
+formulas, so their matrices are written out, and all n are assembled and
+checked the same way.  ``certificate_for`` carries the labeling onto any
+isomorphic copy of the corona, whatever its numbering.
 """
 
 from __future__ import annotations
 
-import json
-from importlib import resources
 from typing import NamedTuple
 
 from .graphs import Graph, _friendship_o1_n, _isomorphism, friendship_corona
-from .labeling import Certificate, make_certificate, verify_certificate
+from .labeling import Certificate, make_certificate
 
 
 class ConstructionError(RuntimeError):
@@ -142,22 +140,21 @@ def _check_optimal(cert: Certificate, n: int, what: str) -> None:
            f"(ok={cert.verdict.ok}, {cert.color_count} colors)")
 
 
-def _assemble(n: int, case: str, mu, mv, closed: dict[str, int],
-              checks) -> ConstructionReport:
+def _assemble(n: int, case: str, mu, mv, hub_pendant: int,
+              closed: dict[str, int], checks) -> ConstructionReport:
     """Label friendship_corona(n, 1) with the rows of the n-column matrices
     ``mu`` and ``mv`` and check the induced weights.
 
     The labels are listed in the corona's edge order: the hub-u_i spokes
     (u row 2), the hub-v_i spokes (v row 2), the triangle edges u_i v_i
-    (u row 3), the hub's pendant edge (labelled with its pendant's weight,
-    ``closed["w_hub_pendant"]``), then the pendant edges of the u_i (u row
-    1) and of the v_i (v row 3).  Each ``(what, vertices, expected)`` in
-    ``checks`` requires the set of weights on ``vertices`` to equal
-    ``expected``.
+    (u row 3), the hub's pendant edge (labelled ``hub_pendant``), then the
+    pendant edges of the u_i (u row 1) and of the v_i (v row 3).  Each
+    ``(what, vertices, expected)`` in ``checks`` requires the set of
+    weights on ``vertices`` to equal ``expected``.
     """
     g = friendship_corona(n, 1)
-    cert = make_certificate(g, mu[1] + mv[1] + mu[2]
-                            + [closed["w_hub_pendant"]] + mu[0] + mv[2])
+    cert = make_certificate(g, mu[1] + mv[1] + mu[2] + [hub_pendant]
+                            + mu[0] + mv[2])
     _check_optimal(cert, n, f"{case} n={n} labeling")
     w = cert.weights
     for what, vertices, expected in checks:
@@ -190,7 +187,8 @@ def construct_odd(n: int) -> ConstructionReport:
         ("u-pendant", [x1 + b for b in u], _span(closed, "u")),
         ("v-pendant", [x1 + b for b in v], _span(closed, "v")),
     ]
-    return _assemble(n, "odd", *odd_matrices(n), closed, checks)
+    return _assemble(n, "odd", *odd_matrices(n), closed["w_hub_pendant"],
+                     closed, checks)
 
 
 def construct_even(n: int) -> ConstructionReport:
@@ -225,35 +223,32 @@ def construct_even(n: int) -> ConstructionReport:
         ("last u-pendant", [x1 + un], {closed["w_u_last_pendant"]}),
         ("last v-pendant", [x1 + vn], {closed["w_v_last_pendant"]}),
     ]
-    return _assemble(n, "even", *even_matrices(n), closed, checks)
+    return _assemble(n, "even", *even_matrices(n), closed["w_hub_pendant"],
+                     closed, checks)
 
 
-_FIXTURES = {2: "f2_o1_certificate.json", 4: "f4_o1_certificate.json"}
+# n -> (u-matrix, v-matrix, hub pendant label) for the n that fit neither
+# case's formulas; the column sums are 20/11 for n=2 and 46/21 for n=4
+_SMALL = {
+    2: ([[11, 10], [8, 6], [1, 4]], [[1, 4], [3, 2], [7, 5]], 9),
+    4: ([[16, 17, 18, 21], [19, 15, 20, 12], [11, 14, 8, 13]],
+        [[11, 14, 8, 13], [4, 2, 3, 1], [6, 5, 10, 7]], 9),
+}
 
 
 def construct_small(n: int) -> ConstructionReport:
-    """Certificate for n in {2, 4}, loaded from the bundled fixture and
-    re-verified."""
-    if n not in _FIXTURES:
+    """Labeling for n in {2, 4} with exactly 2n+3 colors, from the matrices
+    in ``_SMALL``."""
+    if n not in _SMALL:
         raise ValueError(f"small cases are n=2 and n=4, got {n}")
-    g = friendship_corona(n, 1)
-    fixture = resources.files("antimagic").joinpath("fixtures", _FIXTURES[n])
-    if not fixture.is_file():
-        raise ConstructionError(f"bundled certificate for n={n} is missing")
-    doc = json.loads(fixture.read_text())
-    cert = Certificate.from_doc(doc)
-    if not verify_certificate(cert, g):
-        raise ConstructionError(f"bundled certificate for n={n} failed "
-                                "re-verification")
-    _check_optimal(cert, n, f"small n={n} certificate")
-    return ConstructionReport(n, "small", g, cert, {}, frozenset(cert.weights))
+    return _assemble(n, "small", *_SMALL[n], {}, [])
 
 
 def construct(n: int) -> ConstructionReport:
     """Optimal labeling report for friendship(n) o K1, any n >= 2."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n in _FIXTURES:
+    if n in _SMALL:
         return construct_small(n)
     if n % 2:
         return construct_odd(n)

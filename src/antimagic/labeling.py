@@ -86,17 +86,12 @@ class Verdict(NamedTuple):
         if doc == "local-antimagic":
             return cls(True)
         if isinstance(doc, dict) and "violation" in doc:
-            return cls(False, int(doc["violation"]))
+            witness = doc["violation"]
+            if not _is_int(witness):
+                raise ValueError(
+                    f"verdict violation must be an integer, got {witness!r}")
+            return cls(False, witness)
         raise ValueError(f"unrecognized verdict {doc!r}")
-
-
-def is_local_antimagic(g: Graph, labels: Sequence[int]) -> Verdict:
-    return make_certificate(g, labels).verdict
-
-
-def color_count(g: Graph, labels: Sequence[int]) -> int:
-    """Number of distinct induced weights over all vertices."""
-    return make_certificate(g, labels).color_count
 
 
 class Certificate(NamedTuple):
@@ -120,10 +115,13 @@ class Certificate(NamedTuple):
     @classmethod
     def from_doc(cls, doc: dict) -> "Certificate":
         check_version(doc, "certificate")
-        labels, weights = doc["labels"], doc["weights"]
+        graph_hash, labels, weights = (doc["graph_hash"], doc["labels"],
+                                       doc["weights"])
+        if not isinstance(graph_hash, str):
+            raise ValueError("certificate graph_hash must be a string")
         if not isinstance(labels, list) or not isinstance(weights, list):
             raise ValueError("certificate labels and weights must be lists")
-        return cls(doc["graph_hash"], tuple(labels), tuple(weights),
+        return cls(graph_hash, tuple(labels), tuple(weights),
                    doc["color_count"], Verdict.from_doc(doc["verdict"]))
 
 

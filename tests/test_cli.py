@@ -517,6 +517,24 @@ def test_closed_stdout_pipe_exits_quietly():
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
+@pytest.mark.parametrize("case", ["cache-dir-is-a-file", "out-is-a-directory",
+                                  "labeling-is-a-directory"])
+def test_unusable_path_is_a_usage_error(c3_file, tmp_path, capsys, case):
+    # a path that cannot be read or written exits 2 with an error: line, not
+    # with a traceback and the exit code of a closed standard output
+    a_file, a_dir = tmp_path / "a-file", tmp_path / "a-dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    args = {"cache-dir-is-a-file": ["solve", str(c3_file),
+                                    "--cache-dir", str(a_file)],
+            "out-is-a-directory": ["gen", "cycle", "--n", "5",
+                                   "--out", str(a_dir)],
+            "labeling-is-a-directory": ["verify", str(c3_file),
+                                        str(a_dir)]}[case]
+    assert run(args) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_tampered_certificate(f2_file, tmp_path):
     cert_path = tmp_path / "cert.json"
     run(["label", str(f2_file), "--out", str(cert_path)])
@@ -561,6 +579,15 @@ MALFORMED_DOCS = {
     "certificate-labels-not-list": {
         "schema_version": 1, "graph_hash": "", "labels": 5, "weights": [],
         "color_count": 1, "verdict": "local-antimagic"},
+    "certificate-hash-null": {
+        "schema_version": 1, "graph_hash": None, "labels": [], "weights": [],
+        "color_count": 1, "verdict": "local-antimagic"},
+    "certificate-hash-number": {
+        "schema_version": 1, "graph_hash": 5, "labels": [], "weights": [],
+        "color_count": 1, "verdict": "local-antimagic"},
+    "certificate-violation-null": {
+        "schema_version": 1, "graph_hash": "", "labels": [], "weights": [],
+        "color_count": 1, "verdict": {"violation": None}},
 }
 
 

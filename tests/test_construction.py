@@ -206,15 +206,31 @@ def test_construct_even_rejects_small_and_odd():
         construct_odd(2)
 
 
-def test_construct_small_fixtures():
+def test_construct_small():
+    for n, u_sum, v_sum in ((2, 20, 11), (4, 46, 21)):
+        mu, mv = construction._SMALL[n][:2]
+        assert _column_sums(mu) == {u_sum} and _column_sums(mv) == {v_sum}
+        assert mv[0] == mu[2]  # the shared triangle edges
     rep2 = construct_small(2)
     assert rep2.certificate.color_count == 7
     assert rep2.colors == frozenset({5, 7, 9, 10, 11, 20, 28})
     rep4 = construct_small(4)
     assert rep4.certificate.color_count == 11
     assert rep4.colors == frozenset({5, 6, 7, 9, 10, 16, 17, 18, 21, 46, 85})
+    assert rep2.closed_forms == rep4.closed_forms == {}
     with pytest.raises(ValueError):
         construct_small(3)
+
+
+def test_small_labeling_check_fires(monkeypatch):
+    # swap the two spokes of the first triangle: u_1 and v_1 leave the
+    # column sums, and the labeling gets 9 colours instead of 7
+    mu, mv, hub_pendant = construction._SMALL[2]
+    mu, mv = [row.copy() for row in mu], [row.copy() for row in mv]
+    mu[1][0], mv[1][0] = mv[1][0], mu[1][0]
+    monkeypatch.setitem(construction._SMALL, 2, (mu, mv, hub_pendant))
+    with pytest.raises(ConstructionError, match="small n=2 labeling"):
+        construct(2)
 
 
 def test_construct_dispatcher():

@@ -1,7 +1,6 @@
 """The package surface: public names resolved on first use, the immutable
 result records, the solver's construction seed reached through a lazy
-import in a fresh process, the README's Python examples and CLI block, and
-the package data that ships the fixtures."""
+import in a fresh process, the README's Python examples and CLI block."""
 
 import doctest
 import importlib
@@ -167,15 +166,3 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     for name in ("f2.cert.json", "sweep.csv", "f2.dot"):
         assert (tmp_path / name).is_file(), name
 
-
-def test_package_data_globs_cover_every_fixture():
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        setuptools = tomllib.load(fh)["tool"]["setuptools"]
-    package = ROOT / "src" / "antimagic"
-    packaged = {path for pattern in setuptools["package-data"]["antimagic"]
-                for path in package.glob(pattern)}
-    fixtures = {path for path in (package / "fixtures").rglob("*")
-                if path.is_file()}
-    assert fixtures and fixtures <= packaged, sorted(
-        str(path.relative_to(package)) for path in fixtures - packaged)
