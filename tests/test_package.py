@@ -90,7 +90,8 @@ def test_records_are_immutable_values(record):
 
 def test_record_defaults_and_field_order():
     assert repr(SearchConfig()) == ("SearchConfig(time_budget=None, "
-                                    "node_budget=None, parallel_width=1)")
+                                    "node_budget=None)")
+    assert SearchConfig._fields == ("time_budget", "node_budget")
     assert Verdict(True) == Verdict(True, None)
     assert SearchOutcome("infeasible").nodes_explored == 0
     assert list(bound_report("fan-corona", 3, 1).to_doc()) == [
@@ -103,8 +104,10 @@ def test_record_defaults_and_field_order():
 
 
 def test_validating_records_check_keyword_and_positional_calls():
-    with pytest.raises(ValueError, match="parallel_width"):
-        SearchConfig(None, None, 0)
+    with pytest.raises(ValueError, match="node_budget"):
+        SearchConfig(None, 0)
+    with pytest.raises(TypeError):
+        SearchConfig(None, None, 1)  # a third field no longer exists
     with pytest.raises(ValueError, match="time_budget"):
         SearchConfig(time_budget=0)
     with pytest.raises(ValueError, match="exact value exceeds upper"):

@@ -1,4 +1,4 @@
-"""Branch-and-bound solver: exactness, budgets, pruning, symmetry, parallel."""
+"""Branch-and-bound solver: exactness, budgets, pruning, symmetry."""
 
 import itertools
 import math
@@ -165,7 +165,7 @@ def test_matches_naive_oracle(g):
     assert out.chi == naive_exact_chi_la(g)
 
 
-# -- determinism and parallel mode ----------------------------------------------
+# -- determinism ----------------------------------------------------------------
 
 def test_deterministic_repeat_runs():
     a = exact_chi_la(c3_o1())
@@ -173,49 +173,6 @@ def test_deterministic_repeat_runs():
     assert a.chi == b.chi
     assert a.certificate.labels == b.certificate.labels
     assert a.nodes_explored == b.nodes_explored
-
-
-def test_parallel_matches_sequential():
-    g = c3_o1()
-    seq = exact_chi_la(g, SearchConfig())
-    par = exact_chi_la(g, SearchConfig(parallel_width=2))
-    assert par.status == EXACT and par.chi == seq.chi
-    assert par.certificate.labels == seq.certificate.labels
-
-
-# every stripe visits the root; the merge counts it once
-@pytest.mark.parametrize("g, k", [(corona(cycle(3), null_graph(2)), 8),
-                                  (fan_corona(3, 1), 6),
-                                  (corona(complete(4), complete(1)), 6)],
-                         ids=["C3oO2", "F3oO1", "K4oK1"])
-def test_parallel_proof_counts_root_once(g, k):
-    seq = feasible_with_k_colors(g, k)
-    assert seq.status == INFEASIBLE
-    for width in (2, 3):
-        par = feasible_with_k_colors(g, k, SearchConfig(parallel_width=width))
-        assert par.status == INFEASIBLE
-        assert par.nodes_explored == seq.nodes_explored, width
-
-
-def test_seeded_parallel_step_starts_no_pool(monkeypatch):
-    import concurrent.futures
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a seeded step started a process pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    g = relabeled(friendship_corona(3, 1), seed=3)
-    out = feasible_with_k_colors(g, 9, SearchConfig(parallel_width=2))
-    assert out.status == FEASIBLE and out.nodes_explored == 0
-    assert verify_certificate(out.certificate, g)
-
-
-def test_parallel_budget_keeps_best_so_far():
-    g = fan_corona(3, 2)
-    out = exact_chi_la(g, SearchConfig(node_budget=20_000, parallel_width=2))
-    assert out.status == BUDGET_EXHAUSTED and out.chi is None
-    assert out.best_so_far.color_count == 12
-    assert verify_certificate(out.best_so_far, g)
 
 
 def test_symmetry_pairs_label_constraints():
@@ -442,9 +399,14 @@ def test_rejects_single_edge():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(parallel_width=0)
-    with pytest.raises(ValueError):
         SearchConfig(node_budget=-1)
+    # a NaN budget passes no comparison, so it would never fire
+    with pytest.raises(ValueError, match="time_budget"):
+        SearchConfig(time_budget=math.nan)
+    with pytest.raises(ValueError, match="node_budget"):
+        SearchConfig(node_budget=math.nan)
+    with pytest.raises(TypeError):
+        SearchConfig(parallel_width=2)  # removed: one search path
 
 
 # -- admissible pruning bound -----------------------------------------------------

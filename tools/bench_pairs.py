@@ -14,9 +14,11 @@ touched.  ``bench/run.py --workload W --seed S --seconds T
 --trace 0`` runs in the two exports in alternating pairs: the parent goes
 first in even pairs, the working tree in odd ones, so neither side always
 meets a warmer or colder host.  The output file holds each pair's end-to-end
-metrics and, per metric, each side's median and quartiles and the number of
-pairs the working tree read lower.  The temporary directories are removed
-afterwards.  Standard library only.
+metrics and, per metric, each side's median and quartiles, the number of
+pairs the working tree read lower, and the ratio of the two medians against
+the bound that ``BENCHMARK.json`` at the repository root sets for the
+metric.  The temporary directories are removed afterwards.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -49,10 +51,12 @@ def parse_result(stdout: str) -> dict:
             "metrics": metrics}
 
 
-def summarise(pairs: list[dict]) -> dict:
+def summarise(pairs: list[dict], bounds: dict[str, float]) -> dict:
     """Per metric and side, the median and quartiles over the pairs, and the
     pairs in which the change read lower (every end-to-end metric is
-    better lower); under ``failed``, each side's failed operations."""
+    better lower), the ratio of the change's median to the parent's and
+    whether it exceeds 1 + the metric's bound; under ``failed``, each side's
+    failed operations."""
     names = pairs[0]["parent"]["metrics"]
     out = {}
     for name in names:
@@ -68,10 +72,20 @@ def summarise(pairs: list[dict]) -> dict:
         entry["change_lower_in"] = sum(
             c < p for p, c in zip(values["parent"], values["change"]))
         entry["pairs"] = len(pairs)
+        entry["ratio"] = ratio = (entry["change"]["median"]
+                                  / entry["parent"]["median"])
+        entry["bound"] = bounds[name]
+        entry["over_bound"] = ratio > 1 + bounds[name]
         out[name] = entry
     out["failed"] = {side: sum(pair[side]["failed"] for pair in pairs)
                      for side in SIDES}
     return out
+
+
+def read_bounds(repo: Path) -> dict[str, float]:
+    """The end-to-end metrics' bounds from ``BENCHMARK.json``."""
+    doc = json.loads((repo / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -134,6 +148,7 @@ def main(argv=None) -> int:
 
     repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     head = _git(repo, "rev-parse", "HEAD")
+    bounds = read_bounds(repo)
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         roots = {side: tmp / side for side in SIDES}
@@ -153,8 +168,13 @@ def main(argv=None) -> int:
                       f"{pair['parent']['metrics'].get('pass_s')} -> "
                       f"{pair['change']['metrics'].get('pass_s')}",
                       file=sys.stderr)
-            workloads[workload] = {"pairs": pairs,
-                                   "summary": summarise(pairs)}
+            summary = summarise(pairs, bounds)
+            workloads[workload] = {"pairs": pairs, "summary": summary}
+            for name in bounds:
+                entry = summary[name]
+                print(f"{workload} {name}: x{entry['ratio']:.3f}, bound "
+                      f"{entry['bound']}, over: {entry['over_bound']}",
+                      file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     doc = {
