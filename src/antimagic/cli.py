@@ -24,17 +24,19 @@ Exit codes: 0 success, 1 standard output closed by its reader (as by
 ``| head``), 2 usage or domain error, 3 verification failure, 4 budget
 exhausted.
 
-The bounds module is loaded only by ``bounds`` and ``sweep``, the solver
-only by a ``solve`` or ``label`` that the cache cannot answer, and the
-construction module only for a graph with the size and degrees of a
-friendship corona with one pendant per vertex, so a ``solve`` of any other
-graph starts without them.
+``main`` builds the parser of the subcommand that its first argument names
+and no other; it builds all seven only when that argument names none (no
+argument, ``-h``, a typo), so that top-level help and usage errors list them
+all.  The bounds module is loaded only by ``bounds`` and ``sweep``, the
+solver only by a ``solve`` or ``label`` that the cache cannot answer,
+``fcntl`` only to write a record to the cache, and the construction module
+only for a graph with the size and degrees of a friendship corona with one
+pendant per vertex, so a ``solve`` of any other graph starts without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import fcntl
 import json
 import os
 import sys
@@ -47,7 +49,8 @@ from .graphs import (REPORT_FAMILIES, Graph, _friendship_o1_n, complete,
                      friendship_corona, null_graph, path)
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                        Certificate, GraphMismatchError, InvalidLabelingError,
-                       _check_k, make_certificate, verify_certificate)
+                       _check_k, _validate_instance, make_certificate,
+                       verify_certificate)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -136,6 +139,7 @@ def _cache_store(cache: Path, g: Graph, cert: Certificate,
         "certificate": cert.to_doc(),
         "created": _utc_now(),
     })
+    import fcntl  # here, so that a cache hit never loads it
     # one write of one line under the lock, so concurrent appends never
     # interleave; a torn tail line is skipped by _cache_lookup
     with open(cache / "cache.jsonl", "a") as fh:
@@ -200,7 +204,10 @@ def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
     cache = Path(args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE)
     target = args.target_colors
     if target is not None:
-        _check_k(g, target)  # before the cache, which would answer any k
+        # before the cache, which would answer any k; the graph first, so
+        # that a graph the solver refuses is named as such, not by its k range
+        _validate_instance(g)
+        _check_k(g, target)
     hit = _cache_lookup(cache, g)
     if hit is not None:
         cert, exact = hit
@@ -368,63 +375,87 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                         f"./{DEFAULT_CACHE})")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="antimagic",
-        description="Local antimagic labelings of corona-product graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a graph family instance")
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("label", help="produce a verified certificate")
+
+def _label_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph JSON file")
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("verify", help="check a labeling or certificate")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("labeling", help="labeling or certificate JSON file")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="exact search for the optimum")
+
+def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bounds", help="closed-form bound report")
-    p.add_argument("--family", required=True,
-                   choices=list(REPORT_FAMILIES))
+
+def _bounds_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, choices=list(REPORT_FAMILIES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=1)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("sweep", help="evaluate bound inequalities over a grid")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("target", choices=["friendship", "fan"])
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=50)
     p.add_argument("--m-min", type=int, default=1)
     p.add_argument("--m-max", type=int, default=50)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("export-dot", help="write Graphviz DOT")
+
+def _export_dot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--certificate", default=None,
                    help="overlay labels/weights from a certificate")
-    p.set_defaults(func=cmd_export_dot)
 
-    for p in sub.choices.values():
+
+# subcommand -> (help line, argument adder, handler), in the order that
+# top-level help lists them; every subcommand also takes --out
+_COMMANDS = {
+    "gen": ("generate a graph family instance", _gen_args, cmd_gen),
+    "label": ("produce a verified certificate", _label_args, cmd_label),
+    "verify": ("check a labeling or certificate", _verify_args, cmd_verify),
+    "solve": ("exact search for the optimum", _solve_args, cmd_solve),
+    "bounds": ("closed-form bound report", _bounds_args, cmd_bounds),
+    "sweep": ("evaluate bound inequalities over a grid", _sweep_args,
+              cmd_sweep),
+    "export-dot": ("write Graphviz DOT", _export_dot_args, cmd_export_dot),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``command`` alone, or with every
+    subparser when ``command`` names none of them (no argument, ``-h``, a
+    typo), so that top-level help and a bad command list them all."""
+    parser = argparse.ArgumentParser(
+        prog="antimagic",
+        description="Local antimagic labelings of corona-product graphs.")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a usage line printed once the subcommand has parsed (an unrecognised
+    # argument) names every subcommand, however many were built
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if len(names) > 1 else "{%s}" % ",".join(_COMMANDS))
+    for name in names:
+        help_line, add_args, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
         p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -345,7 +345,7 @@ def fan(n: int) -> Graph:
 def null_graph(m: int) -> Graph:
     """m isolated vertices."""
     if m < 1:
-        raise ValueError(f"null graph needs m >= 1, got {m}")
+        raise ValueError(f"null graph needs at least 1 vertex, got {m}")
     return Graph(m, [], family=f"null({m})")
 
 

@@ -136,6 +136,15 @@ def make_certificate(g: Graph, labels: Sequence[int]) -> Certificate:
                        len(set(w)), verdict)
 
 
+def _validate_instance(g: Graph) -> None:
+    """Reject a graph that the solver does not search: fewer than 2 edges,
+    or not connected."""
+    if g.q < 2:
+        raise ValueError("need a graph with at least 2 edges")
+    if not g.is_connected():
+        raise ValueError("need a connected graph")
+
+
 def _check_k(g: Graph, k: int) -> None:
     """Reject a query for at most k colours unless k is an int in 2..p."""
     if not (_is_int(k) and 2 <= k <= g.p):

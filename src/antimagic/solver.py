@@ -59,7 +59,8 @@ from typing import NamedTuple
 from .graphs import (Graph, _friendship_o1_n, _is_int, _isomorphism,
                      _refine, _triangular)
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
-                       Certificate, _check_k, make_certificate)
+                       Certificate, _check_k, _validate_instance,
+                       make_certificate)
 
 
 class _ConfigFields(NamedTuple):
@@ -100,13 +101,6 @@ class SearchOutcome(NamedTuple):
 
 class _BudgetHit(Exception):
     pass
-
-
-def _validate_instance(g: Graph) -> None:
-    if g.q < 2:
-        raise ValueError("need a graph with at least 2 edges")
-    if not g.is_connected():
-        raise ValueError("need a connected graph")
 
 
 # -- edge ordering ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command line flows run in process via cli.main()."""
 
+import argparse
 import csv
 import datetime
 import itertools
@@ -12,7 +13,8 @@ import pytest
 
 import antimagic
 from antimagic import graphs, jsonio, solver
-from antimagic.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from antimagic.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
+                           build_parser, main)
 from antimagic.construction import certificate_for
 from antimagic.graphs import Graph, friendship_corona
 from antimagic.labeling import (Certificate, make_certificate,
@@ -111,10 +113,87 @@ def test_unknown_family_exits_2():
     assert exc.value.code == 2
 
 
-def test_unknown_subcommand_exits_2():
+# each subcommand's help line and a typical call of it
+SUBCOMMANDS = {
+    "gen": ("generate a graph family instance",
+            ["friendship-corona", "--n", "3", "--m", "1", "--out", "g.json"]),
+    "label": ("produce a verified certificate",
+              ["g.json", "--target-colors", "7", "--node-budget", "100",
+               "--cache-dir", "c"]),
+    "verify": ("check a labeling or certificate",
+               ["g.json", "cert.json", "--out", "v.json"]),
+    "solve": ("exact search for the optimum",
+              ["g.json", "--time-budget", "2.5", "--cache-dir", "c"]),
+    "bounds": ("closed-form bound report",
+               ["--family", "fan-corona", "--n", "4"]),
+    "sweep": ("evaluate bound inequalities over a grid",
+              ["fan", "--n-max", "9", "--format", "json"]),
+    "export-dot": ("write Graphviz DOT",
+                   ["g.json", "--certificate", "cert.json"]),
+}
+USAGE = ("usage: antimagic [-h] {gen,label,verify,solve,bounds,sweep,"
+         "export-dot} ...\n")
+
+
+def _exit_text(capsys, parse):
+    """The exit code and the standard output and error of a parse that
+    exits."""
     with pytest.raises(SystemExit) as exc:
-        run(["frobnicate"])
-    assert exc.value.code == 2
+        parse()
+    return (exc.value.code, *capsys.readouterr())
+
+
+def test_top_level_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_text(capsys, lambda: run(["-h"]))
+    assert code == 0 and err == "" and out.startswith(USAGE)
+    listed = [line.split(None, 1) for line in out.splitlines()
+              if line.startswith("    ")]
+    assert listed == [[name, help_line]
+                      for name, (help_line, _argv) in SUBCOMMANDS.items()]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' "),
+    (["-x"], "the following arguments are required: command"),
+], ids=["no-argument", "unknown-command", "unknown-option"])
+def test_usage_error_names_every_subcommand(capsys, monkeypatch, argv,
+                                            message):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_text(capsys, lambda: run(argv))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(USAGE + "antimagic: error: " + message)
+
+
+def test_unrecognised_argument_after_a_subcommand_names_every_subcommand(
+        c3_file, capsys, monkeypatch):
+    # parsed with the solve subparser alone, reported in the top-level usage
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_text(
+        capsys, lambda: run(["solve", str(c3_file), "--bogus"]))
+    assert code == EXIT_USAGE and out == ""
+    assert err == USAGE + "antimagic: error: unrecognized arguments: --bogus\n"
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_one_subcommand_parser_parses_as_the_full_one(command, capsys):
+    argv = [command, *SUBCOMMANDS[command][1]]
+    one, full = build_parser(command), build_parser()
+    assert one.parse_args(argv) == full.parse_args(argv)
+    assert (_exit_text(capsys, lambda: one.parse_args([command, "-h"]))
+            == _exit_text(capsys, lambda: full.parse_args([command, "-h"])))
+
+
+def test_parser_for_a_subcommand_builds_that_one_alone():
+    def built(parser):
+        sub, = [action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert built(build_parser("solve")) == ["solve"]
+    assert built(build_parser()) == built(build_parser("nosuch")) \
+        == list(SUBCOMMANDS)
 
 
 def test_label_construction(f2_file, tmp_path):
@@ -220,7 +299,8 @@ def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
             "--out", str(out)]
     # a cold solve, then a cache hit, which does not load the solver either
     for cached, unused in ((False, UNUSED_BY_SOLVE),
-                           (True, UNUSED_BY_SOLVE + ("antimagic.solver",))):
+                           (True, UNUSED_BY_SOLVE + ("antimagic.solver",
+                                                     "fcntl"))):
         assert _run_fresh(unused, argv) == [EXIT_OK, []]
         assert read(out)["chi"] == 5
         assert read(out).get("cached", False) is cached
@@ -346,6 +426,21 @@ def test_out_of_range_target_is_refused_whatever_the_cache(c3_file, tmp_path,
                 "--out", str(tmp_path / "o.json")]) == EXIT_OK
     assert (cache / "cache.jsonl").read_text().count("\n") == 1
     refused()
+
+
+@pytest.mark.parametrize("command", ["solve", "label"])
+@pytest.mark.parametrize("target", [[], ["--target-colors", "2"]],
+                         ids=["exact", "target-2"])
+def test_graph_the_solver_refuses_is_named_before_k(tmp_path, capsys, command,
+                                                    target):
+    # K1 has one vertex and no edge: refused for its size, with or without
+    # a target, not for the empty range 2..1 of k
+    k1 = tmp_path / "k1.json"
+    assert run(["gen", "complete", "--n", "1", "--out", str(k1)]) == EXIT_OK
+    assert run([command, str(k1), "--cache-dir", str(tmp_path / "cache"),
+                *target]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: need a graph with at least 2 edges\n"
 
 
 @pytest.mark.parametrize("flag", [["--node-budget", "-5"],

@@ -168,10 +168,12 @@ def test_corona_family_names(make, family):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: friendship_corona(1, 1), "friendship graph needs n >= 2, got 1"),
-    (lambda: friendship_corona(2, 0), "null graph needs m >= 1, got 0"),
+    (lambda: friendship_corona(2, 0),
+     "null graph needs at least 1 vertex, got 0"),
     (lambda: friendship_corona(1, 0), "friendship graph needs n >= 2, got 1"),
     (lambda: fan_corona(1, 1), "fan graph needs n >= 2, got 1"),
-    (lambda: fan_corona(3, 0), "null graph needs m >= 1, got 0"),
+    (lambda: fan_corona(3, 0),
+     "null graph needs at least 1 vertex, got 0"),
 ], ids=["f1oO1", "f2oO0", "f1oO0", "F1oO1", "F3oO0"])
 def test_corona_family_domain_errors(make, message):
     with pytest.raises(ValueError) as exc:
