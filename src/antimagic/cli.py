@@ -6,7 +6,9 @@ verify (labeling/certificate checker), solve (exact search), bounds
 ``--target-colors``, ``label`` gives a copy of friendship_corona(n, 1) the
 paper's 2n+3 construction on its own numbering, with no search and no cache
 access (budget flags and ``--cache-dir`` go unused); any other call it
-answers as ``solve`` does, from the cache or the solver.
+answers as ``solve`` does, from the cache or the solver.  A graph the solver
+refuses (fewer than 2 edges, or not connected) is refused before the cache
+is read or created, with or without ``--target-colors``.
 
 ``gen`` and ``bounds`` take a family's ``--n`` and ``--m`` by one rule: a flag
 the family reads is required, a flag it fixes (n = 3 for c3-corona, m = 1 for
@@ -109,9 +111,10 @@ def _cache_lookup(cache: Path, g: Graph
                 continue  # torn write at the tail, or a blank line; ignore
             if isinstance(rec, dict) and rec.get("graph_hash") == key:
                 best = rec
-    if best is None or not isinstance(best.get("certificate"), dict):
-        return None  # no record, or an older one naming a certificate file
+    if best is None:
+        return None
     try:
+        # an older record naming a certificate file is refused by from_doc
         cert = Certificate.from_doc(best["certificate"])
         if not verify_certificate(cert, g):
             return None
@@ -199,28 +202,30 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
-    """Shared engine behind solve and label: the cache, then the solver."""
+def _solve(g: Graph, args) -> dict:
+    """Shared engine behind solve and label: the answer document, from the
+    cache or the solver."""
     cache = Path(args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE)
     target = args.target_colors
+    # before the cache, which would answer any k and whose directory a miss
+    # creates; the graph first, so that a graph the solver refuses is named
+    # as such, not by its k range
+    _validate_instance(g)
     if target is not None:
-        # before the cache, which would answer any k; the graph first, so
-        # that a graph the solver refuses is named as such, not by its k range
-        _validate_instance(g)
         _check_k(g, target)
     hit = _cache_lookup(cache, g)
     if hit is not None:
         cert, exact = hit
         if target is None:
             if exact is not None:
-                return EXIT_OK, {"status": EXACT, "chi": exact, "cached": True,
-                                 "certificate": cert.to_doc()}, cert
+                return {"status": EXACT, "chi": exact, "cached": True,
+                        "certificate": cert.to_doc()}
         elif cert.color_count <= target:
-            return EXIT_OK, {"status": FEASIBLE, "cached": True,
-                             "certificate": cert.to_doc()}, cert
+            return {"status": FEASIBLE, "cached": True,
+                    "certificate": cert.to_doc()}
         elif exact is not None:
-            return EXIT_OK, {"status": INFEASIBLE, "infeasible_k": target,
-                             "cached": True}, None
+            return {"status": INFEASIBLE, "infeasible_k": target,
+                    "cached": True}
     # before the search, so that an unusable cache directory is refused at
     # once; a hit never creates it
     cache.mkdir(parents=True, exist_ok=True)
@@ -235,27 +240,23 @@ def _solve(g: Graph, args) -> tuple[int, dict, Certificate | None]:
     doc = {"status": outcome.status,
            "nodes_explored": outcome.nodes_explored,
            "wall_time": round(outcome.wall_time, 6)}
-    cert = outcome.certificate
     if outcome.status == EXACT:
         doc["chi"] = outcome.chi
-        _cache_store(cache, g, cert, exact=outcome.chi)
-    elif outcome.status == FEASIBLE:
-        _cache_store(cache, g, cert, exact=None)
     elif outcome.status == INFEASIBLE:
         doc["infeasible_k"] = outcome.infeasible_k
     elif outcome.best_so_far is not None:
         doc["best_so_far_colors"] = outcome.best_so_far.color_count
-    if cert is not None:
-        doc["certificate"] = cert.to_doc()
-    code = EXIT_BUDGET if outcome.status == BUDGET_EXHAUSTED else EXIT_OK
-    return code, doc, cert
+    # an exact or feasible answer, the two that carry a certificate
+    if outcome.certificate is not None:
+        doc["certificate"] = outcome.certificate.to_doc()
+        _cache_store(cache, g, outcome.certificate, exact=outcome.chi)
+    return doc
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
-    code, doc, _cert = _solve(g, args)
+    doc = _solve(_load_graph(args.graph), args)
     _dump(doc, args.out)
-    return code
+    return EXIT_BUDGET if doc["status"] == BUDGET_EXHAUSTED else EXIT_OK
 
 
 def cmd_label(args) -> int:
@@ -266,17 +267,17 @@ def cmd_label(args) -> int:
         if cert is not None:
             _dump(cert.to_doc(), args.out)
             return EXIT_OK
-    code, doc, cert = _solve(g, args)
+    doc = _solve(g, args)
     # a proven-infeasible target leaves no certificate to write
     if doc["status"] == INFEASIBLE:
         k = doc["infeasible_k"]
         raise ValueError(f"no labeling with at most {k} colours exists "
                          f"(--target-colors {k} is proven infeasible)")
-    if cert is None:
+    if "certificate" not in doc:  # the budget ran out first
         _dump(doc, args.out)
         return EXIT_BUDGET
-    _dump(cert.to_doc(), args.out)
-    return code
+    _dump(doc["certificate"], args.out)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -363,7 +364,20 @@ def _positive(kind):
     return parse
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _gen_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=list(_FAMILIES))
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=int, default=None)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph")
+    p.add_argument("labeling", help="labeling or certificate JSON file")
+
+
+def _solve_args(p: argparse.ArgumentParser) -> None:
+    """The arguments of solve and label, which take the same ones."""
+    p.add_argument("graph", help="graph JSON file")
     p.add_argument("--target-colors", type=int, default=None,
                    help="feasibility mode: search for <= K colors")
     p.add_argument("--time-budget", type=_positive(float), default=None,
@@ -373,27 +387,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None,
                    help=f"certificate cache (default ${CACHE_ENV} or "
                         f"./{DEFAULT_CACHE})")
-
-
-def _gen_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", choices=list(_FAMILIES))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-
-
-def _label_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", help="graph JSON file")
-    _add_solver_flags(p)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    p.add_argument("labeling", help="labeling or certificate JSON file")
-
-
-def _solve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    _add_solver_flags(p)
 
 
 def _bounds_args(p: argparse.ArgumentParser) -> None:
@@ -421,7 +414,7 @@ def _export_dot_args(p: argparse.ArgumentParser) -> None:
 # top-level help lists them; every subcommand also takes --out
 _COMMANDS = {
     "gen": ("generate a graph family instance", _gen_args, cmd_gen),
-    "label": ("produce a verified certificate", _label_args, cmd_label),
+    "label": ("produce a verified certificate", _solve_args, cmd_label),
     "verify": ("check a labeling or certificate", _verify_args, cmd_verify),
     "solve": ("exact search for the optimum", _solve_args, cmd_solve),
     "bounds": ("closed-form bound report", _bounds_args, cmd_bounds),

@@ -383,7 +383,7 @@ def corona(g: Graph, h: Graph) -> Graph:
     a corona), at most one hub, and no two inner vertices with the same side
     and index.  Otherwise, as for an h with edges, copy vertex v is plain
     p_v, and a plain role p_v that g already gives one of its own vertices
-    is an error.
+    is refused by Graph as a duplicate role.
     """
     p = g.p * (1 + h.p)
     kinds = list(map(itemgetter(0), g.roles))
@@ -400,13 +400,6 @@ def corona(g: Graph, h: Graph) -> Graph:
         else VertexRole(PLAIN, "", start + j - 1)
         for (kind, side, i, _), start in zip(g.roles, starts)
         for j in range(1, h.p + 1)]
-    # a copy's role can only clash with a plain role of g
-    for v, role in enumerate(g.roles if PLAIN in kinds else ()):
-        i = role.i
-        if (role == (PLAIN, "", i, 0) and g.p <= i < p
-                and not (named and kinds[(i - g.p) // h.p] in (HUB, INNER))):
-            raise ValueError(f"vertex {v} has the plain role p{i}, which "
-                             f"the corona gives to copy vertex {i}")
     # one block per copy: h's edges, then the joins to the base (a = -1)
     block = list(h.edges) + [(-1, b) for b in range(h.p)]
     edges = list(g.edges) + [

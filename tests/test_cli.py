@@ -373,6 +373,27 @@ def test_label_solver_budget_exhaustion(tmp_path):
                 "--out", str(tmp_path / "o.json")]) == EXIT_BUDGET
 
 
+def test_budget_exhausted_answer_names_its_best_so_far(tmp_path):
+    # within 2,000 nodes F3oO2's exact descent finds 12 colours, not 10
+    f3_file = tmp_path / "f3.json"
+    assert run(["gen", "fan-corona", "--n", "3", "--m", "2",
+                "--out", str(f3_file)]) == EXIT_OK
+    cache = tmp_path / "cache"
+    docs = []
+    for command in ("solve", "label"):
+        out = tmp_path / f"{command}.json"
+        assert run([command, str(f3_file), "--node-budget", "2000",
+                    "--cache-dir", str(cache),
+                    "--out", str(out)]) == EXIT_BUDGET
+        doc = read(out)
+        del doc["wall_time"]
+        docs.append(doc)
+    assert docs[0] == docs[1] == {"status": "budget-exhausted",
+                                  "best_so_far_colors": 12,
+                                  "nodes_explored": 2001}
+    assert not (cache / "cache.jsonl").exists()
+
+
 def test_cache_record_is_stamped_in_iso_utc(c3_file, tmp_path):
     cache = tmp_path / "cache"
     before = datetime.datetime.now(datetime.timezone.utc)
@@ -434,13 +455,18 @@ def test_out_of_range_target_is_refused_whatever_the_cache(c3_file, tmp_path,
 def test_graph_the_solver_refuses_is_named_before_k(tmp_path, capsys, command,
                                                     target):
     # K1 has one vertex and no edge: refused for its size, with or without
-    # a target, not for the empty range 2..1 of k
-    k1 = tmp_path / "k1.json"
-    assert run(["gen", "complete", "--n", "1", "--out", str(k1)]) == EXIT_OK
-    assert run([command, str(k1), "--cache-dir", str(tmp_path / "cache"),
-                *target]) == EXIT_USAGE
-    assert capsys.readouterr().err == \
-        "error: need a graph with at least 2 edges\n"
+    # a target, not for the empty range 2..1 of k; 2K2, two disjoint edges,
+    # for not being connected.  Both before the cache is read or created.
+    cache = tmp_path / "cache"
+    for g, message in [
+            (graphs.complete(1), "need a graph with at least 2 edges"),
+            (Graph(4, [(0, 1), (2, 3)]), "need a connected graph")]:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(g.to_doc()))
+        assert run([command, str(path), "--cache-dir", str(cache),
+                    *target]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not cache.exists()
 
 
 @pytest.mark.parametrize("flag", [["--node-budget", "-5"],

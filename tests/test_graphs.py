@@ -142,8 +142,9 @@ def test_corona_names_the_plain_role_a_copy_would_repeat():
     g = Graph(2, [(0, 1)], [VertexRole(PLAIN, i=2), VertexRole(PLAIN, i=0)])
     with pytest.raises(ValueError) as exc:
         corona(g, path(2))
-    assert str(exc.value) == ("vertex 0 has the plain role p2, which the "
-                              "corona gives to copy vertex 2")
+    # copy vertex 2 of the corona is plain p2 too: Graph names the clash
+    assert str(exc.value) == ("duplicate role VertexRole(kind='plain', "
+                              "side='', i=2, j=0) on vertices 0 and 2")
     # a hub's copy is a named pendant, so a plain p3 beside it is no clash
     g = Graph(2, [(0, 1)], [VertexRole(HUB), VertexRole(PLAIN, i=3)])
     assert [r.name() for r in corona(g, null_graph(2)).roles] == [

@@ -293,6 +293,23 @@ def test_symmetry_pairs_match_oracle_structured(g):
     assert _first_edges_come_first(pairs, order)
 
 
+def test_symmetry_pairs_skip_edges_refinement_cannot_separate(monkeypatch):
+    # in the triangular prism colour refinement gives a triangle edge and a
+    # rung the same cell, so some candidate edges have no automorphism
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                      (0, 3), (1, 4), (2, 5)])
+    real, found = solver._isomorphism, []
+
+    def isomorphism(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    monkeypatch.setattr(solver, "_isomorphism", isomorphism)
+    pairs = symmetry_pairs(prism)
+    assert pairs == naive_symmetry_pairs(prism, _order_edges(prism))
+    assert len(found) == 6 and found.count(None) == 3
+
+
 def test_symmetry_ignores_vertex_roles():
     g = fan_corona(3, 1)
     tagged = exact_chi_la(g)
