@@ -2,13 +2,12 @@
 
 Subcommands: gen (family generators), label (a verified certificate),
 verify (labeling/certificate checker), solve (exact search), bounds
-(closed-form report), sweep (inequality audit as CSV), export-dot.  Without
-``--target-colors``, ``label`` gives a copy of friendship_corona(n, 1) the
-paper's 2n+3 construction on its own numbering, with no search and no cache
-access (budget flags and ``--cache-dir`` go unused); any other call it
-answers as ``solve`` does, from the cache or the solver.  A graph the solver
-refuses (fewer than 2 edges, or not connected) is refused before the cache
-is read or created, with or without ``--target-colors``.
+(closed-form report), sweep (inequality audit as CSV), export-dot.
+``label`` answers as ``solve`` does, from the cache or the solver, and
+writes the answer's certificate; on a copy of friendship_corona(n, 1) that
+is the paper's 2n+3 construction on the file's own numbering.  A graph the
+solver refuses (fewer than 2 edges, or not connected) is refused before the
+cache is read or created, with or without ``--target-colors``.
 
 ``gen`` and ``bounds`` take a family's ``--n`` and ``--m`` by one rule: a flag
 the family reads is required, a flag it fixes (n = 3 for c3-corona, m = 1 for
@@ -32,8 +31,9 @@ argument, ``-h``, a typo), so that top-level help and usage errors list them
 all.  The bounds module is loaded only by ``bounds`` and ``sweep``, the
 solver only by a ``solve`` or ``label`` that the cache cannot answer,
 ``fcntl`` only to write a record to the cache, and the construction module
-only for a graph with the size and degrees of a friendship corona with one
-pendant per vertex, so a ``solve`` of any other graph starts without them.
+only by the solver, for a graph with the size and degrees of a friendship
+corona with one pendant per vertex, so a ``solve`` of any other graph starts
+without them.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ import time
 from pathlib import Path
 
 from . import jsonio
-from .graphs import (REPORT_FAMILIES, Graph, _friendship_o1_n, complete,
-                     corona, cycle, fan, fan_corona, friendship,
-                     friendship_corona, null_graph, path)
+from .graphs import (REPORT_FAMILIES, Graph, complete, corona, cycle, fan,
+                     fan_corona, friendship, friendship_corona, null_graph,
+                     path)
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                        Certificate, GraphMismatchError, InvalidLabelingError,
                        _check_k, _validate_instance, make_certificate,
@@ -260,14 +260,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_label(args) -> int:
-    g = _load_graph(args.graph)
-    if args.target_colors is None and _friendship_o1_n(g) is not None:
-        from .construction import certificate_for
-        cert = certificate_for(g)
-        if cert is not None:
-            _dump(cert.to_doc(), args.out)
-            return EXIT_OK
-    doc = _solve(g, args)
+    doc = _solve(_load_graph(args.graph), args)
     # a proven-infeasible target leaves no certificate to write
     if doc["status"] == INFEASIBLE:
         k = doc["infeasible_k"]

@@ -236,7 +236,7 @@ class Graph:
         """GraphViz source; optional edge labels and per-vertex weights."""
         lines = ["graph G {"]
         for v, role in enumerate(self.roles):
-            text = role.name()
+            text = role.name().replace("\\", "\\\\").replace('"', '\\"')
             if weights is not None:
                 text += f"\\nw={weights[v]}"
             lines.append(f'  {v} [label="{text}"];')

@@ -7,9 +7,9 @@ flips, so an Infeasible outcome is always a proof by exhaustion.
 
 On any copy of friendship_corona(n, 1), whatever its numbering, the paper's
 construction, carried onto the graph's numbering and re-verified, is applied
-with 0 nodes before the first step whenever k >= 2n+3; the search then only
-has to prove that 2n+2 colours are too few, and the light-vertex term below
-closes that proof at the root.
+with 0 nodes before the first step whenever k >= 2n+3, and the bound below
+on the empty labeling, which the light-vertex term lifts to 2n+3, refutes
+every smaller k with 0 nodes: the exact answer builds no search plan.
 
 Pruning relies on six admissible observations:
 
@@ -612,21 +612,26 @@ def _descend(g: Graph, k: int, cfg: SearchConfig, once: bool
 
     On a copy of friendship_corona(n, 1) the construction's certificate,
     already verified by ``certificate_for``, is applied before the first
-    step when it has at most k colours.  The edge order, symmetry pairs and
-    cliques are computed at the first step that searches.
+    step when it has at most k colours, and a k below the bound on the
+    empty labeling is proven infeasible with 0 nodes, both before any budget
+    is checked.  The edge order, symmetry pairs and cliques are computed at
+    the first step that searches.
     """
     start = time.monotonic()
     deadline = None if cfg.time_budget is None else start + cfg.time_budget
     best: Certificate | None = None
+    root = 0
     if _friendship_o1_n(g) is not None:
         from .construction import certificate_for
         seed = certificate_for(g)
-        if seed is not None and seed.color_count <= k:
-            best, k = seed, seed.color_count - 1
+        if seed is not None:
+            root = lower_bound_prune(g, [0] * g.q)
+            if seed.color_count <= k:
+                best, k = seed, seed.color_count - 1
     nodes = 0
-    proven = False
+    proven = k < root  # the bound on the empty labeling refutes k
     plan = None
-    while best is None or not once and best.color_count > 2:
+    while not proven and (best is None or not once and best.color_count > 2):
         node_left = None
         if cfg.node_budget is not None:
             node_left = cfg.node_budget - nodes
@@ -668,10 +673,11 @@ def feasible_with_k_colors(g: Graph, k: int, cfg: SearchConfig | None = None
 
     Feasible carries a certificate; Infeasible is proven by exhausting the
     (symmetry-reduced) search space.  On a copy of friendship_corona(n, 1)
-    with k >= 2n+3 the certificate is the construction's, applied before
-    the step with 0 nodes.  Otherwise the call is one step of the descent
-    that ``exact_chi_la`` runs, and a time budget spent before the step
-    starts reports budget-exhausted with 0 nodes.
+    the answer takes 0 nodes whatever the budgets: with k >= 2n+3 the
+    certificate is the construction's, and a smaller k is refuted by the
+    bound on the empty labeling.  Otherwise the call is one step of the
+    descent that ``exact_chi_la`` runs, and a time budget spent before the
+    step starts reports budget-exhausted with 0 nodes.
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)
@@ -687,10 +693,9 @@ def exact_chi_la(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     certificate's colour count, until an exhaustive Infeasible answer pins
     the minimum.  Budgets cover the whole descent, and ``nodes_explored``
     is the sum of the steps' nodes.  On a copy of friendship_corona(n, 1)
-    the descent starts from the construction's 2n+3 labeling, applied with
-    0 nodes before any budget is checked, so the search only proves 2n+2
-    infeasible, and a spent budget still returns that labeling as the best
-    so far.
+    the answer is exact 2n+3 with 0 nodes whatever the budgets: the
+    construction's labeling meets the bound on the empty labeling, and
+    no search plan is built.
     """
     cfg = cfg or SearchConfig()
     _validate_instance(g)

@@ -13,8 +13,8 @@ import pytest
 
 import antimagic
 from antimagic import graphs, jsonio, solver
-from antimagic.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
-                           build_parser, main)
+from antimagic.cli import (CACHE_ENV, EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
+                           EXIT_VERIFY, build_parser, main)
 from antimagic.construction import certificate_for
 from antimagic.graphs import Graph, friendship_corona
 from antimagic.labeling import (Certificate, make_certificate,
@@ -30,6 +30,13 @@ def run(args):
 def read(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+@pytest.fixture(autouse=True)
+def _default_cache(tmp_path, monkeypatch):
+    """A call without --cache-dir caches in the test's own directory, not in
+    the working directory."""
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "env-cache"))
 
 
 @pytest.fixture()
@@ -205,20 +212,24 @@ def test_label_construction(f2_file, tmp_path):
     assert run(["verify", str(f2_file), str(cert_path)]) == EXIT_OK
 
 
-@pytest.mark.parametrize("flag", [["--time-budget", "1"],
-                                  ["--node-budget", "7"],
+@pytest.mark.parametrize("flag", [["--time-budget", "1e-9"],
+                                  ["--node-budget", "1"],
                                   ["--cache-dir", "cache"]],
                          ids=lambda flag: flag[0])
 def test_label_construction_ignores_budget_flags(f2_file, tmp_path, flag,
                                                  capsys, monkeypatch):
-    # no search runs, so there is nothing to limit and nothing to cache
+    # the construction's labeling and the bound on the empty labeling answer
+    # before any budget is checked, so no budget changes the certificate;
+    # each answer is cached, in --cache-dir when it is given
     monkeypatch.chdir(tmp_path)
-    assert run(["label", str(f2_file)]) == EXIT_OK
+    assert run(["label", str(f2_file), "--cache-dir", "plain"]) == EXIT_OK
     plain = capsys.readouterr().out
     assert run(["label", str(f2_file), *flag]) == EXIT_OK
     assert capsys.readouterr().out == plain
     assert json.loads(plain)["color_count"] == 7
-    assert sorted(os.listdir(tmp_path)) == ["f2.json"]
+    flagged = flag[1] if flag[0] == "--cache-dir" else "env-cache"
+    for cache in ("plain", flagged):
+        assert (tmp_path / cache / "cache.jsonl").read_text().count("\n") == 1
 
 
 def test_label_target_on_friendship_o1_goes_to_the_solver(f2_file, tmp_path):
@@ -254,8 +265,8 @@ def test_label_construction_accepts_any_numbering(tmp_path):
 
 def test_label_construction_rejects_other_graphs(tmp_path):
     # the order, size and degrees of friendship_corona(2, 1), but no
-    # triangle: the construction turns it away, so the solver answers it and
-    # caches the answer, which the construction never does
+    # triangle: the construction turns it away, so the solver answers it by
+    # a search, with no seed, and caches the answer as it caches every one
     g = Graph(10, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 4), (2, 4),
                    (3, 4), (1, 7), (2, 8), (3, 9)])
     assert certificate_for(g) is None
@@ -306,20 +317,39 @@ def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
         assert read(out).get("cached", False) is cached
 
 
-def test_label_process_constructs_without_solver_or_cache(tmp_path):
+def test_label_process_caches_the_construction(tmp_path):
     # a relabeled copy of f2oO1, no target: the construction's certificate
-    # on the file's own numbering, with no solver loaded and no cache written
+    # on the file's own numbering, cached as solve caches it; a second label
+    # is a cache hit, which loads neither the solver nor the construction
     g = relabeled(friendship_corona(2, 1), seed=3)
     path = tmp_path / "permuted.json"
     path.write_text(json.dumps(g.to_doc()))
     out = tmp_path / "cert.json"
     cache = tmp_path / "cache"
     argv = ["label", str(path), "--cache-dir", str(cache), "--out", str(out)]
-    unused = ["antimagic.solver", "antimagic.bounds", "concurrent.futures"]
-    assert _run_fresh(unused, argv) == [EXIT_OK, []]
-    cert = Certificate.from_doc(read(out))
-    assert cert.color_count == 7 and verify_certificate(cert, g)
-    assert not cache.exists()
+    unused = ("antimagic.bounds", "concurrent.futures")
+    for hit in (unused, unused + ("antimagic.solver",
+                                  "antimagic.construction", "fcntl")):
+        assert _run_fresh(hit, argv) == [EXIT_OK, []]
+        assert read(out) == certificate_for(g).to_doc()
+        assert (cache / "cache.jsonl").read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_label_and_solve_agree_on_friendship_o1(n, tmp_path):
+    g_file = tmp_path / "g.json"
+    assert run(["gen", "friendship-corona", "--n", str(n), "--m", "1",
+                "--out", str(g_file)]) == EXIT_OK
+    docs = {}
+    for command in ("label", "solve"):
+        docs[command] = tmp_path / f"{command}.json"
+        assert run([command, str(g_file), "--cache-dir",
+                    str(tmp_path / command), "--out",
+                    str(docs[command])]) == EXIT_OK
+    solved = read(docs["solve"])
+    assert solved["status"] == "exact" and solved["chi"] == 2 * n + 3
+    assert solved["nodes_explored"] == 0
+    assert read(docs["label"]) == solved["certificate"]
 
 
 @pytest.mark.parametrize("command", ["solve", "label"])
@@ -643,7 +673,7 @@ def test_concurrent_solves_share_one_cache(c3_file, tmp_path):
 
 
 def test_solve_budget_exhaustion(tmp_path):
-    # f2oO1 closes in 1 node; F4oO1's exact solve takes 394
+    # f2oO1 closes with 0 nodes; F4oO1's exact solve takes 394
     f4_file = tmp_path / "f4.json"
     assert run(["gen", "fan-corona", "--n", "4", "--m", "1",
                 "--out", str(f4_file)]) == EXIT_OK

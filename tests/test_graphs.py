@@ -371,6 +371,16 @@ def test_dot_export_mentions_roles():
     assert "u1" in dot and "--" in dot
 
 
+def test_dot_export_escapes_vertex_names():
+    # a role's side comes from the graph file: a quote in it must not close
+    # the label and add an attribute, and a backslash must not escape one
+    doc = path(2).to_doc()
+    doc["roles"][0] = {"kind": INNER, "side": 'a"] [x="1\\', "i": 1}
+    lines = Graph.from_doc(doc).to_dot(weights=[5, 6]).splitlines()
+    assert lines[1] == r'  0 [label="a\"] [x=\"1\\1\nw=5"];'
+    assert lines[2] == r'  1 [label="w2\nw=6"];'
+
+
 # sha256 of (p, edges, role docs, content hash) for each graph below,
 # recorded before vertex roles became named tuples
 GOLDEN_GRAPHS_SHA256 = \

@@ -60,8 +60,9 @@ def test_f2_exact(f2_graph, f2_exact_outcome):
     assert out.status == EXACT and out.chi == 7
     assert verify_certificate(out.certificate, f2_graph)
     # 23,926 before the clique term, 8,546 before the light-vertex term,
-    # which proves 6 colours too few at the root (lower_bound_prune is 7)
-    assert out.nodes_explored == 1 and out.wall_time >= 0.0
+    # which proves 6 colours too few at the root (lower_bound_prune is 7);
+    # 1 while that proof still ran the search, which closed at its root
+    assert out.nodes_explored == 0 and out.wall_time >= 0.0
 
 
 # Node counts are deterministic; a change that moves one must say why.  The
@@ -119,6 +120,32 @@ def test_f2_seven_colors_answered_by_construction(f2_graph):
     assert out.status == FEASIBLE and out.nodes_explored == 0
     assert out.certificate.color_count == 7
     assert verify_certificate(out.certificate, f2_graph)
+
+
+@pytest.mark.parametrize("g, n", [(friendship_corona(2, 1), 2),
+                                  (friendship_corona(3, 1), 3),
+                                  (friendship_corona(10, 1), 10),
+                                  (friendship_corona(40, 1), 40),
+                                  (relabeled(friendship_corona(3, 1), seed=5),
+                                   3)],
+                         ids=["f2oO1", "f3oO1", "f10oO1", "f40oO1",
+                              "relabeled-f3oO1"])
+def test_friendship_o1_closes_at_the_root_bound(g, n, monkeypatch):
+    # the construction meets the bound on the empty labeling, so neither
+    # the exact answer nor the refutation of 2n+2 builds a search plan
+    def refuse(*args, **kwargs):
+        raise AssertionError("a seeded friendship corona reached the search")
+
+    monkeypatch.setattr(solver, "symmetry_pairs", refuse)
+    monkeypatch.setattr(solver, "_search", refuse)
+    assert lower_bound_prune(g, [None] * g.q) == 2 * n + 3
+    out = exact_chi_la(g)
+    assert out.status == EXACT and out.chi == 2 * n + 3
+    assert out.nodes_explored == 0
+    assert verify_certificate(out.certificate, g)
+    out = feasible_with_k_colors(g, 2 * n + 2)
+    assert out.status == INFEASIBLE and out.infeasible_k == 2 * n + 2
+    assert out.nodes_explored == 0
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -323,7 +350,7 @@ def test_symmetry_ignores_vertex_roles():
 # -- budgets --------------------------------------------------------------------
 
 def test_node_budget_exhaustion():
-    # f2oO1 closes in 1 node; F4oO1's exact solve takes 394
+    # f2oO1 closes with 0 nodes; F4oO1's exact solve takes 394
     out = exact_chi_la(fan_corona(4, 1), SearchConfig(node_budget=10))
     assert out.status == BUDGET_EXHAUSTED
     assert out.chi is None
@@ -351,11 +378,14 @@ def test_time_budget_stops_search_at_a_deadline_check():
 
 
 def test_time_budget_exhaustion(f2_graph):
-    # the construction's labeling is applied before any budget is checked
+    # the construction's labeling and the bound on the empty labeling, which
+    # refutes 6, both answer before any budget is checked
     out = exact_chi_la(f2_graph, SearchConfig(time_budget=1e-9))
-    assert out.status == BUDGET_EXHAUSTED
-    assert out.best_so_far.color_count == 7
-    assert verify_certificate(out.best_so_far, f2_graph)
+    assert out.status == EXACT and out.chi == 7
+    assert out.nodes_explored == 0 and out.best_so_far is None
+    assert verify_certificate(out.certificate, f2_graph)
+    out = exact_chi_la(c3_o1(), SearchConfig(time_budget=1e-9))
+    assert out.status == BUDGET_EXHAUSTED and out.nodes_explored == 0
 
 
 def test_spent_time_budget_stops_feasibility_before_its_step():
