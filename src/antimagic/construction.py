@@ -111,7 +111,11 @@ class ConstructionReport(NamedTuple):
     graph: Graph
     certificate: Certificate
     closed_forms: dict[str, int]
-    colors: frozenset[int]
+
+    @property
+    def colors(self) -> frozenset[int]:
+        """The distinct weights, read off the certificate."""
+        return frozenset(self.certificate.weights)
 
 
 def chi_la_friendship_o1(n: int) -> int:
@@ -161,7 +165,7 @@ def _assemble(n: int, case: str, mu, mv, hub_pendant: int,
         got = {w[x] for x in vertices}
         _check(got == expected, f"{case} n={n} {what} weights {sorted(got)} "
                                 f"!= {sorted(expected)}")
-    return ConstructionReport(n, case, g, cert, closed, frozenset(w))
+    return ConstructionReport(n, case, g, cert, closed)
 
 
 def construct_odd(n: int) -> ConstructionReport:

@@ -97,7 +97,15 @@ def _triangular(k: int) -> int:
 
 
 class Graph:
-    """Immutable simple undirected graph with 0-based dense indices."""
+    """Immutable simple undirected graph with 0-based dense indices.
+
+    A graph stores its order ``p``, its size ``q``, ``edges`` (each pair
+    ``(a, b)`` with ``a < b``, in index order), one ``roles`` entry per
+    vertex and its ``family`` name.  What can be derived from these is
+    built on the first query that needs it and kept: the adjacency and
+    degrees (``neighbors``, ``degree``, ``degrees``, ``is_connected``),
+    the edge index (``edge_index``) and the content hash.
+    """
 
     __slots__ = ("p", "q", "edges", "roles", "family", "_adj", "_edge_index",
                  "_hash", "_degrees")
@@ -107,8 +115,8 @@ class Graph:
             raise ValueError(f"graph order {p!r} is not an integer")
         if p < 1:
             raise ValueError("graph order must be at least 1")
-        index = {}  # edge -> position, also the duplicate check
-        for pos, e in enumerate(edges):
+        index = {}  # the edges in order, as keys: the duplicate check
+        for e in edges:
             try:
                 a, b = e
             except (TypeError, ValueError):
@@ -124,7 +132,7 @@ class Graph:
             key = (a, b) if a < b else (b, a)
             if key in index:
                 raise ValueError(f"duplicate edge {key}")
-            index[key] = pos
+            index[key] = None
         self.p = p
         self.q = len(index)
         self.edges = tuple(index)
@@ -142,9 +150,8 @@ class Graph:
                 role_index[role] = v
         self.roles = roles
         self.family = family
-        self._adj = self._degrees = None  # built by the first query
-        self._edge_index = index
-        self._hash = None
+        # built by the first query that needs them
+        self._adj = self._degrees = self._edge_index = self._hash = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -171,6 +178,8 @@ class Graph:
         return self._degrees
 
     def edge_index(self, a: int, b: int) -> int:
+        if self._edge_index is None:
+            self._edge_index = {e: i for i, e in enumerate(self.edges)}
         key = (a, b) if a < b else (b, a)
         try:
             return self._edge_index[key]

@@ -121,8 +121,12 @@ class Certificate(NamedTuple):
             raise ValueError("certificate graph_hash must be a string")
         if not isinstance(labels, list) or not isinstance(weights, list):
             raise ValueError("certificate labels and weights must be lists")
-        return cls(graph_hash, tuple(labels), tuple(weights),
-                   doc["color_count"], Verdict.from_doc(doc["verdict"]))
+        color_count = doc["color_count"]
+        if not (_is_int(color_count) and all(map(_is_int, weights))):
+            raise ValueError(
+                "certificate weights and color_count must be integers")
+        return cls(graph_hash, tuple(labels), tuple(weights), color_count,
+                   Verdict.from_doc(doc["verdict"]))
 
 
 def make_certificate(g: Graph, labels: Sequence[int]) -> Certificate:

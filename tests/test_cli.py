@@ -16,7 +16,8 @@ from antimagic import graphs, jsonio, solver
 from antimagic.cli import (CACHE_ENV, EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
                            EXIT_VERIFY, build_parser, main)
 from antimagic.construction import certificate_for
-from antimagic.graphs import Graph, friendship_corona
+from antimagic.graphs import (Graph, corona, cycle, friendship_corona,
+                              null_graph)
 from antimagic.labeling import (Certificate, make_certificate,
                                 verify_certificate)
 from antimagic.solver import exact_chi_la
@@ -582,7 +583,8 @@ def _swap_first_and_last(doc):
     _swap_first_and_last,
     lambda doc: doc.pop("weights"),
     lambda doc: doc.update(labels="1 2 3 4 5 6"),
-], ids=["swapped-labels", "no-weights", "labels-a-string"])
+    lambda doc: doc.update(weights=list(map(float, doc["weights"]))),
+], ids=["swapped-labels", "no-weights", "labels-a-string", "float-weights"])
 def test_cached_certificate_that_fails_to_reverify_is_a_miss(c3_file, tmp_path,
                                                             spoil):
     g = Graph.from_doc(read(c3_file))
@@ -773,6 +775,13 @@ def test_verify_bare_labeling(c3_file, tmp_path):
     assert (doc["verdict"] == "local-antimagic") is doc["ok"]
 
 
+def _c3_certificate_doc(**changes):
+    """A 5-colour certificate of C3 o O1, the graph in c3_file, with
+    ``changes`` written over its fields."""
+    g = corona(cycle(3), null_graph(1))
+    return {**make_certificate(g, [2, 5, 3, 1, 4, 6]).to_doc(), **changes}
+
+
 MALFORMED_DOCS = {
     "list": [1, 2, 3, 4, 5, 6],
     "string": "verdict",
@@ -791,6 +800,13 @@ MALFORMED_DOCS = {
     "certificate-violation-null": {
         "schema_version": 1, "graph_hash": "", "labels": [], "weights": [],
         "color_count": 1, "verdict": {"violation": None}},
+    # each equals the true certificate (6.0 == 6 and True == 1 in Python), so
+    # only a type check refuses it
+    "certificate-weight-float": _c3_certificate_doc(
+        weights=[6.0, 11.0, 14.0, 1.0, 4.0, 6.0]),
+    "certificate-weight-bool": _c3_certificate_doc(
+        weights=[6, 11, 14, True, 4, 6]),
+    "certificate-count-float": _c3_certificate_doc(color_count=5.0),
 }
 
 

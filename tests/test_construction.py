@@ -242,6 +242,13 @@ def test_construct_dispatcher():
         construct(1)
 
 
+def test_colors_are_read_off_the_certificate():
+    for n in range(2, 41):
+        report = construct(n)
+        assert report.colors == frozenset(report.certificate.weights)
+        assert len(report.colors) == 2 * n + 3
+
+
 def test_chi_la_closed_form():
     assert chi_la_friendship_o1(2) == 7
     assert chi_la_friendship_o1(3) == 9

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antimagic.construction import construct
 from antimagic.graphs import (HUB, HUB_PENDANT, INNER, PENDANT, PLAIN,
                               Graph, VertexRole, complete, corona, cycle,
                               fan, fan_corona, friendship, friendship_corona,
                               null_graph, path)
+from antimagic.labeling import verify_certificate
 
 
 def test_friendship_sizes():
@@ -279,6 +281,36 @@ def test_neighbors_and_edge_index():
     assert g.edges[e] in ((0, 1), (1, 0))
     with pytest.raises(KeyError):
         g.edge_index(0, 2)
+
+
+def _verified_construction_graph(n):
+    """construct(n)'s graph once its certificate has re-verified: neither
+    step asks for adjacency or the edge index."""
+    report = construct(n)
+    assert verify_certificate(report.certificate, report.graph)
+    assert report.graph._adj is None
+    return report.graph
+
+
+# graphs that have not yet answered an edge_index call
+UNINDEXED = {
+    "friendship-corona-5-2": lambda: friendship_corona(5, 2),
+    "from-doc-copy": lambda: Graph.from_doc(friendship_corona(5, 2).to_doc()),
+    "construct-7-verified": lambda: _verified_construction_graph(7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNINDEXED))
+def test_edge_index_is_built_on_first_call(name):
+    g = UNINDEXED[name]()
+    assert g._edge_index is None
+    for i, (a, b) in enumerate(g.edges):
+        assert g.edge_index(a, b) == g.edge_index(b, a) == i
+    edges = set(g.edges)
+    a, b = next((a, b) for a in range(g.p) for b in range(a + 1, g.p)
+                if (a, b) not in edges)
+    with pytest.raises(KeyError, match=f"no edge between {b} and {a}"):
+        g.edge_index(b, a)
 
 
 def test_connectivity():

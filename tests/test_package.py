@@ -100,7 +100,7 @@ def test_record_defaults_and_field_order():
     assert Certificate._fields == ("graph_hash", "labels", "weights",
                                    "color_count", "verdict")
     assert ConstructionReport._fields == ("n", "case", "graph", "certificate",
-                                          "closed_forms", "colors")
+                                          "closed_forms")
 
 
 def test_validating_records_check_keyword_and_positional_calls():
