@@ -25,10 +25,10 @@ _EXPORTS = {
                "path"),
     "labeling": ("BUDGET_EXHAUSTED", "Certificate", "EXACT", "FEASIBLE",
                  "GraphMismatchError", "INFEASIBLE", "InvalidLabelingError",
-                 "Verdict", "make_certificate", "validate_labeling",
-                 "verify_certificate", "weights"),
-    "solver": ("SearchConfig", "SearchOutcome", "exact_chi_la",
-               "feasible_with_k_colors", "lower_bound_prune"),
+                 "SearchConfig", "Verdict", "make_certificate",
+                 "validate_labeling", "verify_certificate", "weights"),
+    "solver": ("SearchOutcome", "exact_chi_la", "feasible_with_k_colors",
+               "lower_bound_prune"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

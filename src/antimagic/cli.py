@@ -5,9 +5,10 @@ verify (labeling/certificate checker), solve (exact search), bounds
 (closed-form report), sweep (inequality audit as CSV), export-dot.
 ``label`` answers as ``solve`` does, from the cache or the solver, and
 writes the answer's certificate; on a copy of friendship_corona(n, 1) that
-is the paper's 2n+3 construction on the file's own numbering.  A graph the
-solver refuses (fewer than 2 edges, or not connected) is refused before the
-cache is read or created, with or without ``--target-colors``.
+is the paper's 2n+3 construction on the file's own numbering.  A budget
+that is not positive, and a graph the solver refuses (fewer than 2 edges,
+or not connected), are refused before the cache is read or created, with
+or without ``--target-colors``.
 
 ``gen`` and ``bounds`` take a family's ``--n`` and ``--m`` by one rule: a flag
 the family reads is required, a flag it fixes (n = 3 for c3-corona, m = 1 for
@@ -51,8 +52,8 @@ from .graphs import (REPORT_FAMILIES, Graph, complete, corona, cycle, fan,
                      path)
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                        Certificate, GraphMismatchError, InvalidLabelingError,
-                       _check_k, _validate_instance, make_certificate,
-                       verify_certificate)
+                       SearchConfig, _check_k, _validate_instance,
+                       make_certificate, verify_certificate)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -207,9 +208,11 @@ def _solve(g: Graph, args) -> dict:
     cache or the solver."""
     cache = Path(args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE)
     target = args.target_colors
-    # before the cache, which would answer any k and whose directory a miss
-    # creates; the graph first, so that a graph the solver refuses is named
-    # as such, not by its k range
+    # before the cache, which would answer any budget and any k and whose
+    # directory a miss creates; the graph before k, so that a graph the
+    # solver refuses is named as such, not by its k range
+    cfg = SearchConfig(time_budget=args.time_budget,
+                       node_budget=args.node_budget)
     _validate_instance(g)
     if target is not None:
         _check_k(g, target)
@@ -230,9 +233,7 @@ def _solve(g: Graph, args) -> dict:
     # once; a hit never creates it
     cache.mkdir(parents=True, exist_ok=True)
     # loaded only here, so that a cache hit never compiles the solver
-    from .solver import SearchConfig, exact_chi_la, feasible_with_k_colors
-    cfg = SearchConfig(time_budget=args.time_budget,
-                       node_budget=args.node_budget)
+    from .solver import exact_chi_la, feasible_with_k_colors
     if target is None:
         outcome = exact_chi_la(g, cfg)
     else:
@@ -345,18 +346,6 @@ def cmd_export_dot(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _positive(kind):
-    """An argparse type: a ``kind`` above 0, checked while parsing, so that
-    a budget is refused even when the cache answers."""
-    def parse(text: str):
-        value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return value
-    parse.__name__ = kind.__name__  # argparse names it in "invalid ..." errors
-    return parse
-
-
 def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--n", type=int, default=None)
@@ -373,9 +362,9 @@ def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--target-colors", type=int, default=None,
                    help="feasibility mode: search for <= K colors")
-    p.add_argument("--time-budget", type=_positive(float), default=None,
+    p.add_argument("--time-budget", type=float, default=None,
                    help="wall-clock budget in seconds")
-    p.add_argument("--node-budget", type=_positive(int), default=None,
+    p.add_argument("--node-budget", type=int, default=None,
                    help="search node budget")
     p.add_argument("--cache-dir", default=None,
                    help=f"certificate cache (default ${CACHE_ENV} or "

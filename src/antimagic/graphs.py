@@ -287,8 +287,6 @@ def _isomorphism(adj, left, right, other=None) -> list[int] | None:
     if other is None:
         other = adj
     p = len(adj)
-    if len(other) != p:
-        return None
     double = list(adj) + [[u + p for u in ns] for ns in other]
 
     def search(colours):
@@ -299,7 +297,7 @@ def _isomorphism(adj, left, right, other=None) -> list[int] | None:
         split = None
         for c in sorted(cells):
             ls, rs = cells[c]
-            if len(ls) != len(rs):
+            if len(ls) != len(rs):  # so too when the orders differ
                 return None
             if split is None and len(ls) > 1:
                 split = ls[0], rs

@@ -5,6 +5,11 @@ weight of a vertex is the sum of the labels on its incident edges.  The
 labeling is *local antimagic* when every pair of adjacent vertices gets
 distinct weights, so the weights form a proper vertex coloring.  All
 arithmetic is exact integer arithmetic.
+
+The module also holds the contract of a colour-count query, which the CLI
+checks before its cache is read, so that a cache hit never loads the
+solver: the status names of an answer, the rules on the instance and on k,
+and the budgets (``SearchConfig``).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from .graphs import Graph, _is_int
 from .jsonio import check_version, stamp
 
 # how a colour-count query was answered; the solver returns these, and the
-# CLI also reads them on a cache hit, which never loads the solver
+# CLI also reads them on a cache hit
 EXACT = "exact"
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -153,6 +158,32 @@ def _check_k(g: Graph, k: int) -> None:
     """Reject a query for at most k colours unless k is an int in 2..p."""
     if not (_is_int(k) and 2 <= k <= g.p):
         raise ValueError(f"k must be in 2..{g.p}, got {k!r}")
+
+
+class _ConfigFields(NamedTuple):
+    time_budget: float | None = None
+    node_budget: int | None = None
+
+
+class SearchConfig(_ConfigFields):
+    """Budgets for the branch-and-bound engine.
+
+    The edge order and the symmetry constraints are fixed, so these settings
+    never change an exact answer, only whether it is reached.  Budgets are
+    totals for the public call, checked before each step of the descent and
+    during it.  Node counts, and so a binding node budget, are
+    deterministic; with a binding time budget only the reported status is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError("time_budget must be positive")
+        if self.node_budget is not None and not self.node_budget > 0:
+            raise ValueError("node_budget must be positive")
+        return self
 
 
 def verify_certificate(cert: Certificate, g: Graph) -> bool:

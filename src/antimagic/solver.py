@@ -3,7 +3,9 @@ branch and bound over edge-label bijections.
 
 The engine answers one question: does the graph admit a labeling with at most
 k distinct induced weights?  ``exact_chi_la`` descends k until the answer
-flips, so an Infeasible outcome is always a proof by exhaustion.
+flips.  An Infeasible outcome is always a proof: by exhausting the search,
+or, on a copy of friendship_corona(n, 1) below 2n+3, by the bound below on
+the empty labeling with 0 nodes.
 
 On any copy of friendship_corona(n, 1), whatever its numbering, the paper's
 construction, carried onto the graph's numbering and re-verified, is applied
@@ -59,34 +61,8 @@ from typing import NamedTuple
 from .graphs import (Graph, _friendship_o1_n, _is_int, _isomorphism,
                      _refine, _triangular)
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
-                       Certificate, _check_k, _validate_instance,
-                       make_certificate)
-
-
-class _ConfigFields(NamedTuple):
-    time_budget: float | None = None
-    node_budget: int | None = None
-
-
-class SearchConfig(_ConfigFields):
-    """Budgets for the branch-and-bound engine.
-
-    The edge order and the symmetry constraints are fixed, so these settings
-    never change an exact answer, only whether it is reached.  Budgets are
-    totals for the public call, checked before each step of the descent and
-    during it.  Node counts, and so a binding node budget, are
-    deterministic; with a binding time budget only the reported status is.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise ValueError("time_budget must be positive")
-        if self.node_budget is not None and not self.node_budget > 0:
-            raise ValueError("node_budget must be positive")
-        return self
+                       Certificate, SearchConfig, _check_k,
+                       _validate_instance, make_certificate)
 
 
 class SearchOutcome(NamedTuple):
@@ -107,8 +83,9 @@ class _BudgetHit(Exception):
 
 
 def _order_edges(g: Graph) -> list[int]:
-    """Connected expansion: grow from the highest-degree vertex, preferring
-    edges that close a vertex so weights finalize early."""
+    """Connected expansion of the connected graph g: grow from the
+    highest-degree vertex, preferring edges that close a vertex so weights
+    finalize early."""
     degs = g.degrees
     left = set(range(g.q))
     unassigned = list(degs)
@@ -128,8 +105,6 @@ def _order_edges(g: Graph) -> list[int]:
             key = (-closes, untouched, e)
             if best_key is None or key < best_key:
                 best, best_key = e, key
-        if best is None:  # disconnected remainder; take lowest index
-            best = min(left)
         left.remove(best)
         order.append(best)
         a, b = g.edges[best]
@@ -714,7 +689,9 @@ def lower_bound_prune(g: Graph, partial) -> float:
     for the search's incremental bound: ``conftest.reference_search`` prunes
     by this function alone, and ``test_search_matches_reference_bound``
     checks that it visits the same nodes and reaches the same verdicts as
-    ``feasible_with_k_colors``.
+    ``feasible_with_k_colors``.  ``_descend`` reads it once, on the empty
+    labeling of a copy of friendship_corona(n, 1), to refute every k below
+    2n+3 with 0 nodes.
     """
     q = g.q
     if len(partial) != q:

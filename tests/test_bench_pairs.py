@@ -17,10 +17,10 @@ _SPEC.loader.exec_module(bench_pairs)
 BOUNDS = {"setup_s": 0.25, "pass_s": 0.25, "peak_rss_mb": 0.05}
 
 
-def _stdout(pass_s, rss, failed=0):
+def _stdout(pass_s, rss, failed=0, attempted=8):
     report = json.dumps({"report": {"workload": {"passes": 3}}})
     result = json.dumps({
-        "correct": failed == 0, "attempted": 8, "failed": failed,
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
         "metrics": {"setup_s": {"value": 0.001, "unit": "s"},
                     "pass_s": {"value": pass_s, "unit": "s"},
                     "peak_rss_mb": {"value": rss, "unit": "MB"}}})
@@ -29,7 +29,7 @@ def _stdout(pass_s, rss, failed=0):
 
 def test_parse_result_reads_the_last_line():
     out = bench_pairs.parse_result(_stdout(0.5, 23.5, failed=1))
-    assert out == {"correct": False, "failed": 1,
+    assert out == {"correct": False, "attempted": 8, "failed": 1,
                    "metrics": {"setup_s": 0.001, "pass_s": 0.5,
                                "peak_rss_mb": 23.5}}
 
@@ -52,10 +52,12 @@ def test_summarise_medians_quartiles_and_wins():
     parent = [0.64, 0.66, 0.62, 0.70]
     change = [0.45, 0.44, 0.63, 0.46]
     failed = [0, 0, 0, 1]
+    attempted = [8, 9, 8, 7]
     pairs = [{"first": "parent" if i % 2 == 0 else "change",
               "parent": bench_pairs.parse_result(_stdout(p, 23.8)),
-              "change": bench_pairs.parse_result(_stdout(c, 23.6, f))}
-             for i, (p, c, f) in enumerate(zip(parent, change, failed))]
+              "change": bench_pairs.parse_result(_stdout(c, 23.6, f, a))}
+             for i, (p, c, f, a) in enumerate(zip(parent, change, failed,
+                                                  attempted))]
     summary = bench_pairs.summarise(pairs, BOUNDS)
     pass_s = summary["pass_s"]
     assert pass_s["parent"]["median"] == pytest.approx(0.65)
@@ -66,6 +68,7 @@ def test_summarise_medians_quartiles_and_wins():
     assert summary["peak_rss_mb"]["change_lower_in"] == 4
     assert summary["setup_s"]["change_lower_in"] == 0
     assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["attempted"] == {"parent": 32, "change": 32}
     # the change's median over the parent's, against 1 + bound
     assert pass_s["ratio"] == pytest.approx(0.455 / 0.65)
     assert pass_s["bound"] == 0.25 and pass_s["over_bound"] is False
@@ -80,6 +83,8 @@ def test_summarise_one_pair():
             "change": bench_pairs.parse_result(_stdout(0.7, 23.0))}
     summary = bench_pairs.summarise([pair], BOUNDS)
     pass_s = summary["pass_s"]
+    assert summary["attempted"] == {"parent": 8, "change": 8}
+    assert summary["failed"] == {"parent": 0, "change": 0}
     assert pass_s["parent"] == {"median": 0.6, "quartiles": [0.6, 0.6]}
     assert pass_s["change_lower_in"] == 0
     assert pass_s["ratio"] == pytest.approx(0.7 / 0.6)

@@ -316,6 +316,10 @@ def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
         assert _run_fresh(unused, argv) == [EXIT_OK, []]
         assert read(out)["chi"] == 5
         assert read(out).get("cached", False) is cached
+    # a budget the cache would answer is refused all the same, and the
+    # refusal does not load the solver
+    assert _run_fresh(UNUSED_BY_SOLVE + ("antimagic.solver", "fcntl"),
+                      [*argv, "--node-budget", "0"]) == [EXIT_USAGE, []]
 
 
 def test_label_process_caches_the_construction(tmp_path):
@@ -503,21 +507,21 @@ def test_graph_the_solver_refuses_is_named_before_k(tmp_path, capsys, command,
 @pytest.mark.parametrize("flag", [["--node-budget", "-5"],
                                   ["--node-budget", "0"],
                                   ["--time-budget", "-1"],
-                                  ["--time-budget", "0"]],
+                                  ["--time-budget", "0"],
+                                  ["--time-budget", "nan"]],
                          ids=lambda flag: flag[0] + flag[1])
 def test_non_positive_budget_is_refused_whatever_the_cache(c3_file, tmp_path,
                                                            capsys, flag):
     cache = tmp_path / "cache"
     solve = ["solve", str(c3_file), "--cache-dir", str(cache)]
+    field = flag[0][2:].replace("-", "_")
 
     def refused():
-        with pytest.raises(SystemExit) as exc:
-            run([*solve, *flag])
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "error:" in err and flag[0] in err
+        assert run([*solve, *flag]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {field} must be positive\n"
 
-    refused()  # a miss, which would search
+    refused()  # a miss, which would search and create the cache
+    assert not cache.exists()
     assert run([*solve, "--out", str(tmp_path / "o.json")]) == EXIT_OK
     refused()  # a hit, which searches nothing
 
@@ -749,6 +753,17 @@ def test_verify_tampered_certificate(f2_file, tmp_path):
     bad.write_text(json.dumps(doc))
     report = tmp_path / "report.json"
     assert run(["verify", str(f2_file), str(bad),
+                "--out", str(report)]) == EXIT_VERIFY
+    assert read(report)["ok"] is False
+
+
+def test_verify_certificate_with_a_repeated_label(c3_file, tmp_path):
+    # the weights are left as stored: the labels are not a bijection, which
+    # is a verification failure, not a usage error
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_c3_certificate_doc(labels=[2, 2, 3, 1, 4, 6])))
+    report = tmp_path / "report.json"
+    assert run(["verify", str(c3_file), str(bad),
                 "--out", str(report)]) == EXIT_VERIFY
     assert read(report)["ok"] is False
 

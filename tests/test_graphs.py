@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from antimagic.construction import construct
 from antimagic.graphs import (HUB, HUB_PENDANT, INNER, PENDANT, PLAIN,
-                              Graph, VertexRole, complete, corona, cycle,
-                              fan, fan_corona, friendship, friendship_corona,
-                              null_graph, path)
+                              Graph, VertexRole, _isomorphism, complete,
+                              corona, cycle, fan, fan_corona, friendship,
+                              friendship_corona, null_graph, path)
 from antimagic.labeling import verify_certificate
 
 
@@ -379,6 +379,20 @@ def test_equality_ignores_whether_adjacency_is_indexed():
     assert len({a, b}) == 1
     assert b.is_connected()
     assert a == b and hash(a) == hash(b)
+
+
+def _adjacency(g):
+    return [g.neighbors(v) for v in range(g.p)]
+
+
+def test_isomorphism_refuses_graphs_of_different_orders():
+    # the halves of the disjoint union differ in size, so some colour cell
+    # is unbalanced and the search gives up at its first refinement
+    short, long = _adjacency(path(5)), _adjacency(path(6))
+    assert _isomorphism(short, [0] * 5, [0] * 6, long) is None
+    assert _isomorphism(long, [0] * 6, [0] * 5, short) is None
+    pi = _isomorphism(short, [0] * 5, [0] * 5, _adjacency(path(5)))
+    assert pi is not None and sorted(pi) == list(range(5))
 
 
 def test_doc_round_trip():

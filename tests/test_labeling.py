@@ -184,6 +184,14 @@ def test_certificate_detects_tampering():
     assert verify_certificate(Certificate.from_doc(doc), g) is False
 
 
+def test_certificate_with_a_repeated_label_fails_to_verify():
+    # the weights are left as stored, so only the bijection check catches it
+    g = corona(cycle(3), null_graph(1))
+    cert = make_certificate(g, [2, 5, 3, 6, 4, 1])
+    doc = dict(cert.to_doc(), labels=[2, 2, 3, 6, 4, 1])
+    assert verify_certificate(Certificate.from_doc(doc), g) is False
+
+
 def test_certificate_wrong_graph():
     g = corona(cycle(3), null_graph(1))
     cert = make_certificate(g, [2, 5, 3, 6, 4, 1])

@@ -39,6 +39,10 @@ def test_every_public_name_is_its_defining_modules_object():
         assert getattr(value, "__module__", home) == home, name
 
 
+def test_solver_still_offers_the_budgets_it_takes():
+    assert antimagic.solver.SearchConfig is SearchConfig
+
+
 def test_dir_covers_all():
     assert set(antimagic.__all__) <= set(dir(antimagic))
 

@@ -8,8 +8,10 @@ import pytest
 
 from antimagic import solver
 from antimagic.bounds import lb_fan, lb_friendship
-from antimagic.graphs import (Graph, complete, corona, cycle, fan, fan_corona,
-                              friendship, friendship_corona, null_graph, path)
+from antimagic.construction import certificate_for
+from antimagic.graphs import (Graph, _friendship_o1_n, complete, corona, cycle,
+                              fan, fan_corona, friendship, friendship_corona,
+                              null_graph, path)
 from antimagic.labeling import make_certificate, verify_certificate
 from antimagic.solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                               SearchConfig, _order_edges, exact_chi_la,
@@ -177,6 +179,19 @@ def test_same_degrees_not_isomorphic_is_not_seeded():
     out = feasible_with_k_colors(g, g.p)
     assert out.status == FEASIBLE and out.nodes_explored > 0
 
+
+
+def test_degree_twin_of_f2_o1_is_searched():
+    # friendship_corona(2, 1) with its edges (1, 3) and (2, 7) swapped into
+    # (1, 7) and (2, 3): the degrees are kept, so it passes the cheap test,
+    # but vertex 1 holds two pendants and the isomorphism search refuses it
+    g = Graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 7), (2, 4), (2, 3),
+                   (0, 5), (1, 6), (3, 8), (4, 9)])
+    assert _friendship_o1_n(g) == 2
+    assert certificate_for(g) is None
+    out = exact_chi_la(g)
+    assert (out.status, out.chi, out.nodes_explored) == (EXACT, 7, 10_276)
+    assert verify_certificate(out.certificate, g)
 
 # -- agreement with the brute-force oracle -------------------------------------
 

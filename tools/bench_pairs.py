@@ -41,22 +41,23 @@ SIDES = ("parent", "change")
 
 def parse_result(stdout: str) -> dict:
     """The result line ``bench/run.py`` prints last, as
-    ``{"correct", "failed", "metrics": {name: value}}``."""
+    ``{"correct", "attempted", "failed", "metrics": {name: value}}``."""
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("bench/run.py printed nothing")
     doc = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in doc["metrics"].items()}
-    return {"correct": doc["correct"], "failed": doc["failed"],
-            "metrics": metrics}
+    return {"correct": doc["correct"], "attempted": doc["attempted"],
+            "failed": doc["failed"], "metrics": metrics}
 
 
 def summarise(pairs: list[dict], bounds: dict[str, float]) -> dict:
     """Per metric and side, the median and quartiles over the pairs, and the
     pairs in which the change read lower (every end-to-end metric is
     better lower), the ratio of the change's median to the parent's and
-    whether it exceeds 1 + the metric's bound; under ``failed``, each side's
-    failed operations."""
+    whether it exceeds 1 + the metric's bound; under ``attempted`` and
+    ``failed``, each side's attempted and failed operations, summed over the
+    pairs."""
     names = pairs[0]["parent"]["metrics"]
     out = {}
     for name in names:
@@ -77,8 +78,9 @@ def summarise(pairs: list[dict], bounds: dict[str, float]) -> dict:
         entry["bound"] = bounds[name]
         entry["over_bound"] = ratio > 1 + bounds[name]
         out[name] = entry
-    out["failed"] = {side: sum(pair[side]["failed"] for pair in pairs)
-                     for side in SIDES}
+    for count in ("attempted", "failed"):
+        out[count] = {side: sum(pair[side][count] for pair in pairs)
+                      for side in SIDES}
     return out
 
 
