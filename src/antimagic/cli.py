@@ -47,9 +47,9 @@ import time
 from pathlib import Path
 
 from . import jsonio
-from .graphs import (REPORT_FAMILIES, Graph, complete, corona, cycle, fan,
-                     fan_corona, friendship, friendship_corona, null_graph,
-                     path)
+from .graphs import (REPORT_FAMILIES, Graph, _is_int, complete, corona, cycle,
+                     fan, fan_corona, friendship, friendship_corona,
+                     null_graph, path)
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                        Certificate, GraphMismatchError, InvalidLabelingError,
                        SearchConfig, _check_k, _validate_instance,
@@ -122,7 +122,8 @@ def _cache_lookup(cache: Path, g: Graph
     except (ValueError, KeyError, TypeError):
         return None
     exact = best.get("exact")
-    if exact not in (None, cert.color_count):
+    # 5.0 == 5 and True == 1 in Python: only a plain int is a chi
+    if not (exact is None or _is_int(exact) and exact == cert.color_count):
         return None
     return cert, exact
 

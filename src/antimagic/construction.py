@@ -6,9 +6,11 @@ induced weights, which is optimal.  The labeling is given in closed form by
 two 3-row integer matrices whose columns all share the same sum, so every
 inner u-vertex gets one common weight and every inner v-vertex another.  The
 odd and even cases use different matrices; n=2 and n=4 fit neither case's
-formulas, so their matrices are written out, and all n are assembled and
-checked the same way.  ``certificate_for`` carries the labeling onto any
-isomorphic copy of the corona, whatever its numbering.
+formulas, so their matrices are written out.  All n are assembled and
+checked the same way: the closed-form weights of the odd and even cases
+first, vertex group by vertex group, then the 2n+3 colour count.
+``certificate_for`` carries the labeling onto any isomorphic copy of the
+corona, whatever its numbering.
 """
 
 from __future__ import annotations
@@ -23,16 +25,6 @@ class ConstructionError(RuntimeError):
     """Internal consistency failure while materializing a labeling."""
 
 
-def _require_odd(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"odd-case formulas need odd n >= 3, got {n}")
-
-
-def _require_even(n: int) -> None:
-    if n < 6 or n % 2:
-        raise ValueError(f"even-case formulas need even n >= 6, got {n}")
-
-
 # -- the matrices -------------------------------------------------------------
 # Column i of a matrix holds triangle i's labels.  The u-matrix's rows label
 # (1) the u-pendant edge, (2) the hub-u spoke and (3) the triangle edge
@@ -45,7 +37,8 @@ def odd_matrices(n: int) -> tuple[list[list[int]], list[list[int]]]:
     """The u- and v-matrices for odd n >= 3, three rows of n columns each.
 
     Every halving below is exact because n is odd."""
-    _require_odd(n)
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"odd-case formulas need odd n >= 3, got {n}")
     cols = range(1, n + 1)
     triangle = [3 * n + 1 - i for i in cols]
     mu = [[4 * n + (i + 1) // 2 if i % 2 else (9 * n + 1) // 2 + i // 2
@@ -60,23 +53,14 @@ def odd_matrices(n: int) -> tuple[list[list[int]], list[list[int]]]:
     return mu, mv
 
 
-def odd_u_column_sum(n: int) -> int:
-    _require_odd(n)
-    return (21 * n + 3) // 2
-
-
-def odd_v_column_sum(n: int) -> int:
-    _require_odd(n)
-    return (9 * n + 3) // 2
-
-
 def even_matrices(n: int) -> tuple[list[list[int]], list[list[int]]]:
     """The u- and v-matrices for even n >= 6, three rows of n columns each.
 
     The first n-1 columns follow the formulas and share the column sums; the
     n-th takes the special labels 2n+2, 2n, 1 (u rows) and 1, 2n+1, 2n+3
     (v rows)."""
-    _require_even(n)
+    if n < 6 or n % 2:
+        raise ValueError(f"even-case formulas need even n >= 6, got {n}")
     cols = range(1, n)
     triangle = [3 * n + 3 - i for i in cols] + [1]
     mu = [[4 * n + 3 + (i - 1) // 2 if i % 2 else 9 * n // 2 + 2 + i // 2
@@ -90,16 +74,6 @@ def even_matrices(n: int) -> tuple[list[list[int]], list[list[int]]]:
           [(i + 3) // 2 if i % 2 else n // 2 + 1 + i // 2
            for i in cols] + [2 * n + 3]]
     return mu, mv
-
-
-def even_u_column_sum(n: int) -> int:
-    _require_even(n)
-    return 21 * n // 2 + 8
-
-
-def even_v_column_sum(n: int) -> int:
-    _require_even(n)
-    return 9 * n // 2 + 4
 
 
 # -- assembled constructions --------------------------------------------------
@@ -154,29 +128,30 @@ def _assemble(n: int, case: str, mu, mv, hub_pendant: int,
     (u row 3), the hub's pendant edge (labelled ``hub_pendant``), then the
     pendant edges of the u_i (u row 1) and of the v_i (v row 3).  Each
     ``(what, vertices, expected)`` in ``checks`` requires the set of
-    weights on ``vertices`` to equal ``expected``.
+    weights on ``vertices`` to equal ``expected``; these run before the
+    colour count, so a broken matrix is named by the vertex group it breaks.
     """
     g = friendship_corona(n, 1)
     cert = make_certificate(g, mu[1] + mv[1] + mu[2] + [hub_pendant]
                             + mu[0] + mv[2])
-    _check_optimal(cert, n, f"{case} n={n} labeling")
     w = cert.weights
     for what, vertices, expected in checks:
         got = {w[x] for x in vertices}
         _check(got == expected, f"{case} n={n} {what} weights {sorted(got)} "
                                 f"!= {sorted(expected)}")
+    _check_optimal(cert, n, f"{case} n={n} labeling")
     return ConstructionReport(n, case, g, cert, closed)
 
 
 def construct_odd(n: int) -> ConstructionReport:
     """Closed-form labeling for odd n >= 3 with exactly 2n+3 colors."""
-    _require_odd(n)
+    mu, mv = odd_matrices(n)
     x1 = 2 * n + 1  # the hub's pendant; vertex b's is x1 + b
     u, v = range(1, n + 1), range(n + 1, 2 * n + 1)
     closed = {
         "w_hub": (n + 1) * (5 * n + 1),
-        "w_inner_u": odd_u_column_sum(n),
-        "w_inner_v": odd_v_column_sum(n),
+        "w_inner_u": (21 * n + 3) // 2,
+        "w_inner_v": (9 * n + 3) // 2,
         "w_hub_pendant": 5 * n + 1,
         "w_u_pendant_min": 4 * n + 1,
         "w_u_pendant_max": 5 * n,
@@ -191,20 +166,20 @@ def construct_odd(n: int) -> ConstructionReport:
         ("u-pendant", [x1 + b for b in u], _span(closed, "u")),
         ("v-pendant", [x1 + b for b in v], _span(closed, "v")),
     ]
-    return _assemble(n, "odd", *odd_matrices(n), closed["w_hub_pendant"],
-                     closed, checks)
+    return _assemble(n, "odd", mu, mv, closed["w_hub_pendant"], closed,
+                     checks)
 
 
 def construct_even(n: int) -> ConstructionReport:
     """Closed-form labeling for even n >= 6 with exactly 2n+3 colors."""
-    _require_even(n)
+    mu, mv = even_matrices(n)
     x1 = 2 * n + 1  # the hub's pendant; vertex b's is x1 + b
     u, v = range(1, n), range(n + 1, 2 * n)
     un, vn = n, 2 * n
     closed = {
         "w_hub": 5 * n * n + 5 * n + 1,
-        "w_inner_u": even_u_column_sum(n),
-        "w_inner_v": even_v_column_sum(n),
+        "w_inner_u": 21 * n // 2 + 8,
+        "w_inner_v": 9 * n // 2 + 4,
         "w_hub_pendant": 3 * n + 3,
         "w_u_last": 4 * n + 3,
         "w_v_last": 4 * n + 5,
@@ -227,8 +202,8 @@ def construct_even(n: int) -> ConstructionReport:
         ("last u-pendant", [x1 + un], {closed["w_u_last_pendant"]}),
         ("last v-pendant", [x1 + vn], {closed["w_v_last_pendant"]}),
     ]
-    return _assemble(n, "even", *even_matrices(n), closed["w_hub_pendant"],
-                     closed, checks)
+    return _assemble(n, "even", mu, mv, closed["w_hub_pendant"], closed,
+                     checks)
 
 
 # n -> (u-matrix, v-matrix, hub pendant label) for the n that fit neither

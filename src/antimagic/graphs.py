@@ -235,10 +235,16 @@ class Graph:
         roles, edges = doc["roles"], doc["edges"]
         if not isinstance(roles, list) or not isinstance(edges, list):
             raise ValueError("graph roles and edges must be lists")
+        family = doc.get("family")
+        if not (family is None or isinstance(family, str)):
+            raise ValueError(f"graph family {family!r} is not a string")
         g = cls(doc["p"], edges, [VertexRole.from_doc(r) for r in roles],
-                doc.get("family"))
-        if g.q != doc["q"]:
-            raise ValueError(f"edge count {g.q} does not match stated q={doc['q']}")
+                family)
+        q = doc["q"]
+        if not _is_int(q):
+            raise ValueError(f"graph size {q!r} is not an integer")
+        if g.q != q:
+            raise ValueError(f"edge count {g.q} does not match stated q={q}")
         return g
 
     def to_dot(self, labels=None, weights=None) -> str:

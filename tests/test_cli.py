@@ -576,6 +576,15 @@ def test_cache_rejects_record_disagreeing_with_certificate(c3_file, tmp_path):
     doc = read(out)
     assert "cached" not in doc
     assert doc["chi"] == doc["certificate"]["color_count"] == 5
+    # the true certificate, but a chi of 5.0: equal to 5, yet not an int
+    record.update(exact=5.0, certificate=doc["certificate"])
+    with open(cache / "cache.jsonl", "a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache),
+                "--out", str(out)]) == EXIT_OK
+    doc = read(out)
+    assert "cached" not in doc
+    assert type(doc["chi"]) is int and doc["chi"] == 5
 
 
 def _swap_first_and_last(doc):
@@ -862,6 +871,19 @@ def test_verify_wrong_graph_is_exit_3(f2_file, c3_file, tmp_path, capsys):
     assert run(["verify", str(c3_file), str(cert_path)]) == EXIT_VERIFY
 
 
+def test_verify_labeling_for_another_graph_is_exit_3(f2_file, c3_file,
+                                                     tmp_path):
+    lab = tmp_path / "lab.json"
+    f2_hash = Graph.from_doc(read(f2_file)).content_hash()
+    lab.write_text(json.dumps({"graph_hash": f2_hash,
+                               "labels": [2, 5, 3, 1, 4, 6]}))
+    report = tmp_path / "report.json"
+    assert run(["verify", str(c3_file), str(lab),
+                "--out", str(report)]) == EXIT_VERIFY
+    doc = read(report)
+    assert doc["ok"] is False and "different graph" in doc["error"]
+
+
 def test_bounds_command(tmp_path):
     out = tmp_path / "b.json"
     assert run(["bounds", "--family", "friendship-corona", "--n", "3",
@@ -919,7 +941,8 @@ def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "friendship", "--n-max", "4", "--m-max", "2",
                 "--out", str(out)]) == EXIT_OK
-    rows = list(csv.DictReader(open(out)))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0].keys() >= {"name", "n", "m", "lhs", "rhs", "holds"}
     hub = [r for r in rows
            if r["name"] == "friendship-hub-gap" and r["n"] == "2"
@@ -966,8 +989,35 @@ def test_export_dot_with_certificate(f2_file, tmp_path):
     assert "label=" in out.read_text()
 
 
+def test_export_dot_refuses_a_certificate_that_does_not_verify(
+        f2_file, c3_file, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    run(["label", str(f2_file), "--out", str(cert_path)])
+    doc = read(cert_path)
+    _swap_first_and_last(doc)
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(doc))
+    assert run(["export-dot", str(f2_file), "--certificate",
+                str(swapped)]) == EXIT_VERIFY
+    assert capsys.readouterr().err == ("error: certificate does not verify "
+                                       "against this graph\n")
+    assert run(["export-dot", str(c3_file), "--certificate",
+                str(cert_path)]) == EXIT_VERIFY
+    assert capsys.readouterr().err.startswith("error: certificate is for "
+                                              "graph ")
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["solve", "/nonexistent/g.json"]) == EXIT_USAGE
+
+
+def test_graph_file_that_is_not_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text("{not json")
+    assert run(["solve", str(path), "--cache-dir",
+                str(tmp_path / "cache")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON (")
 
 
 def _c3_doc(**fields):
@@ -977,17 +1027,28 @@ def _c3_doc(**fields):
     return doc
 
 
-@pytest.mark.parametrize("doc", [
-    [1, 2],
-    _c3_doc(roles=[0, 1, 2]),
-    _c3_doc(edges=[[0.0, 1], [1, 2], [0, 2]]),
-    _c3_doc(edges=[["0", 1], [1, 2], [0, 2]]),
-    _c3_doc(p="3"),
-    _c3_doc(edges=[[False, True], [1, 2], [0, 2]]),
-], ids=["list", "int-roles", "float-id", "str-id", "str-p", "bool-ids"])
-def test_malformed_graph_file_is_usage_error(doc, tmp_path, capsys):
+# each message names the field that refused the document; the graph with
+# "q": true has one edge, which solve would refuse too, but only after it
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "graph document is not a JSON object"),
+    (_c3_doc(roles=[0, 1, 2]), "vertex role 0 is not an object"),
+    (_c3_doc(edges=[[0.0, 1], [1, 2], [0, 2]]),
+     "vertex id 0.0 is not an integer"),
+    (_c3_doc(edges=[["0", 1], [1, 2], [0, 2]]),
+     "vertex id '0' is not an integer"),
+    (_c3_doc(p="3"), "graph order '3' is not an integer"),
+    (_c3_doc(edges=[[False, True], [1, 2], [0, 2]]),
+     "vertex id False is not an integer"),
+    # 3.0 == 3 and True == 1 in Python, so only a type check refuses these
+    (_c3_doc(q=3.0), "graph size 3.0 is not an integer"),
+    ({**Graph(2, [(0, 1)]).to_doc(), "q": True},
+     "graph size True is not an integer"),
+    (_c3_doc(family=5), "graph family 5 is not a string"),
+], ids=["list", "int-roles", "float-id", "str-id", "str-p", "bool-ids",
+        "q-float", "q-bool", "family-int"])
+def test_malformed_graph_file_is_usage_error(doc, message, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     assert run(["solve", str(path), "--cache-dir",
                 str(tmp_path / "cache")]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -9,9 +9,7 @@ from antimagic import construction
 from antimagic.construction import (ConstructionError, chi_la_friendship_o1,
                                     construct, construct_even, construct_odd,
                                     construct_small, even_matrices,
-                                    even_u_column_sum, even_v_column_sum,
-                                    odd_matrices, odd_u_column_sum,
-                                    odd_v_column_sum)
+                                    odd_matrices)
 
 
 def _formula_columns(rows):
@@ -43,12 +41,14 @@ def test_odd_matrices_n3():
 
 
 def test_odd_column_sums():
+    # each column sum is the weight of that triangle's inner vertex
     for n in (3, 5, 9, 99):
         mu, mv = odd_matrices(n)
-        assert _column_sums(mu) == {odd_u_column_sum(n)}
-        assert _column_sums(mv) == {odd_v_column_sum(n)}
-    assert odd_u_column_sum(3) == 33
-    assert odd_v_column_sum(3) == 15
+        closed = construct_odd(n).closed_forms
+        assert _column_sums(mu) == {closed["w_inner_u"]}
+        assert _column_sums(mv) == {closed["w_inner_v"]}
+    closed = construct_odd(3).closed_forms
+    assert (closed["w_inner_u"], closed["w_inner_v"]) == (33, 15)
 
 
 def test_odd_row_ranges():
@@ -68,10 +68,9 @@ def test_odd_row_ranges():
 def test_even_entry_values_n6():
     mu, mv = even_matrices(6)
     assert mu[0] == [27, 30, 28, 31, 29, 14]
-    assert _column_sums(_formula_columns(mu)) == {71}
-    assert even_u_column_sum(6) == 71
-    assert _column_sums(_formula_columns(mv)) == {31}
-    assert even_v_column_sum(6) == 31
+    closed = construct_even(6).closed_forms
+    assert _column_sums(_formula_columns(mu)) == {71} == {closed["w_inner_u"]}
+    assert _column_sums(_formula_columns(mv)) == {31} == {closed["w_inner_v"]}
     assert mv[0] == mu[2] and mv[0] is not mu[2]
 
 
@@ -269,12 +268,22 @@ def test_constructions_match_golden_digest():
         "32b6d7161a6ed9632e5f730b6475bad95bccf61ff507c4542ee4e69802920e8c")
 
 
-@pytest.mark.parametrize("name, build, n, what", [
-    ("odd_v_column_sum", construct_odd, 5, "odd n=5 inner v weights"),
-    ("even_u_column_sum", construct_even, 6, "even n=6 inner u weights"),
+@pytest.mark.parametrize("name, build, n, side, row, what", [
+    ("odd_matrices", construct_odd, 5, 1, 2, "odd n=5 inner v weights"),
+    ("even_matrices", construct_even, 6, 0, 0, "even n=6 inner u weights"),
 ], ids=["odd", "even"])
-def test_weight_checks_fire(monkeypatch, name, build, n, what):
+def test_weight_checks_fire(monkeypatch, name, build, n, side, row, what):
+    # swap the first two pendant labels of one side: the pendant weights
+    # keep their set, but two inner vertices leave the column sum.  The
+    # colour count breaks too, so only the group check names the group.
     original = getattr(construction, name)
-    monkeypatch.setattr(construction, name, lambda m: original(m) + 1)
+
+    def broken(m):
+        matrices = original(m)
+        entries = matrices[side][row]
+        entries[0], entries[1] = entries[1], entries[0]
+        return matrices
+
+    monkeypatch.setattr(construction, name, broken)
     with pytest.raises(ConstructionError, match=what):
         build(n)
