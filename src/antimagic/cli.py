@@ -23,8 +23,8 @@ every feasibility query below it.  Cache location: --cache-dir, else
 $ANTIMAGIC_CACHE_DIR, else ./.antimagic-cache.
 
 Exit codes: 0 success, 1 standard output closed by its reader (as by
-``| head``), 2 usage or domain error, 3 verification failure, 4 budget
-exhausted.
+``| head``), 2 usage or domain error (a graph too large for the recursive
+search among them), 3 verification failure, 4 budget exhausted.
 
 ``main`` builds the parser of the subcommand that its first argument names
 and no other; it builds all seven only when that argument names none (no
@@ -83,6 +83,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -235,10 +237,16 @@ def _solve(g: Graph, args) -> dict:
     cache.mkdir(parents=True, exist_ok=True)
     # loaded only here, so that a cache hit never compiles the solver
     from .solver import exact_chi_la, feasible_with_k_colors
-    if target is None:
-        outcome = exact_chi_la(g, cfg)
-    else:
-        outcome = feasible_with_k_colors(g, target, cfg)
+    try:
+        if target is None:
+            outcome = exact_chi_la(g, cfg)
+        else:
+            outcome = feasible_with_k_colors(g, target, cfg)
+    except RecursionError:
+        # the search recurses once per placed edge, so a graph with about
+        # a thousand edges or more outgrows Python's recursion limit
+        raise ValueError("graph too large for the search: maximum "
+                         "recursion depth exceeded") from None
     doc = {"status": outcome.status,
            "nodes_explored": outcome.nodes_explored,
            "wall_time": round(outcome.wall_time, 6)}

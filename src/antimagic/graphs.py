@@ -86,6 +86,12 @@ class VertexRole(NamedTuple):
         return role
 
 
+# friendship, corona and Graph's default plain roles make roles with
+# tuple.__new__ rather than through the named tuple's keyword constructor:
+# they make one per vertex, on the paths that build graphs by the hundred.
+_new = tuple.__new__
+
+
 def _is_int(x) -> bool:
     """Vertex ids, orders and role indices are plain ints, never bools."""
     return type(x) is int
@@ -129,7 +135,8 @@ class Graph:
                 raise ValueError(f"loop at vertex {a}")
             if not (0 <= a < p and 0 <= b < p):
                 raise ValueError(f"edge ({a},{b}) out of range for order {p}")
-            key = (a, b) if a < b else (b, a)
+            # an ordered pair that is already a tuple is its own key
+            key = (e if type(e) is tuple else (a, b)) if a < b else (b, a)
             if key in index:
                 raise ValueError(f"duplicate edge {key}")
             index[key] = None
@@ -137,7 +144,7 @@ class Graph:
         self.q = len(index)
         self.edges = tuple(index)
         if roles is None:
-            roles = [VertexRole(PLAIN, "", v) for v in range(p)]
+            roles = [_new(VertexRole, (PLAIN, "", v, 0)) for v in range(p)]
         roles = tuple(roles)
         if len(roles) != p:
             raise ValueError("one role per vertex required")
@@ -335,9 +342,9 @@ def friendship(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError(f"friendship graph needs n >= 2, got {n}")
-    roles = [VertexRole(HUB)]
-    roles += [VertexRole(INNER, "u", i) for i in range(1, n + 1)]
-    roles += [VertexRole(INNER, "v", i) for i in range(1, n + 1)]
+    roles = [_new(VertexRole, (HUB, "", 0, 0))]
+    roles += [_new(VertexRole, (INNER, "u", i, 0)) for i in range(1, n + 1)]
+    roles += [_new(VertexRole, (INNER, "v", i, 0)) for i in range(1, n + 1)]
     edges = [(0, i) for i in range(1, n + 1)]          # hub-u spokes
     edges += [(0, n + i) for i in range(1, n + 1)]     # hub-v spokes
     edges += [(i, n + i) for i in range(1, n + 1)]     # triangle closers
@@ -408,9 +415,9 @@ def corona(g: Graph, h: Graph) -> Graph:
                                                 in g.roles if kind == INNER})))
     starts = range(g.p, p, h.p)  # first vertex of each base's copy
     roles = list(g.roles) + [
-        VertexRole(HUB_PENDANT, "", 0, j) if named and kind == HUB
-        else VertexRole(PENDANT, side, i, j) if named and kind == INNER
-        else VertexRole(PLAIN, "", start + j - 1)
+        _new(VertexRole, (HUB_PENDANT, "", 0, j)) if named and kind == HUB
+        else _new(VertexRole, (PENDANT, side, i, j)) if named and kind == INNER
+        else _new(VertexRole, (PLAIN, "", start + j - 1, 0))
         for (kind, side, i, _), start in zip(g.roles, starts)
         for j in range(1, h.p + 1)]
     # one block per copy: h's edges, then the joins to the base (a = -1)

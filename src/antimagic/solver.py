@@ -635,6 +635,9 @@ def _descend(g: Graph, k: int, cfg: SearchConfig, once: bool
                                  nodes_explored=nodes, wall_time=wall)
     elif proven or best is not None and best.color_count <= 2:
         if best is None:
+            # unreachable past _validate_instance: every connected graph
+            # other than K2 is local antimagic (Haslegrave, Discrete Math.
+            # Theor. Comput. Sci. 20(1), 2018); kept as a guard
             raise RuntimeError("graph admits no local antimagic labeling")
         return SearchOutcome(EXACT, chi=best.color_count, certificate=best,
                              nodes_explored=nodes, wall_time=wall)

@@ -699,6 +699,25 @@ def test_solve_budget_exhaustion(tmp_path):
     assert read(out)["status"] == "budget-exhausted"
 
 
+def test_search_deeper_than_the_recursion_limit_is_one_error_line(tmp_path,
+                                                                 capsys):
+    # the search recurses once per placed edge: at the default limit a
+    # cycle of 1,100 edges overflows it; a lowered limit lets 400 do so
+    c400 = tmp_path / "c400.json"
+    assert run(["gen", "cycle", "--n", "400", "--out", str(c400)]) == EXIT_OK
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        code = run(["solve", str(c400), "--node-budget", "5000",
+                    "--cache-dir", str(tmp_path / "cache")])
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("error: graph too large for the search: maximum "
+                   "recursion depth exceeded\n")
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # as ``antimagic sweep fan | head -1``: the reader closes the pipe after
     # one line, while the CSV, far larger than a pipe buffer, is being written
@@ -863,6 +882,19 @@ def test_missing_field_is_named(c3_file, tmp_path, capsys, kind, field):
         args = ["verify", str(c3_file), str(bad)]
     assert run(args) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: missing field '{field}'\n"
+
+
+def test_json_nested_too_deeply_is_named(c3_file, tmp_path, capsys):
+    # json.load raises RecursionError on nesting this deep: the file is
+    # named, not the search
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for args in (["verify", str(c3_file), str(deep)],
+                 ["export-dot", str(c3_file), "--certificate", str(deep)],
+                 ["solve", str(deep), "--cache-dir", str(tmp_path / "c")]):
+        assert run(args) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {deep}: JSON nested too deeply to read\n")
 
 
 def test_verify_wrong_graph_is_exit_3(f2_file, c3_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Graph family generators, corona product, and serialization."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -393,6 +394,61 @@ def test_isomorphism_refuses_graphs_of_different_orders():
     assert _isomorphism(long, [0] * 6, [0] * 5, short) is None
     pi = _isomorphism(short, [0] * 5, [0] * 5, _adjacency(path(5)))
     assert pi is not None and sorted(pi) == list(range(5))
+
+
+@st.composite
+def coloured_graphs(draw, max_p=7, p=None):
+    """(adjacency, int colouring, a vertex permutation) on p <= max_p
+    vertices, or on exactly ``p``."""
+    if p is None:
+        p = draw(st.integers(1, max_p))
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adj = [[] for _ in range(p)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    colours = draw(st.lists(st.integers(0, 3), min_size=p, max_size=p))
+    return adj, colours, draw(st.permutations(range(p)))
+
+
+def _permuted(adj, colours, perm):
+    """The same coloured graph with vertex v renamed perm[v]."""
+    new_adj, new_colours = [None] * len(adj), [None] * len(adj)
+    for v, ns in enumerate(adj):
+        new_adj[perm[v]] = [perm[u] for u in ns]
+        new_colours[perm[v]] = colours[v]
+    return new_adj, new_colours
+
+
+def _is_isomorphism(pi, adj, left, right, other) -> bool:
+    """pi maps ``adj`` onto ``other`` and ``left`` onto ``right``."""
+    return (sum(map(len, adj)) == sum(map(len, other))
+            and all(left[v] == right[pi[v]] for v in range(len(adj)))
+            and all(pi[b] in other[pi[a]] for a, ns in enumerate(adj)
+                    for b in ns))
+
+
+@given(coloured_graphs(),
+       st.sampled_from(["renamed", "recoloured", "other"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_isomorphism_matches_brute_force(case, mode, data):
+    adj, left, perm = case
+    p = len(adj)
+    if mode == "other":  # a graph of its own on as many vertices
+        other, right, _ = data.draw(coloured_graphs(p=p))
+    else:  # a renamed copy, one of its colours changed when "recoloured"
+        other, right = _permuted(adj, left, perm)
+        if mode == "recoloured":
+            right[data.draw(st.sampled_from(range(p)))] = data.draw(
+                st.integers(0, 3))
+    pi = _isomorphism(adj, left, right, other)
+    exists = any(_is_isomorphism(sigma, adj, left, right, other)
+                 for sigma in itertools.permutations(range(p)))
+    assert (pi is not None) == exists
+    if pi is not None:
+        assert sorted(pi) == list(range(p))
+        assert _is_isomorphism(pi, adj, left, right, other)
 
 
 def test_doc_round_trip():

@@ -1,6 +1,8 @@
 """Branch-and-bound solver: exactness, budgets, pruning, symmetry."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -350,6 +352,20 @@ def test_symmetry_pairs_skip_edges_refinement_cannot_separate(monkeypatch):
     pairs = symmetry_pairs(prism)
     assert pairs == naive_symmetry_pairs(prism, _order_edges(prism))
     assert len(found) == 6 and found.count(None) == 3
+
+
+@pytest.mark.parametrize("make, n, m, count, digest", [
+    (friendship_corona, 20, 2, 441,
+     "2427eff50df721a76e6e758049c270c0937beb5abf27639c537da9f2b3abfa93"),
+    (fan_corona, 30, 3, 94,
+     "f8c190a0d5d6b44629faad87c114cf446cc0c82e8e91e81fe468b79191f3a9e8"),
+], ids=["f20oO2", "F30oO3"])
+def test_symmetry_pairs_pinned_beyond_the_oracle(make, n, m, count, digest):
+    # naive_symmetry_pairs stops at p <= 8; these digests of the full lists
+    # pin them for a change to the refinement or the orbit search
+    pairs = symmetry_pairs(make(n, m))
+    assert len(pairs) == count
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest
 
 
 def test_symmetry_ignores_vertex_roles():
