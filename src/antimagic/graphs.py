@@ -107,10 +107,12 @@ class Graph:
 
     A graph stores its order ``p``, its size ``q``, ``edges`` (each pair
     ``(a, b)`` with ``a < b``, in index order), one ``roles`` entry per
-    vertex and its ``family`` name.  What can be derived from these is
-    built on the first query that needs it and kept: the adjacency and
-    degrees (``neighbors``, ``degree``, ``degrees``, ``is_connected``),
-    the edge index (``edge_index``) and the content hash.
+    vertex and its ``family`` name.  Roles only name vertices for display
+    and may repeat; equality and hashing read ``p`` and ``edges`` alone.
+    What can be derived from these is built on the first query that needs
+    it and kept: the adjacency and degrees (``neighbors``, ``degree``,
+    ``degrees``, ``is_connected``), the edge index (``edge_index``) and
+    the content hash.
     """
 
     __slots__ = ("p", "q", "edges", "roles", "family", "_adj", "_edge_index",
@@ -148,13 +150,6 @@ class Graph:
         roles = tuple(roles)
         if len(roles) != p:
             raise ValueError("one role per vertex required")
-        if len(set(roles)) != p:
-            role_index = {}  # rescan only to name the first duplicate
-            for v, role in enumerate(roles):
-                if role in role_index:
-                    raise ValueError(f"duplicate role {role} on vertices "
-                                     f"{role_index[role]} and {v}")
-                role_index[role] = v
         self.roles = roles
         self.family = family
         # built by the first query that needs them
@@ -216,7 +211,7 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.p == other.p
-                and self.edges == other.edges and self.roles == other.roles)
+                and self.edges == other.edges)
 
     def __hash__(self):
         return hash((self.p, self.edges))
@@ -397,22 +392,14 @@ def corona(g: Graph, h: Graph) -> Graph:
     """Corona product g o h: g plus g.p disjoint copies of h, the i-th copy
     fully joined to vertex i of g.
 
-    When h is edgeless the copies are pendant groups and roles follow the
-    base vertex (hub pendants x_j, inner pendants u_i^j / v_i^j), as long as
-    that naming is one-to-one: g has no pendant roles (g is not itself such
-    a corona), at most one hub, and no two inner vertices with the same side
-    and index.  Otherwise, as for an h with edges, copy vertex v is plain
-    p_v, and a plain role p_v that g already gives one of its own vertices
-    is refused by Graph as a duplicate role.
+    When h is edgeless and g has no pendant roles (g is not itself such a
+    corona), the copies are pendant groups named after their base vertex:
+    hub pendants x_j, inner pendants u_i^j / v_i^j.  Otherwise copy vertex v
+    is plain p_v.  Roles are display names only, so they may repeat.
     """
     p = g.p * (1 + h.p)
-    kinds = list(map(itemgetter(0), g.roles))
-    # g's roles are distinct, so its inner (side, i) are too when every j is 0
-    named = (h.q == 0 and kinds.count(HUB) <= 1
-             and HUB_PENDANT not in kinds and PENDANT not in kinds
-             and (set(map(itemgetter(3), g.roles)) <= {0}
-                  or kinds.count(INNER) == len({(side, i) for kind, side, i, _
-                                                in g.roles if kind == INNER})))
+    kinds = set(map(itemgetter(0), g.roles))
+    named = h.q == 0 and HUB_PENDANT not in kinds and PENDANT not in kinds
     starts = range(g.p, p, h.p)  # first vertex of each base's copy
     roles = list(g.roles) + [
         _new(VertexRole, (HUB_PENDANT, "", 0, j)) if named and kind == HUB

@@ -21,11 +21,12 @@ def stamp(payload: dict) -> dict:
 
 def check_version(doc: dict, kind: str = "document") -> None:
     """Raise ValueError unless ``doc`` is a JSON object with the supported
-    schema version (SchemaVersionError for a wrong or missing version)."""
+    schema version, a plain int (SchemaVersionError for a wrong or missing
+    version; ``true`` and ``1.0`` equal 1 in Python but are not versions)."""
     if not isinstance(doc, dict):
         raise ValueError(f"{kind} document is not a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"unsupported {kind} schema_version {version!r} (expected {SCHEMA_VERSION})"
         )

@@ -850,6 +850,8 @@ MALFORMED_DOCS = {
     "certificate-weight-bool": _c3_certificate_doc(
         weights=[6, 11, 14, True, 4, 6]),
     "certificate-count-float": _c3_certificate_doc(color_count=5.0),
+    "certificate-version-bool": _c3_certificate_doc(schema_version=True),
+    "certificate-version-float": _c3_certificate_doc(schema_version=1.0),
 }
 
 
@@ -1076,11 +1078,28 @@ def _c3_doc(**fields):
     ({**Graph(2, [(0, 1)]).to_doc(), "q": True},
      "graph size True is not an integer"),
     (_c3_doc(family=5), "graph family 5 is not a string"),
+    (_c3_doc(schema_version=True),
+     "unsupported graph schema_version True (expected 1)"),
+    (_c3_doc(schema_version=1.0),
+     "unsupported graph schema_version 1.0 (expected 1)"),
 ], ids=["list", "int-roles", "float-id", "str-id", "str-p", "bool-ids",
-        "q-float", "q-bool", "family-int"])
+        "q-float", "q-bool", "family-int", "version-bool", "version-float"])
 def test_malformed_graph_file_is_usage_error(doc, message, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     assert run(["solve", str(path), "--cache-dir",
                 str(tmp_path / "cache")]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_graph_file_with_repeated_roles_is_accepted(tmp_path):
+    # roles only name vertices: two hubs are drawn as two x
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_c3_doc(roles=[{"kind": "hub"}] * 2 + [
+        {"kind": "inner", "side": "u", "i": 1}])))
+    assert run(["solve", str(path), "--cache-dir",
+                str(tmp_path / "cache")]) == EXIT_OK
+    dot = tmp_path / "g.dot"
+    assert run(["export-dot", str(path), "--out", str(dot)]) == EXIT_OK
+    assert dot.read_text().splitlines()[1:4] == [
+        '  0 [label="x"];', '  1 [label="x"];', '  2 [label="u1"];']

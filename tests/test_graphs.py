@@ -122,15 +122,18 @@ def test_corona_of_a_pendant_corona(make, m):
     assert sorted(gg.degrees)[:g.p * m] == [1] * (g.p * m)
 
 
-@pytest.mark.parametrize("kind", [INNER, HUB])
-def test_corona_names_copies_plainly_when_pendant_names_would_clash(kind):
-    # two inner vertices with one (side, i), or two hubs, would give their
-    # copies the same pendant role
+@pytest.mark.parametrize("kind, pendant", [
+    (INNER, VertexRole(PENDANT, "u", 1, 1)),
+    (HUB, VertexRole(HUB_PENDANT, j=1)),
+], ids=[INNER, HUB])
+def test_corona_names_pendants_after_repeated_roles(kind, pendant):
+    # two inner vertices with one (side, i), or two hubs, give their copies
+    # the same pendant name: roles only name vertices, so they may repeat
     g = Graph(2, [(0, 1)], [VertexRole(kind, "u", 1, 1),
                             VertexRole(kind, "u", 1, 2)])
     gg = corona(g, null_graph(1))
     assert (gg.p, gg.q) == (4, 3)
-    assert gg.roles == g.roles + (VertexRole(PLAIN, i=2), VertexRole(PLAIN, i=3))
+    assert gg.roles == g.roles + (pendant, pendant)
 
 
 def test_corona_names_pendants_of_inner_roles_that_carry_a_j():
@@ -141,14 +144,12 @@ def test_corona_names_pendants_of_inner_roles_that_carry_a_j():
                             VertexRole(PENDANT, "v", 1, 1))
 
 
-def test_corona_names_the_plain_role_a_copy_would_repeat():
+def test_corona_copy_may_repeat_a_plain_role_of_the_base():
     g = Graph(2, [(0, 1)], [VertexRole(PLAIN, i=2), VertexRole(PLAIN, i=0)])
-    with pytest.raises(ValueError) as exc:
-        corona(g, path(2))
-    # copy vertex 2 of the corona is plain p2 too: Graph names the clash
-    assert str(exc.value) == ("duplicate role VertexRole(kind='plain', "
-                              "side='', i=2, j=0) on vertices 0 and 2")
-    # a hub's copy is a named pendant, so a plain p3 beside it is no clash
+    # copy vertex 2 of the corona is plain p2, as base vertex 0 is
+    assert [r.name() for r in corona(g, path(2)).roles] == [
+        "p2", "p0", "p2", "p3", "p4", "p5"]
+    # a hub's copy is a named pendant
     g = Graph(2, [(0, 1)], [VertexRole(HUB), VertexRole(PLAIN, i=3)])
     assert [r.name() for r in corona(g, null_graph(2)).roles] == [
         "x", "p3", "x_1", "x_2", "p4", "p5"]
@@ -262,17 +263,16 @@ def test_graph_order_must_be_an_int(p):
         Graph(p, [])
 
 
-def test_graph_rejects_duplicate_roles():
-    with pytest.raises(ValueError, match="duplicate role"):
-        Graph(2, [(0, 1)], [VertexRole(HUB), VertexRole(HUB)])
-    # the message names the first repeat in vertex order
-    roles = [VertexRole(HUB), VertexRole(INNER, "u", 1), VertexRole(PLAIN),
-             VertexRole(INNER, "u", 1), VertexRole(HUB)]
-    with pytest.raises(ValueError) as exc:
-        Graph(5, [], roles)
-    assert str(exc.value) == (
-        "duplicate role VertexRole(kind='inner', side='u', i=1, j=0) "
-        "on vertices 1 and 3")
+def test_graph_accepts_repeated_roles_and_compares_by_structure():
+    twin_hubs = Graph(2, [(0, 1)], [VertexRole(HUB), VertexRole(HUB)])
+    assert twin_hubs.roles == (VertexRole(HUB),) * 2
+    # roles only name vertices: graphs that differ in them alone are one
+    # graph to equality, hashing and the cache key
+    plain = Graph(2, [(0, 1)])
+    assert twin_hubs == plain and hash(twin_hubs) == hash(plain)
+    assert twin_hubs.content_hash() == plain.content_hash()
+    assert twin_hubs != Graph(3, [(0, 1)])
+    assert twin_hubs != Graph(2, [])
 
 
 def test_neighbors_and_edge_index():
@@ -500,6 +500,44 @@ def test_graphs_match_golden_digest():
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_GRAPHS_SHA256
 
 
+# sha256 of to_dot() for one small instance of each `gen` family, recorded
+# while Graph still refused repeated roles: the vertex names must not change
+@pytest.mark.parametrize("make, digest", [
+    (lambda: friendship_corona(2, 1),
+     "85b1944a40b5d99bdc4e01ea3fa6c581d2f99cfd200497d52715153006d0f683"),
+    (lambda: fan_corona(3, 1),
+     "84182cf75499a769e54341a88fdf655a35c7fb49da4c215c96bbb574efd0c92e"),
+    (lambda: corona(cycle(3), null_graph(1)),
+     "e8a63a84c8957cd114acd8cf418597d7774afc288beb48d59bf143f75b8b1fb2"),
+    (lambda: corona(complete(4), complete(1)),
+     "16f6a1ae70da33df31bb9a0c29bb79495e432d66616b1a9a364513f8f4fbb457"),
+    (lambda: friendship(2),
+     "82b89f5924aefaa2bb213f0e03d98a5c2e09bb4ac92db3bf1527d863c41cc71b"),
+    (lambda: fan(3),
+     "7accc03623d9a31cb3c1874edeaf4553b6e625054d7b1c403cc484882d80fcdf"),
+    (lambda: cycle(4),
+     "01f237fb8579399a33c9302dad290ca95461546e888ad7b67d8089107a7cea36"),
+    (lambda: path(3),
+     "55838a03ccd465bc65a9d17e3eb7a05d4824e21b156afba2b71df4f15acdf18d"),
+    (lambda: complete(4),
+     "b85b051695d02d50208c1601f9042927cd3a19fe1a2714880a975c0887084dfb"),
+    (lambda: null_graph(2),
+     "871e7ba99653547b199715e89b49f92e06ab763453f12ce486cd55f357745999"),
+], ids=["friendship-corona", "fan-corona", "c3-corona", "kn-k1",
+        "friendship", "fan", "cycle", "path", "complete", "null"])
+def test_dot_export_matches_digest(make, digest):
+    assert hashlib.sha256(make().to_dot().encode()).hexdigest() == digest
+
+
+def test_dot_export_of_a_certificate_matches_digest():
+    # f3oO1 with its construction's labels and weights, recorded as above
+    report = construct(3)
+    cert = report.certificate
+    dot = report.graph.to_dot(labels=cert.labels, weights=cert.weights)
+    assert hashlib.sha256(dot.encode()).hexdigest() == (
+        "c5881648a84368881b424f26bb441f223858aba4a44638ee2201f10aca1ef829")
+
+
 def test_vertex_role_is_immutable_and_hashable():
     role = VertexRole(PENDANT, "u", 1, 2)
     with pytest.raises(AttributeError):
@@ -529,7 +567,7 @@ def test_vertex_role_rejects_malformed_docs(doc):
 
 @pytest.mark.parametrize("field, value", [
     ("roles", "x"), ("edges", {"0": 1}), ("p", "3"),
-    ("roles", [{"kind": "inner", "i": 1}] * 3),
+    ("roles", [{"kind": "inner", "i": 1}] * 2),
 ])
 def test_doc_rejects_malformed_fields(field, value):
     doc = cycle(3).to_doc()

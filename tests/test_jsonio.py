@@ -18,6 +18,15 @@ def test_check_rejects_missing_and_wrong_versions():
         jsonio.check_version({"schema_version": 999}, "certificate")
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_check_rejects_versions_that_only_equal_1(version):
+    # True == 1 and 1.0 == 1 in Python: only a plain int is a version
+    with pytest.raises(jsonio.SchemaVersionError) as exc:
+        jsonio.check_version({"schema_version": version}, "graph")
+    assert str(exc.value) == (
+        f"unsupported graph schema_version {version!r} (expected 1)")
+
+
 def test_schema_error_is_a_value_error():
     # the CLI maps usage errors to one exit code via this subclassing
     assert issubclass(jsonio.SchemaVersionError, ValueError)
