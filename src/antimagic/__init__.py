@@ -20,9 +20,9 @@ _EXPORTS = {
     "construction": ("ConstructionError", "ConstructionReport",
                      "chi_la_friendship_o1", "construct", "construct_even",
                      "construct_odd", "construct_small"),
-    "graphs": ("Graph", "VertexRole", "complete", "corona", "cycle", "fan",
-               "fan_corona", "friendship", "friendship_corona", "null_graph",
-               "path"),
+    "graph": ("Graph", "VertexRole"),
+    "graphs": ("complete", "corona", "cycle", "fan", "fan_corona",
+               "friendship", "friendship_corona", "null_graph", "path"),
     "labeling": ("BUDGET_EXHAUSTED", "Certificate", "EXACT", "FEASIBLE",
                  "GraphMismatchError", "INFEASIBLE", "InvalidLabelingError",
                  "SearchConfig", "Verdict", "make_certificate",

@@ -23,7 +23,8 @@ import json
 from itertools import islice
 from typing import NamedTuple
 
-from .graphs import REPORT_FAMILIES, _triangular
+from .graph import _triangular
+from .graphs import REPORT_FAMILIES
 
 FRIENDSHIP_LOWER = "friendship-lower"
 FAN_LOWER = "fan-lower"

@@ -8,33 +8,34 @@ writes the answer's certificate; on a copy of friendship_corona(n, 1) that
 is the paper's 2n+3 construction on the file's own numbering.  A budget
 that is not positive, and a graph the solver refuses (fewer than 2 edges,
 or not connected), are refused before the cache is read or created, with
-or without ``--target-colors``.
-
-``gen`` and ``bounds`` take a family's ``--n`` and ``--m`` by one rule: a flag
-the family reads is required, a flag it fixes (n = 3 for c3-corona, m = 1 for
-kn-k1) is accepted only at that value, and any other flag given is refused.
+or without ``--target-colors``.  This module holds solve and label; the
+other five subcommands are in ``commands``.
 
 Solver results are cached in one append-only JSONL index, keyed by graph
 content hash; each record carries its certificate and, for an exact solve,
 chi.  A record is trusted only after its certificate re-verifies and agrees
-with the record's chi.  A cached certificate answers any feasibility query
-with at least its colour count, and a cached chi answers the exact query and
-every feasibility query below it.  Cache location: --cache-dir, else
+with the record's chi; an index line that is not JSON, or not UTF-8, is
+skipped.  A cached certificate answers any feasibility query with at least
+its colour count, and a cached chi answers the exact query and every
+feasibility query below it.  Cache location: --cache-dir, else
 $ANTIMAGIC_CACHE_DIR, else ./.antimagic-cache.
 
 Exit codes: 0 success, 1 standard output closed by its reader (as by
 ``| head``), 2 usage or domain error (a graph too large for the recursive
 search among them), 3 verification failure, 4 budget exhausted.
 
-``main`` builds the parser of the subcommand that its first argument names
-and no other; it builds all seven only when that argument names none (no
-argument, ``-h``, a typo), so that top-level help and usage errors list them
-all.  The bounds module is loaded only by ``bounds`` and ``sweep``, the
-solver only by a ``solve`` or ``label`` that the cache cannot answer,
-``fcntl`` only to write a record to the cache, and the construction module
-only by the solver, for a graph with the size and degrees of a friendship
-corona with one pendant per vertex, so a ``solve`` of any other graph starts
-without them.
+A process loads only the code it runs.  ``main`` builds the parser of the
+subcommand that its first argument names and no other; it builds all seven
+only when that argument names none (no argument, ``-h``, a typo), so that
+top-level help and usage errors list them all.  A ``solve`` or ``label``
+loads ``jsonio``, the graph record (``graph``) and ``labeling``: not the
+family builders and refinement code (``graphs``), nor ``commands``, which
+only the other five subcommands and a build of all seven parsers load.  The
+solver (and with it ``graphs``) is loaded only by a ``solve`` or ``label``
+that the cache cannot answer, ``fcntl`` only to write a record to the
+cache, and the construction module only by the solver, for a graph with the
+size and degrees of a friendship corona with one pendant per vertex, so a
+``solve`` of any other graph starts without them.
 """
 
 from __future__ import annotations
@@ -47,48 +48,15 @@ import time
 from pathlib import Path
 
 from . import jsonio
-from .graphs import (REPORT_FAMILIES, Graph, _is_int, complete, corona, cycle,
-                     fan, fan_corona, friendship, friendship_corona,
-                     null_graph, path)
+from .graph import Graph, _is_int
+from .jsonio import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _dump,
+                     _load_graph)
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
-                       Certificate, GraphMismatchError, InvalidLabelingError,
-                       SearchConfig, _check_k, _validate_instance,
-                       make_certificate, verify_certificate)
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_VERIFY = 3
-EXIT_BUDGET = 4
+                       Certificate, GraphMismatchError, SearchConfig, _check_k,
+                       _validate_instance, verify_certificate)
 
 CACHE_ENV = "ANTIMAGIC_CACHE_DIR"
 DEFAULT_CACHE = ".antimagic-cache"
-
-
-def _write_out(text: str, out: str | None) -> None:
-    if out in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
-
-
-def _dump(doc: dict, out: str | None) -> None:
-    _write_out(json.dumps(doc, indent=2, sort_keys=True), out)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to read") from None
-
-
-def _load_graph(path: str) -> Graph:
-    return Graph.from_doc(_load_json(path))
 
 
 # -- certificate cache ---------------------------------------------------------
@@ -103,15 +71,18 @@ def _cache_lookup(cache: Path, g: Graph
     if not index.is_file():
         return None
     key = g.content_hash()
+    tag = key.encode()
     best = None
-    with open(index) as fh:
+    # read as bytes, so that a line that is not UTF-8 is skipped as a torn
+    # one is, and does not stop the read of the lines after it
+    with open(index, "rb") as fh:
         for line in fh:
-            if key not in line:
+            if tag not in line:
                 continue  # another graph's record: not worth parsing
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write at the tail, or a blank line; ignore
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                continue  # a torn write, a blank line, bytes not UTF-8
             if isinstance(rec, dict) and rec.get("graph_hash") == key:
                 best = rec
     if best is None:
@@ -159,51 +130,6 @@ def _cache_store(cache: Path, g: Graph, cert: Certificate,
 
 
 # -- subcommands -----------------------------------------------------------------
-
-
-# family -> (builder, the flags it reads, the flags it fixes with their
-# values); the builder takes the family's n and m, those it has, in order
-_FAMILIES = {
-    "friendship-corona": (friendship_corona, ("n", "m"), {}),
-    "fan-corona": (fan_corona, ("n", "m"), {}),
-    "c3-corona": (lambda n, m: corona(cycle(n), null_graph(m)), ("m",),
-                  {"n": 3}),
-    "kn-k1": (lambda n, m: corona(complete(n), complete(m)), ("n",),
-              {"m": 1}),
-    "friendship": (friendship, ("n",), {}),
-    "fan": (fan, ("n",), {}),
-    "cycle": (cycle, ("n",), {}),
-    "path": (path, ("n",), {}),
-    "complete": (complete, ("n",), {}),
-    "null": (null_graph, ("n",), {}),
-}
-
-
-def _family_args(args) -> list[int]:
-    """The family's n and m, those it has, in order, by the module's rule."""
-    _build, reads, fixes = _FAMILIES[args.family]
-    values = []
-    for name in ("n", "m"):
-        given = getattr(args, name)
-        if name in reads:
-            if given is None:
-                raise ValueError(f"family {args.family!r} requires --{name}")
-            values.append(given)
-        elif name in fixes:
-            if given not in (None, fixes[name]):
-                raise ValueError(f"family {args.family!r} has {name} = "
-                                 f"{fixes[name]}, got --{name} {given}")
-            values.append(fixes[name])
-        elif given is not None:
-            raise ValueError(f"family {args.family!r} does not read --{name}")
-    return values
-
-
-def cmd_gen(args) -> int:
-    build = _FAMILIES[args.family][0]
-    g = build(*_family_args(args))
-    _dump(g.to_doc(), args.out)
-    return EXIT_OK
 
 
 def _solve(g: Graph, args) -> dict:
@@ -283,87 +209,7 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
-    doc = _load_json(args.labeling)
-    try:
-        # a document that is not an object is refused by Certificate.from_doc
-        if not isinstance(doc, dict) or "verdict" in doc:
-            kind = "certificate"
-            cert = Certificate.from_doc(doc)
-            ok = verify_certificate(cert, g)
-        else:
-            kind = "labeling"
-            labels = doc["labels"]
-            if not isinstance(labels, list):
-                raise ValueError("labeling labels must be a list")
-            if doc.get("graph_hash") not in (None, g.content_hash()):
-                raise GraphMismatchError("labeling was made for a different "
-                                         "graph (content hash mismatch)")
-            cert = make_certificate(g, labels)
-            ok = cert.verdict.ok
-    except (InvalidLabelingError, GraphMismatchError) as exc:
-        _dump({"ok": False, "error": str(exc)}, args.out)
-        return EXIT_VERIFY
-    _dump({"kind": kind, "ok": bool(ok), "color_count": cert.color_count,
-           "verdict": cert.verdict.to_doc()}, args.out)
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
-def cmd_bounds(args) -> int:
-    n, m = _family_args(args)
-    from . import bounds
-    report = bounds.bound_report(args.family, n, m)
-    _dump(report.to_doc(), args.out)
-    return EXIT_OK
-
-
-# target -> (name of the sweep in bounds, looked up at call time; first n)
-_SWEEPS = {"friendship": ("sweep_friendship_inequalities", 2),
-           "fan": ("sweep_fan_inequalities", 3)}
-
-
-def cmd_sweep(args) -> int:
-    from . import bounds
-    sweep, first_n = _SWEEPS[args.target]
-    n_lo = first_n if args.n_min is None else args.n_min
-    witnesses = getattr(bounds, sweep)(range(n_lo, args.n_max + 1),
-                                       range(args.m_min, args.m_max + 1))
-    if args.format == "json":
-        _write_out(bounds.witnesses_to_json(witnesses), args.out)
-    elif args.out in (None, "-"):
-        bounds.witnesses_to_csv(witnesses, sys.stdout)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            bounds.witnesses_to_csv(witnesses, fh)
-    return EXIT_OK
-
-
-def cmd_export_dot(args) -> int:
-    g = _load_graph(args.graph)
-    labels = weights = None
-    if args.certificate:
-        cert = Certificate.from_doc(_load_json(args.certificate))
-        if not verify_certificate(cert, g):
-            raise GraphMismatchError("certificate does not verify against "
-                                     "this graph")
-        labels, weights = list(cert.labels), list(cert.weights)
-    _write_out(g.to_dot(labels=labels, weights=weights), args.out)
-    return EXIT_OK
-
-
 # -- parser -----------------------------------------------------------------------
-
-
-def _gen_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", choices=list(_FAMILIES))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    p.add_argument("labeling", help="labeling or certificate JSON file")
 
 
 def _solve_args(p: argparse.ArgumentParser) -> None:
@@ -380,38 +226,18 @@ def _solve_args(p: argparse.ArgumentParser) -> None:
                         f"./{DEFAULT_CACHE})")
 
 
-def _bounds_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=list(REPORT_FAMILIES))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=1)
-
-
-def _sweep_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("target", choices=["friendship", "fan"])
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--m-min", type=int, default=1)
-    p.add_argument("--m-max", type=int, default=50)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-
-def _export_dot_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    p.add_argument("--certificate", default=None,
-                   help="overlay labels/weights from a certificate")
-
-
-# subcommand -> (help line, argument adder, handler), in the order that
-# top-level help lists them; every subcommand also takes --out
+# subcommand -> (help line, handler), in the order that top-level help lists
+# them; every subcommand also takes --out.  Solve and label take the
+# arguments of _solve_args; a handler of None is one of the five that
+# ``commands`` holds, loaded only when its parser is built
 _COMMANDS = {
-    "gen": ("generate a graph family instance", _gen_args, cmd_gen),
-    "label": ("produce a verified certificate", _solve_args, cmd_label),
-    "verify": ("check a labeling or certificate", _verify_args, cmd_verify),
-    "solve": ("exact search for the optimum", _solve_args, cmd_solve),
-    "bounds": ("closed-form bound report", _bounds_args, cmd_bounds),
-    "sweep": ("evaluate bound inequalities over a grid", _sweep_args,
-              cmd_sweep),
-    "export-dot": ("write Graphviz DOT", _export_dot_args, cmd_export_dot),
+    "gen": ("generate a graph family instance", None),
+    "label": ("produce a verified certificate", cmd_label),
+    "verify": ("check a labeling or certificate", None),
+    "solve": ("exact search for the optimum", cmd_solve),
+    "bounds": ("closed-form bound report", None),
+    "sweep": ("evaluate bound inequalities over a grid", None),
+    "export-dot": ("write Graphviz DOT", None),
 }
 
 
@@ -429,7 +255,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         dest="command", required=True,
         metavar=None if len(names) > 1 else "{%s}" % ",".join(_COMMANDS))
     for name in names:
-        help_line, add_args, func = _COMMANDS[name]
+        help_line, func = _COMMANDS[name]
+        add_args = _solve_args
+        if func is None:
+            from .commands import COMMANDS
+            add_args, func = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
         add_args(p)
         p.add_argument("--out", default=None)

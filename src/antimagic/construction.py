@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import Graph, _friendship_o1_n, _isomorphism, friendship_corona
+from .graph import Graph
+from .graphs import _friendship_o1_n, _isomorphism, friendship_corona
 from .labeling import Certificate, make_certificate
 
 

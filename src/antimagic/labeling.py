@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, _is_int
+from .graph import Graph, _is_int
 from .jsonio import check_version, stamp
 
 # how a colour-count query was answered; the solver returns these, and the

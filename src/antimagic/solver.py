@@ -58,8 +58,8 @@ import time
 from itertools import accumulate, compress
 from typing import NamedTuple
 
-from .graphs import (Graph, _friendship_o1_n, _is_int, _isomorphism,
-                     _refine, _triangular)
+from .graph import Graph, _is_int, _triangular
+from .graphs import _friendship_o1_n, _isomorphism, _refine
 from .labeling import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                        Certificate, SearchConfig, _check_k,
                        _validate_instance, make_certificate)

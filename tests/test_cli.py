@@ -312,7 +312,9 @@ def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
     # a cold solve, then a cache hit, which does not load the solver either
     for cached, unused in ((False, UNUSED_BY_SOLVE),
                            (True, UNUSED_BY_SOLVE + ("antimagic.solver",
-                                                     "fcntl"))):
+                                                     "fcntl",
+                                                     "antimagic.graphs",
+                                                     "antimagic.commands"))):
         assert _run_fresh(unused, argv) == [EXIT_OK, []]
         assert read(out)["chi"] == 5
         assert read(out).get("cached", False) is cached
@@ -320,6 +322,26 @@ def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
     # refusal does not load the solver
     assert _run_fresh(UNUSED_BY_SOLVE + ("antimagic.solver", "fcntl"),
                       [*argv, "--node-budget", "0"]) == [EXIT_USAGE, []]
+
+
+def test_cache_hit_process_imports_only_its_own_modules(c3_file, tmp_path):
+    # the command form a user runs, with the CLI as __main__: the hit must
+    # not import antimagic.cli as well, which would compile it twice
+    cache = tmp_path / "cache"
+    argv = [sys.executable, "-X", "importtime", "-m", "antimagic.cli",
+            "solve", str(c3_file), "--cache-dir", str(cache)]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
+    assert run(["solve", str(c3_file), "--cache-dir", str(cache)]) == EXIT_OK
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          check=True)
+    assert json.loads(proc.stdout)["cached"] is True
+    names = [line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    assert sorted(n for n in names if n.startswith("antimagic")) == [
+        "antimagic", "antimagic.graph", "antimagic.jsonio",
+        "antimagic.labeling"]
 
 
 def test_label_process_caches_the_construction(tmp_path):
@@ -556,6 +578,28 @@ def test_corrupt_cache_line_is_skipped(c3_file, tmp_path, line):
         fh.write(line.replace("HASH", key) + "\n")
     assert run(["solve", str(c3_file), "--cache-dir", str(cache),
                 "--out", str(out)]) == EXIT_OK
+    assert read(out)["cached"] is True
+
+
+# index lines that are not UTF-8; the second holds the graph's hash, so it
+# passes the hash filter and reaches the parse
+@pytest.mark.parametrize("line", [b"\xff\xfe garbage", b"\xffHASH"],
+                         ids=["other-graph", "with-hash"])
+def test_undecodable_cache_line_is_skipped(c3_file, f2_file, tmp_path, line):
+    cache = tmp_path / "cache"
+    out = tmp_path / "o.json"
+    argv = ["--cache-dir", str(cache), "--out", str(out)]
+    assert run(["solve", str(c3_file), *argv]) == EXIT_OK
+    key = Graph.from_doc(read(c3_file)).content_hash()
+    with open(cache / "cache.jsonl", "ab") as fh:
+        fh.write(line.replace(b"HASH", key.encode()) + b"\n")
+    assert run(["solve", str(c3_file), *argv]) == EXIT_OK
+    assert read(out)["cached"] is True
+    # a miss still solves and appends its record after the bad line
+    assert run(["solve", str(f2_file), *argv]) == EXIT_OK
+    assert "cached" not in read(out) and read(out)["chi"] == 7
+    assert (cache / "cache.jsonl").read_bytes().count(b"\n") == 3
+    assert run(["solve", str(f2_file), *argv]) == EXIT_OK
     assert read(out)["cached"] is True
 
 
@@ -831,6 +875,10 @@ MALFORMED_DOCS = {
     "number": 7,
     "labels-not-list": {"labels": 5},
     "labels-string": {"labels": "123456"},
+    # refused as a certificate's non-string hash is, not as a mismatch
+    "labeling-hash-number": {"graph_hash": 5, "labels": [2, 5, 3, 1, 4, 6]},
+    "labeling-hash-list": {"graph_hash": ["x"],
+                           "labels": [2, 5, 3, 1, 4, 6]},
     "certificate-labels-not-list": {
         "schema_version": 1, "graph_hash": "", "labels": 5, "weights": [],
         "color_count": 1, "verdict": "local-antimagic"},
@@ -1052,6 +1100,36 @@ def test_graph_file_that_is_not_json_is_usage_error(tmp_path, capsys):
                 str(tmp_path / "cache")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: invalid JSON (")
+
+
+def test_graph_file_is_read_as_utf8_whatever_the_locale(c3_file, tmp_path):
+    # JSON is UTF-8 (RFC 8259), so an ASCII locale must not refuse it
+    path = tmp_path / "g.json"
+    doc = {**read(c3_file), "family": "K\u2084\u2218K\u2081"}  # K4∘K1
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "antimagic.cli", "solve",
+         str(path), "--cache-dir", str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["chi"] == 5
+
+
+def test_file_that_is_not_utf8_is_named(c3_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({"labels": [2, 5, 3, 1, 4, 6]}))
+    # the graph argument of verify, then its labeling argument
+    for args in ([str(bad), str(lab)], [str(c3_file), str(bad)]):
+        assert run(["verify", *args]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid JSON (")
+        assert err.count("\n") == 1
 
 
 def _c3_doc(**fields):
