@@ -27,8 +27,8 @@ _EXPORTS = {
                  "GraphMismatchError", "INFEASIBLE", "InvalidLabelingError",
                  "SearchConfig", "Verdict", "make_certificate",
                  "validate_labeling", "verify_certificate", "weights"),
-    "solver": ("SearchOutcome", "exact_chi_la", "feasible_with_k_colors",
-               "lower_bound_prune"),
+    "proof": ("lower_bound_prune",),
+    "solver": ("SearchOutcome", "exact_chi_la", "feasible_with_k_colors"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -29,13 +29,15 @@ subcommand that its first argument names and no other; it builds all seven
 only when that argument names none (no argument, ``-h``, a typo), so that
 top-level help and usage errors list them all.  A ``solve`` or ``label``
 loads ``jsonio``, the graph record (``graph``) and ``labeling``: not the
-family builders and refinement code (``graphs``), nor ``commands``, which
-only the other five subcommands and a build of all seven parsers load.  The
-solver (and with it ``graphs``) is loaded only by a ``solve`` or ``label``
-that the cache cannot answer, ``fcntl`` only to write a record to the
-cache, and the construction module only by the solver, for a graph with the
-size and degrees of a friendship corona with one pendant per vertex, so a
-``solve`` of any other graph starts without them.
+family builders (``graphs``), nor ``commands``, which only the other five
+subcommands and a build of all seven parsers load, nor ``hashlib``, as the
+content hash is taken without OpenSSL.  The solver (and with it the
+refinement and isomorphism code, ``iso``) is loaded only by a ``solve`` or
+``label`` that the cache cannot answer, ``fcntl`` only to write a record to
+the cache, and the construction module (which loads ``graphs``) and the
+root bound (``proof``) only by the solver, for a graph with the size and
+degrees of a friendship corona with one pendant per vertex, so a ``solve``
+of any other graph starts without them.
 """
 
 from __future__ import annotations

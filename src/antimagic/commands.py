@@ -3,7 +3,8 @@ sweep and export-dot, with their argument adders.
 
 ``cli`` loads this module only when one of these five is named, or when it
 builds all seven parsers (no argument, ``-h``, a typo), so that a ``solve``
-or ``label`` process never compiles it or the family builders it imports.
+or ``label`` process never compiles it, nor the family builders it imports
+unless the solver seeds a friendship corona.
 It does not import ``cli``: under ``python -m antimagic.cli`` the running
 CLI is ``__main__``, and that import would compile ``cli`` a second time.
 The file helpers and exit codes that both share are in ``jsonio``.

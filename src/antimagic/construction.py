@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graph import Graph
-from .graphs import _friendship_o1_n, _isomorphism, friendship_corona
+from .graphs import friendship_corona
+from .iso import _friendship_o1_n, _isomorphism
 from .labeling import Certificate, make_certificate
 
 

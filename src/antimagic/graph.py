@@ -6,18 +6,30 @@ stored as a flat list and compared across runs; labelings and certificates
 reference a graph by its content hash.  This module holds what reading a
 graph document, checking it and hashing it need, and nothing else: the
 family builders, whose numbering conventions fix the vertex and edge order
-of the paper's graphs, and the refinement and isomorphism code are in
-``graphs``, which re-exports the names here.  A cache hit of the CLI loads
-this module and not that one.
+of the paper's graphs, are in ``graphs``, which re-exports the names here,
+and the refinement and isomorphism code is in ``iso``.  A cache hit of the
+CLI loads this module and neither of those.  The content hash is taken with
+CPython's built-in SHA-256, so no request loads ``hashlib`` and OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
 from typing import NamedTuple
 
 from .jsonio import check_version, stamp
+
+# CPython's own SHA-256, the same digest as hashlib.sha256: importing
+# hashlib loads OpenSSL's libcrypto, a few milliseconds of every request.
+# The version picks the module's name, so no import is tried in vain.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without it
+    from hashlib import sha256
 
 # role kinds
 HUB = "hub"
@@ -193,11 +205,16 @@ class Graph:
         return len(seen) == self.p
 
     def content_hash(self) -> str:
-        """Hash of the labeled structure (order + indexed edge list)."""
+        """Hash of the labeled structure (order + indexed edge list): the
+        hex SHA-256 of ``{"p":...,"edges":[[a,b],...]}`` in compact JSON.
+
+        The digest is a file format: it keys the CLI cache and is the
+        ``graph_hash`` that certificates and labelings carry, so the
+        encoding and the hash must not change."""
         if self._hash is None:
             blob = json.dumps({"p": self.p, "edges": self.edges},
                               separators=(",", ":")).encode()
-            self._hash = hashlib.sha256(blob).hexdigest()
+            self._hash = sha256(blob).hexdigest()
         return self._hash
 
     def __eq__(self, other) -> bool:

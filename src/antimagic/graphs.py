@@ -15,9 +15,9 @@ flat list and compared across runs:
 Graphs are immutable once built; labelings and certificates reference them by
 content hash.  The record itself (``Graph``, ``VertexRole`` and the role
 kinds) is defined in ``graph`` and re-exported here; this module adds the
-builders, the refinement and isomorphism search that the solver's symmetry
-breaking and the construction's relabeling use, and the test that a graph
-looks like ``friendship_corona(n, 1)``.
+builders and nothing else.  The refinement and isomorphism search, and the
+test that a graph looks like ``friendship_corona(n, 1)``, read the edges
+alone and are in ``iso``: the solver imports that module and not this one.
 """
 
 from __future__ import annotations
@@ -29,67 +29,6 @@ from .graph import (HUB, HUB_PENDANT, INNER, PENDANT, PLAIN, Graph,
 
 # the corona families with a closed-form bound report, by their CLI names
 REPORT_FAMILIES = ("friendship-corona", "fan-corona", "c3-corona", "kn-k1")
-
-
-# -- structure: refinement and isomorphism ------------------------------------
-
-
-def _refine(adj, colours) -> list[int]:
-    """Coarsest equitable refinement of a vertex colouring.
-
-    A vertex's new colour is the rank of (old colour, sorted neighbour
-    colours) among all such signatures, so colour ids depend only on the
-    coloured structure and agree between isomorphic coloured graphs."""
-    count = len(set(colours))
-    while True:
-        sigs = [(colours[v], tuple(sorted(colours[u] for u in adj[v])))
-                for v in range(len(adj))]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colours = [rank[s] for s in sigs]
-        if len(rank) == count:
-            return colours
-        count = len(rank)
-
-
-def _isomorphism(adj, left, right, other=None) -> list[int] | None:
-    """An isomorphism pi from the graph ``adj`` onto the graph ``other``
-    (default ``adj`` itself, so pi is an automorphism) with
-    ``left[v] == right[pi[v]]`` for every vertex, or None:
-    individualisation-refinement on the disjoint union of the two graphs,
-    the first coloured by ``left`` and the second by ``right``."""
-    if other is None:
-        other = adj
-    p = len(adj)
-    double = list(adj) + [[u + p for u in ns] for ns in other]
-
-    def search(colours):
-        colours = _refine(double, colours)
-        cells: dict[int, tuple[list[int], list[int]]] = {}
-        for v, c in enumerate(colours):
-            cells.setdefault(c, ([], []))[v >= p].append(v)
-        split = None
-        for c in sorted(cells):
-            ls, rs = cells[c]
-            if len(ls) != len(rs):  # so too when the orders differ
-                return None
-            if split is None and len(ls) > 1:
-                split = ls[0], rs
-        if split is None:
-            # discrete and equitable: the halves correspond vertex by vertex
-            return [cells[colours[v]][1][0] - p for v in range(p)]
-        v, rs = split
-        for w in rs:
-            trial = list(colours)
-            trial[v] = trial[w] = len(cells)
-            found = search(trial)
-            if found is not None:
-                return found
-        return None
-
-    return search(list(left) + list(right))
-
-
-# -- families ---------------------------------------------------------------
 
 
 def friendship(n: int) -> Graph:
@@ -186,18 +125,6 @@ def corona(g: Graph, h: Graph) -> Graph:
 def friendship_corona(n: int, m: int) -> Graph:
     """friendship(n) o null_graph(m): p=(2n+1)(1+m), q=m(2n+1)+3n."""
     return corona(friendship(n), null_graph(m))
-
-
-def _friendship_o1_n(g: Graph) -> int | None:
-    """n when g has the order 4n+2, size 5n+1 and degree multiset of
-    friendship_corona(n, 1) for some n >= 2, else None: a cheap test that
-    every copy of that corona passes."""
-    n, rest = divmod(g.p - 2, 4)
-    if n < 2 or rest or g.q != 5 * n + 1:
-        return None
-    if sorted(g.degrees) != [1] * (2 * n + 1) + [3] * (2 * n) + [2 * n + 1]:
-        return None
-    return n
 
 
 def fan_corona(n: int, m: int) -> Graph:

@@ -18,7 +18,8 @@ import random
 import pytest
 
 from antimagic import Graph, SearchConfig, exact_chi_la, friendship_corona
-from antimagic.solver import _order_edges, lower_bound_prune, symmetry_pairs
+from antimagic.proof import lower_bound_prune
+from antimagic.solver import _order_edges, symmetry_pairs
 
 
 def naive_exact_chi_la(g: Graph, partial=None) -> int:

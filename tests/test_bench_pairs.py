@@ -144,3 +144,27 @@ def test_export_worktree_takes_edits_and_untracked_files(tmp_path):
     assert _git(repo, "cat-file", "-t", tree).strip() == "tree"
     assert _git(repo, "rev-parse", "HEAD:pkg/mod.py") != _git(
         repo, "rev-parse", f"{tree}:pkg/mod.py")
+
+
+def test_run_bench_writes_no_bytecode(monkeypatch, tmp_path):
+    # without PYTHONDONTWRITEBYTECODE=1 the benchmark's in-process import
+    # would write __pycache__ into the export, and every later CLI child on
+    # that side would load bytecode in place of compiling
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        return subprocess.CompletedProcess(cmd, 0, _stdout(0.5, 23.5), "")
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = bench_pairs.run_bench(tmp_path, "cli-cold", 7, 2.0)
+    assert out["metrics"]["pass_s"] == 0.5
+    [(cmd, kwargs)] = calls
+    assert cmd[1:] == ["bench/run.py", "--workload", "cli-cold", "--seed",
+                       "7", "--seconds", "2.0", "--trace", "0"]
+    assert kwargs["cwd"] == tmp_path
+    env = kwargs["env"]
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["BENCH_PAIRS_PROBE"] == "kept"  # the rest of the environment

@@ -286,7 +286,8 @@ def test_label_construction_rejects_other_graphs(tmp_path):
 # its process must not load them
 UNUSED_BY_SOLVE = ("dataclasses", "inspect", "datetime", "csv",
                    "concurrent.futures", "antimagic.bounds",
-                   "antimagic.construction")
+                   "antimagic.construction", "hashlib", "_hashlib",
+                   "antimagic.graphs", "antimagic.proof")
 
 
 def _run_fresh(unused, argv):
@@ -313,7 +314,6 @@ def test_solve_process_loads_only_what_it_runs(c3_file, tmp_path):
     for cached, unused in ((False, UNUSED_BY_SOLVE),
                            (True, UNUSED_BY_SOLVE + ("antimagic.solver",
                                                      "fcntl",
-                                                     "antimagic.graphs",
                                                      "antimagic.commands"))):
         assert _run_fresh(unused, argv) == [EXIT_OK, []]
         assert read(out)["chi"] == 5
@@ -342,6 +342,49 @@ def test_cache_hit_process_imports_only_its_own_modules(c3_file, tmp_path):
     assert sorted(n for n in names if n.startswith("antimagic")) == [
         "antimagic", "antimagic.graph", "antimagic.jsonio",
         "antimagic.labeling"]
+
+
+def _imported(argv):
+    """Run ``python -X importtime -m antimagic.cli *argv`` in a new process:
+    its output document and the names of the modules it imported."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "antimagic.cli", *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    names = [line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    return json.loads(proc.stdout), names
+
+
+def test_cold_solve_process_imports_only_the_search(c3_file, tmp_path):
+    # a miss compiles the solver and the refinement code it runs, not the
+    # family builders or the root-bound oracle
+    doc, names = _imported(["solve", str(c3_file), "--cache-dir",
+                            str(tmp_path / "cache")])
+    assert doc["chi"] == 5 and "cached" not in doc
+    assert sorted(n for n in names if n.startswith("antimagic")) == [
+        "antimagic", "antimagic.graph", "antimagic.iso", "antimagic.jsonio",
+        "antimagic.labeling", "antimagic.solver"]
+
+
+def test_seeded_solve_process_loads_the_construction_and_the_bound(
+        tmp_path):
+    # on f3oO1 the solver answers 2n+3 = 9 from the construction and the
+    # root bound, which it imports for that graph alone
+    g_file = tmp_path / "f3.json"
+    assert run(["gen", "friendship-corona", "--n", "3", "--m", "1",
+                "--out", str(g_file)]) == EXIT_OK
+    out = tmp_path / "o.json"
+    argv = ["solve", str(g_file), "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    assert _run_fresh(("antimagic.proof", "antimagic.construction",
+                       "hashlib", "_hashlib"), argv) == [
+        EXIT_OK, ["antimagic.proof", "antimagic.construction"]]
+    doc = read(out)
+    assert doc["status"] == "exact" and "cached" not in doc
+    assert doc["chi"] == 9 and doc["nodes_explored"] == 0
 
 
 def test_label_process_caches_the_construction(tmp_path):

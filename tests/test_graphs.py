@@ -3,16 +3,21 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antimagic
 from antimagic.construction import construct
 from antimagic.graphs import (HUB, HUB_PENDANT, INNER, PENDANT, PLAIN,
-                              Graph, VertexRole, _isomorphism, complete,
-                              corona, cycle, fan, fan_corona, friendship,
-                              friendship_corona, null_graph, path)
+                              Graph, VertexRole, complete, corona, cycle, fan,
+                              fan_corona, friendship, friendship_corona,
+                              null_graph, path)
+from antimagic.iso import _isomorphism
 from antimagic.labeling import verify_certificate
 
 
@@ -498,6 +503,64 @@ def test_graphs_match_golden_digest():
              g.content_hash()] for g in graphs]
     blob = json.dumps(docs, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_GRAPHS_SHA256
+
+
+def _compact_json_sha256(g: Graph) -> str:
+    """The content hash as its format states it: hashlib's SHA-256 of the
+    compact JSON of the order and the edge list."""
+    blob = json.dumps({"p": g.p, "edges": [list(e) for e in g.edges]},
+                      separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_content_hash_is_sha256_of_compact_json():
+    # the graphs of test_graphs_match_golden_digest
+    graphs = [friendship_corona(n, m) for n in range(2, 6) for m in range(1, 4)]
+    graphs += [fan_corona(n, m) for n in range(2, 6) for m in range(1, 4)]
+    graphs += [corona(complete(4), complete(1)), corona(cycle(4), path(3)),
+               corona(path(3), null_graph(2)), corona(complete(3), cycle(3))]
+    for g in graphs:
+        assert g.content_hash() == _compact_json_sha256(g), g
+
+
+@st.composite
+def random_graphs(draw, max_p=40):
+    p = draw(st.integers(1, max_p))
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(p, edges)
+
+
+@given(random_graphs())
+@settings(max_examples=100, deadline=None)
+def test_content_hash_matches_hashlib_on_random_graphs(g):
+    assert g.content_hash() == _compact_json_sha256(g)
+
+
+# the cache key and certificate graph_hash of C3oO1: a change of encoding or
+# hash would orphan every cache and certificate written before it
+C3_O1_CONTENT_HASH = \
+    "a58bc20298fa08141d3cb9e67aff271c1624b1c54f1ba2c3c96325f13af4af64"
+
+
+def test_content_hash_literal_is_pinned():
+    assert corona(cycle(3), null_graph(1)).content_hash() == C3_O1_CONTENT_HASH
+
+
+def test_content_hash_falls_back_to_hashlib():
+    # an interpreter without CPython's built-in SHA-256 module hashes
+    # through hashlib, to the same digest
+    script = ("import sys\n"
+              "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+              "import hashlib\n"
+              "from antimagic import graph, graphs\n"
+              "g = graphs.corona(graphs.cycle(3), graphs.null_graph(1))\n"
+              "print(graph.sha256 is hashlib.sha256, g.content_hash())\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(antimagic.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", C3_O1_CONTENT_HASH]
 
 
 # sha256 of to_dot() for one small instance of each `gen` family, recorded

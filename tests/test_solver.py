@@ -11,14 +11,14 @@ import pytest
 from antimagic import solver
 from antimagic.bounds import lb_fan, lb_friendship
 from antimagic.construction import certificate_for
-from antimagic.graphs import (Graph, _friendship_o1_n, complete, corona, cycle,
-                              fan, fan_corona, friendship, friendship_corona,
-                              null_graph, path)
+from antimagic.graphs import (Graph, complete, corona, cycle, fan, fan_corona,
+                              friendship, friendship_corona, null_graph, path)
+from antimagic.iso import _friendship_o1_n
 from antimagic.labeling import make_certificate, verify_certificate
+from antimagic.proof import lower_bound_prune
 from antimagic.solver import (BUDGET_EXHAUSTED, EXACT, FEASIBLE, INFEASIBLE,
                               SearchConfig, _order_edges, exact_chi_la,
-                              feasible_with_k_colors, lower_bound_prune,
-                              symmetry_pairs)
+                              feasible_with_k_colors, symmetry_pairs)
 from conftest import (naive_exact_chi_la, naive_symmetry_pairs, reference_search,
                       relabeled)
 

@@ -8,17 +8,20 @@ Run from anywhere inside the repository.  Both sides are unpacked with
 ``git archive`` into temporary directories: the parent commit, and the
 working tree written as a tree object through a temporary index (its files
 as ``git add -A`` would stage them, edits and files git does not ignore
-included, deleted files left out), so neither side starts with build
-outputs such as a ``__pycache__`` and the repository's own index is not
-touched.  ``bench/run.py --workload W --seed S --seconds T
---trace 0`` runs in the two exports in alternating pairs: the parent goes
-first in even pairs, the working tree in odd ones, so neither side always
-meets a warmer or colder host.  The output file holds each pair's end-to-end
-metrics and, per metric, each side's median and quartiles, the number of
-pairs the working tree read lower, and the ratio of the two medians against
-the bound that ``BENCHMARK.json`` at the repository root sets for the
-metric.  The temporary directories are removed afterwards.  Standard
-library only.
+included, deleted files left out), so the repository's own index is not
+touched.  ``bench/run.py --workload W --seed S --seconds T --trace 0`` runs
+in the two exports in alternating pairs, with ``PYTHONDONTWRITEBYTECODE=1``
+in its environment, so that neither side starts with or writes build
+outputs such as a ``__pycache__``: without it the first in-process
+``import antimagic`` would write the package's bytecode into the export,
+and every later CLI child on that side would load it instead of compiling
+the modules it imports.  The parent goes first in even pairs, the working
+tree in odd ones, so neither side always meets a warmer or colder host.
+The output file holds each pair's end-to-end metrics and, per metric, each
+side's median and quartiles, the number of pairs the working tree read
+lower, and the ratio of the two medians against the bound that
+``BENCHMARK.json`` at the repository root sets for the metric.  The
+temporary directories are removed afterwards.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# set for every bench/run.py, and recorded in the output's settings
+BENCH_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def parse_result(stdout: str) -> dict:
@@ -94,7 +99,8 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, env={**os.environ, **BENCH_ENV}, capture_output=True,
+        text=True)
     # 1 means a check failed; the result line still reports it
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"bench/run.py in {root} exited "
@@ -183,7 +189,7 @@ def main(argv=None) -> int:
         "parent": parent,
         "change": {"head": head, "tree": tree},
         "settings": {"seed": args.seed, "seconds": args.seconds,
-                     "pairs": args.pairs},
+                     "pairs": args.pairs, "env": BENCH_ENV},
         "host": {"python": platform.python_version(),
                  "nproc": os.cpu_count(), "machine": platform.machine()},
         "workloads": workloads,
