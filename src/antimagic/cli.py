@@ -24,13 +24,15 @@ Exit codes: 0 success, 1 standard output closed by its reader (as by
 ``| head``), 2 usage or domain error (a graph too large for the recursive
 search among them), 3 verification failure, 4 budget exhausted.
 
-A process loads only the code it runs.  ``main`` builds the parser of the
-subcommand that its first argument names and no other; it builds all seven
-only when that argument names none (no argument, ``-h``, a typo), so that
-top-level help and usage errors list them all.  A ``solve`` or ``label``
-loads ``jsonio``, the graph record (``graph``) and ``labeling``: not the
-family builders (``graphs``), nor ``commands``, which only the other five
-subcommands and a build of all seven parsers load, nor ``hashlib``, as the
+A process loads only the code it runs.  ``parse_args`` reads the argv
+with one parser driven by argument rows, as argparse reads it, without
+loading argparse (nor, with it, ``gettext`` and ``locale``): the rows of
+solve and label are here, those of the other five in ``commands``, and
+the parser reads only those of the subcommand named.  Help and refusals
+are formatted by ``usage``, which only ``-h`` and a refused argv load.  A
+``solve`` or ``label`` loads ``jsonio``, the graph record (``graph``) and
+``labeling``: not the family builders (``graphs``), nor ``commands``,
+which only the other five subcommands load, nor ``hashlib``, as the
 content hash is taken without OpenSSL.  The solver (and with it the
 refinement and isomorphism code, ``iso``) is loaded only by a ``solve`` or
 ``label`` that the cache cannot answer, ``fcntl`` only to write a record to
@@ -42,12 +44,12 @@ of any other graph starts without them.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import jsonio
 from .graph import Graph, _is_int
@@ -211,27 +213,28 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-# -- parser -----------------------------------------------------------------------
+# -- argument parser -----------------------------------------------------------
 
-
-def _solve_args(p: argparse.ArgumentParser) -> None:
-    """The arguments of solve and label, which take the same ones."""
-    p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--target-colors", type=int, default=None,
-                   help="feasibility mode: search for <= K colors")
-    p.add_argument("--time-budget", type=float, default=None,
-                   help="wall-clock budget in seconds")
-    p.add_argument("--node-budget", type=int, default=None,
-                   help="search node budget")
-    p.add_argument("--cache-dir", default=None,
-                   help=f"certificate cache (default ${CACHE_ENV} or "
-                        f"./{DEFAULT_CACHE})")
-
+# An argument row: (flag, type, default, help).  A flag that starts with "-"
+# names an option, any other a positional; the type is int, float or str, or
+# the tuple of the values the argument accepts; a default of ... marks a
+# required argument, as every positional is.  Every subcommand also takes
+# --out, which _command appends.
+_SOLVE_ARGS = (
+    ("graph", str, ..., "graph JSON file"),
+    ("--target-colors", int, None, "feasibility mode: search for <= K colors"),
+    ("--time-budget", float, None, "wall-clock budget in seconds"),
+    ("--node-budget", int, None, "search node budget"),
+    ("--cache-dir", str, None,
+     f"certificate cache (default ${CACHE_ENV} or ./{DEFAULT_CACHE})"),
+)
+_OUT = ("--out", str, None, "")
+_HELP = ("-h", "--help")
 
 # subcommand -> (help line, handler), in the order that top-level help lists
-# them; every subcommand also takes --out.  Solve and label take the
-# arguments of _solve_args; a handler of None is one of the five that
-# ``commands`` holds, loaded only when its parser is built
+# them.  Solve and label take the rows of _SOLVE_ARGS; a handler of None is
+# one of the five that ``commands`` holds with their rows, loaded only when
+# one of them is named
 _COMMANDS = {
     "gen": ("generate a graph family instance", None),
     "label": ("produce a verified certificate", cmd_label),
@@ -243,35 +246,170 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with the subparser of ``command`` alone, or with every
-    subparser when ``command`` names none of them (no argument, ``-h``, a
-    typo), so that top-level help and a bad command list them all."""
-    parser = argparse.ArgumentParser(
-        prog="antimagic",
-        description="Local antimagic labelings of corona-product graphs.")
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # a usage line printed once the subcommand has parsed (an unrecognised
-    # argument) names every subcommand, however many were built
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if len(names) > 1 else "{%s}" % ",".join(_COMMANDS))
-    for name in names:
-        help_line, func = _COMMANDS[name]
-        add_args = _solve_args
-        if func is None:
-            from .commands import COMMANDS
-            add_args, func = COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        add_args(p)
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
-    return parser
+def _command(name: str) -> tuple[tuple, object]:
+    """The argument rows (``--out`` last) and the handler of ``name``."""
+    rows, func = _SOLVE_ARGS, _COMMANDS[name][1]
+    if func is None:
+        from .commands import COMMANDS
+        rows, func = COMMANDS[name]
+    return (*rows, _OUT), func
+
+
+def _exit(command: str | None, message: str | None = None):
+    """Print the help of ``command`` (None: the top level) and exit 0, or
+    refuse the argv with ``message``: usage and error on stderr, exit 2."""
+    from .usage import leave  # so that an argv that parses never loads it
+    rows = () if command is None else _command(command)[0]
+    leave(_COMMANDS, command, rows, message)
+
+
+def _help(command: str | None, value: str | None):
+    """-h of ``command``, with the value joined to it (None for none)."""
+    _exit(command, None if value is None else
+          f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _negative_number(token: str) -> bool:
+    """argparse's test for a token that is a value though it starts with
+    "-": -5, -2.5 or -.5 (and a trailing newline, which its "$" allows)."""
+    body = token[1:-1] if token[-1] == "\n" else token[1:]
+    whole, dot, frac = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and frac.isdecimal()
+
+
+def _readings(tokens, flags: tuple, command: str | None) -> list:
+    """Each token as argparse reads it against ``flags``: (None, token) for a
+    value, (flag, its "=" value or None) for an option, ("", token) for an
+    option not in ``flags``, and ("--", None) for "--", after which every
+    token is a value."""
+    out, rest = [], False
+    for token in tokens:
+        if rest or token[:1] != "-" or token == "-":
+            out.append((None, token))
+            continue
+        if token == "--":
+            rest = True
+            out.append(("--", None))
+            continue
+        head, eq, value = token.partition("=")
+        value = value if eq else None
+        if head in flags:
+            found = [head]
+        elif token[1] == "-":  # a prefix: --node for --node-budget
+            found = [flag for flag in flags if flag.startswith(head)]
+        else:  # -h and what follows it, -hh being -h twice
+            found = ["-h"] if token[1] == "h" else []
+            value = token[2:].lstrip("h") or None
+        if len(found) > 1:
+            _exit(command, f"ambiguous option: {token} could match "
+                           f"{', '.join(found)}")
+        if found:
+            out.append((found[0], value))
+        elif " " in token or _negative_number(token):
+            out.append((None, token))
+        else:
+            out.append(("", token))
+    return out
+
+
+def _store(command: str, values: dict, row: tuple, token: str) -> None:
+    """``token`` as the value of ``row``: converted by its type, or checked
+    against its choices."""
+    flag, kind = row[0], row[1]
+    if type(kind) is not tuple:
+        try:
+            token = kind(token)
+        except (TypeError, ValueError):
+            _exit(command, f"argument {flag}: invalid {kind.__name__} "
+                           f"value: {token!r}")
+    elif token not in kind:
+        _exit(command, f"argument {flag}: invalid choice: {token!r} "
+                       f"(choose from {', '.join(map(repr, kind))})")
+    values[_dest(flag)] = token
+
+
+def _parse_command(name: str, tokens: list, extras: list):
+    """The arguments after subcommand ``name``, read in order; a value no
+    positional takes and an unknown option go to ``extras``."""
+    rows, func = _command(name)
+    options, todo, values = {}, [], {}
+    for row in rows:
+        flag, _kind, default, _text = row
+        if flag[0] != "-":
+            todo.append(row)
+            continue
+        options[flag] = row
+        if default is not ...:
+            values[_dest(flag)] = default
+    # every token is read before any is used, so that an ambiguous prefix
+    # is refused wherever it stands, before -h
+    readings = _readings(tokens, (*_HELP, *options), name)
+    i, took = 0, False  # took: a positional took the last token
+    while i < len(readings):
+        flag, value = readings[i]
+        i += 1
+        if flag in _HELP:
+            _help(name, value)
+        elif flag is None and todo:
+            _store(name, values, todo.pop(0), value)
+            took = True
+            continue
+        elif flag is None or flag == "":
+            extras.append(value)
+        elif flag == "--":
+            # argparse drops it only beside a token that a positional takes
+            if not (took or todo and i < len(readings)):
+                extras.append(flag)
+        else:
+            if value is None:
+                if i == len(readings) or readings[i][0] is not None:
+                    _exit(name, f"argument {flag}: expected one argument")
+                value = readings[i][1]
+                i += 1
+            _store(name, values, options[flag], value)
+        took = False
+    missing = [row[0] for row in rows
+               if row[2] is ... and _dest(row[0]) not in values]
+    if missing:
+        _exit(name, "the following arguments are required: "
+                    + ", ".join(missing))
+    return SimpleNamespace(command=name, func=func, **values)
+
+
+def parse_args(argv: list):
+    """The command line ``argv`` as a namespace of the subcommand's name
+    (``command``), its handler (``func``) and its arguments, read as argparse
+    reads it: options and positionals in any order, ``--opt=value``,
+    unambiguous prefixes, the last repeat winning.  ``-h`` prints help and
+    exits 0; an argv refused exits 2 with a usage line and an error line."""
+    extras = []
+    for i, (flag, value) in enumerate(_readings(argv, _HELP, None)):
+        if flag in _HELP:
+            _help(None, value)
+        if flag != "":
+            break  # the subcommand; "--" before it is refused as one
+        extras.append(value)
+    else:
+        _exit(None, "the following arguments are required: command")
+    name = argv[i]
+    if name not in _COMMANDS:
+        _exit(None, f"argument command: invalid choice: {name!r} "
+                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    args = _parse_command(name, argv[i + 1:], extras)
+    if extras:
+        _exit(None, "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,10 +1,12 @@
 """The CLI subcommands other than solve and label: gen, verify, bounds,
-sweep and export-dot, with their argument adders.
+sweep and export-dot, with the rows of their arguments, which ``cli``'s
+parser reads as it reads those of solve and label.
 
-``cli`` loads this module only when one of these five is named, or when it
-builds all seven parsers (no argument, ``-h``, a typo), so that a ``solve``
-or ``label`` process never compiles it, nor the family builders it imports
-unless the solver seeds a friendship corona.
+``cli`` loads this module only when one of these five is named (top-level
+help and a command name it does not know need only the help lines, which
+``cli`` holds), so that a ``solve`` or ``label`` process never compiles it,
+nor the family builders it imports unless the solver seeds a friendship
+corona.
 It does not import ``cli``: under ``python -m antimagic.cli`` the running
 CLI is ``__main__``, and that import would compile ``cli`` a second time.
 The file helpers and exit codes that both share are in ``jsonio``.
@@ -17,7 +19,6 @@ The bounds module is loaded only by ``bounds`` and ``sweep``.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .graphs import (REPORT_FAMILIES, complete, corona, cycle, fan,
@@ -127,7 +128,7 @@ def cmd_sweep(args) -> int:
     elif args.out in (None, "-"):
         bounds.witnesses_to_csv(witnesses, sys.stdout)
     else:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             bounds.witnesses_to_csv(witnesses, fh)
     return EXIT_OK
 
@@ -145,46 +146,29 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-# -- parser -----------------------------------------------------------------------
+# -- arguments -----------------------------------------------------------------
 
-
-def _gen_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", choices=list(_FAMILIES))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    p.add_argument("labeling", help="labeling or certificate JSON file")
-
-
-def _bounds_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=list(REPORT_FAMILIES))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=1)
-
-
-def _sweep_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("target", choices=["friendship", "fan"])
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--m-min", type=int, default=1)
-    p.add_argument("--m-max", type=int, default=50)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-
-def _export_dot_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    p.add_argument("--certificate", default=None,
-                   help="overlay labels/weights from a certificate")
-
-
-# subcommand -> (argument adder, handler); cli holds the help lines
+# subcommand -> (argument rows, handler); a row is (flag, type, default,
+# help), read by ``cli._command``, which holds the help lines and appends
+# --out
 COMMANDS = {
-    "gen": (_gen_args, cmd_gen),
-    "verify": (_verify_args, cmd_verify),
-    "bounds": (_bounds_args, cmd_bounds),
-    "sweep": (_sweep_args, cmd_sweep),
-    "export-dot": (_export_dot_args, cmd_export_dot),
+    "gen": ((("family", tuple(_FAMILIES), ..., ""),
+             ("--n", int, None, ""),
+             ("--m", int, None, "")), cmd_gen),
+    "verify": ((("graph", str, ..., ""),
+                ("labeling", str, ..., "labeling or certificate JSON file")),
+               cmd_verify),
+    "bounds": ((("--family", REPORT_FAMILIES, ..., ""),
+                ("--n", int, None, ""),
+                ("--m", int, 1, "")), cmd_bounds),
+    "sweep": ((("target", tuple(_SWEEPS), ..., ""),
+               ("--n-min", int, None, ""),
+               ("--n-max", int, 50, ""),
+               ("--m-min", int, 1, ""),
+               ("--m-max", int, 50, ""),
+               ("--format", ("csv", "json"), "csv", "")), cmd_sweep),
+    "export-dot": ((("graph", str, ..., ""),
+                    ("--certificate", str, None,
+                     "overlay labels/weights from a certificate")),
+                   cmd_export_dot),
 }

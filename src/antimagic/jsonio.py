@@ -7,7 +7,7 @@ The CLI's file handling and exit codes are here too, so that ``cli`` (solve
 and label) and ``commands`` (the other five subcommands) share one
 definition of each without importing one another: a file is read as UTF-8,
 as JSON must be, and a file that is not UTF-8 or not JSON is refused with
-its path named.
+its path named; an ``--out`` file is written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _write_out(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
