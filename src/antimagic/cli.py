@@ -24,15 +24,16 @@ Exit codes: 0 success, 1 standard output closed by its reader (as by
 ``| head``), 2 usage or domain error (a graph too large for the recursive
 search among them), 3 verification failure, 4 budget exhausted.
 
-A process loads only the code it runs.  ``parse_args`` reads the argv
-with one parser driven by argument rows, as argparse reads it, without
-loading argparse (nor, with it, ``gettext`` and ``locale``): the rows of
-solve and label are here, those of the other five in ``commands``, and
-the parser reads only those of the subcommand named.  Help and refusals
-are formatted by ``usage``, which only ``-h`` and a refused argv load.  A
-``solve`` or ``label`` loads ``jsonio``, the graph record (``graph``) and
-``labeling``: not the family builders (``graphs``), nor ``commands``,
-which only the other five subcommands load, nor ``hashlib``, as the
+A process loads only the code it runs.  The arguments of each subcommand
+are rows: those of solve and label are here, those of the other five in
+``commands``.  ``_quick`` reads an argv that names a subcommand and spells
+each of its arguments in full, by the rows of that subcommand alone and
+without argparse (nor, with it, ``gettext`` and ``locale``).  Any other
+argv (help, an abbreviated option, "--", a value that starts with "-",
+one that argparse refuses) goes to argparse, which ``usage`` builds from
+the rows of all seven.  Read by ``_quick``, a ``solve`` or ``label`` loads
+``jsonio``, the graph record (``graph``) and ``labeling``: not the family
+builders (``graphs``), nor ``commands``, nor ``hashlib``, as the
 content hash is taken without OpenSSL.  The solver (and with it the
 refinement and isomorphism code, ``iso``) is loaded only by a ``solve`` or
 ``label`` that the cache cannot answer, ``fcntl`` only to write a record to
@@ -229,12 +230,11 @@ _SOLVE_ARGS = (
      f"certificate cache (default ${CACHE_ENV} or ./{DEFAULT_CACHE})"),
 )
 _OUT = ("--out", str, None, "")
-_HELP = ("-h", "--help")
 
 # subcommand -> (help line, handler), in the order that top-level help lists
 # them.  Solve and label take the rows of _SOLVE_ARGS; a handler of None is
 # one of the five that ``commands`` holds with their rows, loaded only when
-# one of them is named
+# one of them is named or argparse reads the argv
 _COMMANDS = {
     "gen": ("generate a graph family instance", None),
     "label": ("produce a verified certificate", cmd_label),
@@ -255,155 +255,55 @@ def _command(name: str) -> tuple[tuple, object]:
     return (*rows, _OUT), func
 
 
-def _exit(command: str | None, message: str | None = None):
-    """Print the help of ``command`` (None: the top level) and exit 0, or
-    refuse the argv with ``message``: usage and error on stderr, exit 2."""
-    from .usage import leave  # so that an argv that parses never loads it
-    rows = () if command is None else _command(command)[0]
-    leave(_COMMANDS, command, rows, message)
-
-
-def _help(command: str | None, value: str | None):
-    """-h of ``command``, with the value joined to it (None for none)."""
-    _exit(command, None if value is None else
-          f"argument -h/--help: ignored explicit argument {value!r}")
-
-
-def _dest(flag: str) -> str:
-    return flag.lstrip("-").replace("-", "_")
-
-
-def _negative_number(token: str) -> bool:
-    """argparse's test for a token that is a value though it starts with
-    "-": -5, -2.5 or -.5 (and a trailing newline, which its "$" allows)."""
-    body = token[1:-1] if token[-1] == "\n" else token[1:]
-    whole, dot, frac = body.partition(".")
-    if not dot:
-        return whole.isdecimal()
-    return (not whole or whole.isdecimal()) and frac.isdecimal()
-
-
-def _readings(tokens, flags: tuple, command: str | None) -> list:
-    """Each token as argparse reads it against ``flags``: (None, token) for a
-    value, (flag, its "=" value or None) for an option, ("", token) for an
-    option not in ``flags``, and ("--", None) for "--", after which every
-    token is a value."""
-    out, rest = [], False
+def _quick(argv: list):
+    """The namespace of an argv that names a subcommand and then gives its
+    arguments spelled in full (``--flag value`` or ``--flag=value``), each
+    value non-empty, not starting with "-" unless it is "-", and of its
+    row's type or choices; None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows, func = _command(argv[0])
+    options = {row[0]: row for row in rows if row[0][0] == "-"}
+    todo = [row for row in rows if row[0][0] != "-"]
+    values, tokens = {}, iter(argv[1:])
     for token in tokens:
-        if rest or token[:1] != "-" or token == "-":
-            out.append((None, token))
-            continue
-        if token == "--":
-            rest = True
-            out.append(("--", None))
-            continue
-        head, eq, value = token.partition("=")
-        value = value if eq else None
-        if head in flags:
-            found = [head]
-        elif token[1] == "-":  # a prefix: --node for --node-budget
-            found = [flag for flag in flags if flag.startswith(head)]
-        else:  # -h and what follows it, -hh being -h twice
-            found = ["-h"] if token[1] == "h" else []
-            value = token[2:].lstrip("h") or None
-        if len(found) > 1:
-            _exit(command, f"ambiguous option: {token} could match "
-                           f"{', '.join(found)}")
-        if found:
-            out.append((found[0], value))
-        elif " " in token or _negative_number(token):
-            out.append((None, token))
+        flag, eq, value = token.partition("=")
+        if flag in options:
+            row = options[flag]
+            value = value if eq else next(tokens, "")
+        elif todo:
+            row, value = todo.pop(0), token
         else:
-            out.append(("", token))
-    return out
-
-
-def _store(command: str, values: dict, row: tuple, token: str) -> None:
-    """``token`` as the value of ``row``: converted by its type, or checked
-    against its choices."""
-    flag, kind = row[0], row[1]
-    if type(kind) is not tuple:
-        try:
-            token = kind(token)
-        except (TypeError, ValueError):
-            _exit(command, f"argument {flag}: invalid {kind.__name__} "
-                           f"value: {token!r}")
-    elif token not in kind:
-        _exit(command, f"argument {flag}: invalid choice: {token!r} "
-                       f"(choose from {', '.join(map(repr, kind))})")
-    values[_dest(flag)] = token
-
-
-def _parse_command(name: str, tokens: list, extras: list):
-    """The arguments after subcommand ``name``, read in order; a value no
-    positional takes and an unknown option go to ``extras``."""
-    rows, func = _command(name)
-    options, todo, values = {}, [], {}
-    for row in rows:
-        flag, _kind, default, _text = row
-        if flag[0] != "-":
-            todo.append(row)
-            continue
-        options[flag] = row
-        if default is not ...:
-            values[_dest(flag)] = default
-    # every token is read before any is used, so that an ambiguous prefix
-    # is refused wherever it stands, before -h
-    readings = _readings(tokens, (*_HELP, *options), name)
-    i, took = 0, False  # took: a positional took the last token
-    while i < len(readings):
-        flag, value = readings[i]
-        i += 1
-        if flag in _HELP:
-            _help(name, value)
-        elif flag is None and todo:
-            _store(name, values, todo.pop(0), value)
-            took = True
-            continue
-        elif flag is None or flag == "":
-            extras.append(value)
-        elif flag == "--":
-            # argparse drops it only beside a token that a positional takes
-            if not (took or todo and i < len(readings)):
-                extras.append(flag)
+            return None
+        if not value or value[0] == "-" and value != "-":
+            return None
+        kind = row[1]
+        if type(kind) is tuple:
+            if value not in kind:
+                return None
         else:
-            if value is None:
-                if i == len(readings) or readings[i][0] is not None:
-                    _exit(name, f"argument {flag}: expected one argument")
-                value = readings[i][1]
-                i += 1
-            _store(name, values, options[flag], value)
-        took = False
-    missing = [row[0] for row in rows
-               if row[2] is ... and _dest(row[0]) not in values]
-    if missing:
-        _exit(name, "the following arguments are required: "
-                    + ", ".join(missing))
-    return SimpleNamespace(command=name, func=func, **values)
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[row[0]] = value  # the last repeat wins
+    dests = {}
+    for flag, _kind, default, _text in rows:
+        if flag not in values and default is ...:
+            return None  # a required argument is missing
+        dests[flag.lstrip("-").replace("-", "_")] = values.get(flag, default)
+    return SimpleNamespace(command=argv[0], func=func, **dests)
 
 
 def parse_args(argv: list):
     """The command line ``argv`` as a namespace of the subcommand's name
-    (``command``), its handler (``func``) and its arguments, read as argparse
-    reads it: options and positionals in any order, ``--opt=value``,
-    unambiguous prefixes, the last repeat winning.  ``-h`` prints help and
-    exits 0; an argv refused exits 2 with a usage line and an error line."""
-    extras = []
-    for i, (flag, value) in enumerate(_readings(argv, _HELP, None)):
-        if flag in _HELP:
-            _help(None, value)
-        if flag != "":
-            break  # the subcommand; "--" before it is refused as one
-        extras.append(value)
-    else:
-        _exit(None, "the following arguments are required: command")
-    name = argv[i]
-    if name not in _COMMANDS:
-        _exit(None, f"argument command: invalid choice: {name!r} "
-                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
-    args = _parse_command(name, argv[i + 1:], extras)
-    if extras:
-        _exit(None, "unrecognized arguments: " + " ".join(extras))
+    (``command``), its handler (``func``) and its arguments.  An argv that
+    ``_quick`` cannot read is read by argparse, which prints help (exit 0)
+    or refuses it (exit 2) as well."""
+    args = _quick(argv)
+    if args is None:
+        from .usage import parser  # so that a quick argv never loads it
+        args = parser(_COMMANDS, _command).parse_args(argv)
     return args
 
 

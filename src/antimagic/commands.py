@@ -1,12 +1,11 @@
 """The CLI subcommands other than solve and label: gen, verify, bounds,
-sweep and export-dot, with the rows of their arguments, which ``cli``'s
-parser reads as it reads those of solve and label.
+sweep and export-dot, with the rows of their arguments, which ``cli``
+reads as it reads those of solve and label.
 
-``cli`` loads this module only when one of these five is named (top-level
-help and a command name it does not know need only the help lines, which
-``cli`` holds), so that a ``solve`` or ``label`` process never compiles it,
-nor the family builders it imports unless the solver seeds a friendship
-corona.
+``cli`` loads this module when one of these five is named, and for any argv
+that it hands to argparse, whose parser is built from the rows of all seven;
+so a ``solve`` or ``label`` argv spelled in full never compiles it, nor the
+family builders it imports unless the solver seeds a friendship corona.
 It does not import ``cli``: under ``python -m antimagic.cli`` the running
 CLI is ``__main__``, and that import would compile ``cli`` a second time.
 The file helpers and exit codes that both share are in ``jsonio``.

@@ -204,7 +204,7 @@ def test_subcommand_help_lists_each_option(command, capsys, monkeypatch):
 @functools.cache
 def _reference_parser():
     """argparse built from the CLI's own argument table: the reference that
-    the table-driven parser must read every argv as."""
+    parse_args must read every argv as, by its quick reader or not."""
     parser = argparse.ArgumentParser(prog="antimagic",
                                      description=usage.DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -246,22 +246,49 @@ def test_one_subcommand_parser_parses_as_the_full_one(command):
     assert _outcome(parse_args, [command, "-h"]) == 0
 
 
-def test_parser_for_a_subcommand_builds_that_one_alone():
-    # solve and label read their rows from cli; the other five load
-    # commands, which holds theirs
+def _parsed_fresh(argv):
+    """parse_args(argv) in a new process: the values it reads (its handler
+    by name) or the code it exits with, and the modules of interest that
+    it loaded."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(antimagic.__file__)))
     script = ("import json, sys\n"
               "from antimagic.cli import parse_args\n"
-              "parse_args(sys.argv[1:])\n"
-              "print(json.dumps([m for m in ('antimagic.commands', "
-              "'argparse') if m in sys.modules]))\n")
-    loaded = {}
-    for argv in (["solve", "g.json"], ["gen", "cycle", "--n", "5"]):
-        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                              capture_output=True, text=True, check=True)
-        loaded[argv[0]] = json.loads(proc.stdout)
-    assert loaded == {"solve": [], "gen": ["antimagic.commands"]}
+              "try:\n"
+              "    args = vars(parse_args(sys.argv[1:]))\n"
+              "    args['func'] = args['func'].__name__\n"
+              "except SystemExit as exc:\n"
+              "    args = exc.code\n"
+              "print(json.dumps([args, [m for m in ('antimagic.commands', "
+              "'argparse', 'gettext', 'locale') if m in sys.modules]]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    # help, if any, comes first
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _oracle(argv):
+    """The reference parser's outcome for ``argv``, its handler by name."""
+    outcome = _outcome(_reference_parser().parse_args, argv)
+    if isinstance(outcome, dict):
+        outcome["func"] = outcome["func"].__name__
+    return outcome
+
+
+def test_parser_for_a_subcommand_builds_that_one_alone():
+    # a typical call of each subcommand loads neither argparse nor, with
+    # it, gettext and locale; solve and label read their rows from cli, the
+    # other five load commands, which holds theirs
+    for command, (_help_line, rest) in SUBCOMMANDS.items():
+        argv = [command, *rest]
+        commands = ([] if command in ("solve", "label")
+                    else ["antimagic.commands"])
+        assert _parsed_fresh(argv) == [_oracle(argv), commands], argv
+    # a prefix, a value that starts with "-" and help go to argparse
+    for argv in (["solve", "g.json", "--node", "5"],
+                 ["gen", "cycle", "--n", "-1"], ["solve", "-h"]):
+        outcome, loaded = _parsed_fresh(argv)
+        assert outcome == _oracle(argv) and "argparse" in loaded, argv
 
 
 def _unique_prefix(flag, flags):
@@ -273,8 +300,8 @@ def _unique_prefix(flag, flags):
 
 # values of each type, valid and not
 _VALUES = {int: ["0", "3", "7", "-1", "-4", "x"],
-           float: ["2.5", "-0.5", "3", "-.5", "x"],
-           str: ["g.json", "out.dot", "cache", "-"]}
+           float: ["2.5", "-0.5", "3", "-.5", "-1e3", "x"],
+           str: ["g.json", "out.dot", "cache", "-", "", "-x", "-a b"]}
 
 
 def _value(kind):
@@ -285,9 +312,8 @@ def _value(kind):
 def _argv_tokens():
     """Tokens to draw an argv from: the subcommands, each option and an
     unambiguous prefix of it (alone, and joined by "=" to a value), values
-    of every kind, "--bogus" and the help flags.  Tokens on which argparse
-    differs between Python 3.10 and 3.13 are left out: "--", "-1e3"-like
-    negatives, and single-dash options other than -h."""
+    of every kind (empty, "-1e3", "-x" and "-a b" among them), "--",
+    "--bogus" and the help flags, -hh too."""
     values = sorted({value for values in _VALUES.values() for value in values}
                     | {"cycle", "kn-k1", "fan", "csv"})
     options = set()
@@ -297,7 +323,8 @@ def _argv_tokens():
         options.update(flags[2:])
         options.update(_unique_prefix(flag, flags) for flag in flags[2:])
     options = sorted(options)
-    plain = [*cli._COMMANDS, *options, *values, "--bogus", "-h", "--help"]
+    plain = [*cli._COMMANDS, *options, *values, "--", "--bogus", "-h",
+             "-hh", "--help"]
     joined = [f"{option}={value}" for option in options for value in values]
     return st.one_of(st.sampled_from(plain), st.sampled_from(joined))
 
@@ -349,10 +376,54 @@ def test_parser_reads_every_argv_as_argparse_does(argv):
     ["gen", "--", "cycle", "--n", "5"],
 ])
 def test_double_dash_makes_what_follows_values(argv):
-    # argparse disagrees with itself across Python versions on other uses
-    # of "--", so the oracle test draws none
     assert (_outcome(parse_args, argv)
             == _outcome(_reference_parser().parse_args, argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", "g.json"],
+    ["solve", "g.json", "--node", "5"],
+    ["solve", "g.json", "--node-budget=5", "--cache", "c"],
+    ["solve", "--", "g.json"],
+    ["solve", "g.json", "--"],
+    ["solve", "g.json", "-h"],
+    ["-h"],
+    ["gen", "cycle", "--n", "-1"],
+    ["solve", "g.json", "--out=-x"],
+    ["solve", "-g.json"],
+    ["solve", ""],
+    ["solve", "g.json", "--out="],
+    ["solve", "g.json", "--out"],
+    ["solve"],
+    ["verify", "g.json", "--out", "v.json"],
+    ["bounds", "--n", "4"],
+    ["solve", "g.json", "h.json"],
+    ["solve", "g.json", "--node-budget", "x"],
+    ["solve", "g.json", "--time-budget=soon"],
+    ["sweep", "triangle"],
+    ["sweep", "fan", "--format", "xml"],
+], ids=["empty", "unknown-command", "prefix", "prefix-after-eq",
+        "double-dash", "trailing-double-dash", "help", "top-level-help",
+        "negative-value", "dash-value-after-eq", "dash-positional",
+        "empty-positional", "empty-value-after-eq", "value-missing",
+        "positional-missing", "second-positional-missing",
+        "required-option-missing", "extra-positional", "bad-int",
+        "bad-float", "bad-positional-choice", "bad-option-choice"])
+def test_quick_reader_hands_over_every_other_argv(argv):
+    assert cli._quick(argv) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "g.json", "--out", "-"],
+    ["solve", "-", "--out=-"],
+    ["gen", "cycle", "--n", "4", "--n=6"],
+    ["bounds", "--m", "2", "--family", "fan-corona", "--n", "4",
+     "--family", "friendship-corona"],
+], ids=["out-dash", "dash-positional", "repeat", "repeated-required"])
+def test_quick_reader_reads_as_argparse_does(argv):
+    assert vars(cli._quick(argv)) == _outcome(
+        _reference_parser().parse_args, argv)
 
 
 def test_label_construction(f2_file, tmp_path):
