@@ -6,7 +6,7 @@ The public names below are resolved on first use (PEP 562), so importing the
 package, or one of its modules, loads only the submodules that are needed.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -35,12 +35,20 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)
 
 
+def _load(module: str):
+    # by __import__, whose loads ``python -X importtime`` logs (it does not
+    # log those of importlib.import_module)
+    full = f"{__name__}.{module}"
+    __import__(full)
+    return sys.modules[full]
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:  # a submodule, as ``antimagic.solver``
-        return import_module(f"{__name__}.{name}")
+        return _load(name)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(_load(_HOME[name]), name)
     globals()[name] = value
     return value
 

@@ -30,17 +30,17 @@ are rows: those of solve and label are here, those of the other five in
 each of its arguments in full, by the rows of that subcommand alone and
 without argparse (nor, with it, ``gettext`` and ``locale``).  Any other
 argv (help, an abbreviated option, "--", a value that starts with "-",
-one that argparse refuses) goes to argparse, which ``usage`` builds from
-the rows of all seven.  Read by ``_quick``, a ``solve`` or ``label`` loads
-``jsonio``, the graph record (``graph``) and ``labeling``: not the family
-builders (``graphs``), nor ``commands``, nor ``hashlib``, as the
-content hash is taken without OpenSSL.  The solver (and with it the
-refinement and isomorphism code, ``iso``) is loaded only by a ``solve`` or
-``label`` that the cache cannot answer, ``fcntl`` only to write a record to
-the cache, and the construction module (which loads ``graphs``) and the
-root bound (``proof``) only by the solver, for a graph with the size and
-degrees of a friendship corona with one pendant per vertex, so a ``solve``
-of any other graph starts without them.
+one that argparse refuses) goes to argparse, whose parser
+``commands.parser`` builds from the rows of all seven.  Read by ``_quick``,
+a ``solve`` or ``label`` loads ``jsonio``, the graph record (``graph``) and
+``labeling``: not the family builders (``graphs``), nor ``commands``, nor
+``hashlib``, as the content hash is taken without OpenSSL.  The solver (and
+with it the refinement and isomorphism code, ``iso``) is loaded only by a
+``solve`` or ``label`` that the cache cannot answer, ``fcntl`` only to
+write a record to the cache, and the construction module (which loads
+``graphs``) and the root bound (``proof``) only by the solver, for a graph
+with the size and degrees of a friendship corona with one pendant per
+vertex, so a ``solve`` of any other graph starts without them.
 """
 
 from __future__ import annotations
@@ -302,7 +302,8 @@ def parse_args(argv: list):
     or refuses it (exit 2) as well."""
     args = _quick(argv)
     if args is None:
-        from .usage import parser  # so that a quick argv never loads it
+        # here, so that a quick solve or label never loads commands
+        from .commands import parser
         args = parser(_COMMANDS, _command).parse_args(argv)
     return args
 

@@ -1,13 +1,17 @@
 """The CLI subcommands other than solve and label: gen, verify, bounds,
 sweep and export-dot, with the rows of their arguments, which ``cli``
-reads as it reads those of solve and label.
+reads as it reads those of solve and label; and ``parser``, the argparse
+parser of all seven subcommands.
 
 ``cli`` loads this module when one of these five is named, and for any argv
-that it hands to argparse, whose parser is built from the rows of all seven;
-so a ``solve`` or ``label`` argv spelled in full never compiles it, nor the
-family builders it imports unless the solver seeds a friendship corona.
-It does not import ``cli``: under ``python -m antimagic.cli`` the running
-CLI is ``__main__``, and that import would compile ``cli`` a second time.
+that it hands to argparse (help, an abbreviated option, "--", a value that
+starts with "-", a refusal); so a ``solve`` or ``label`` argv spelled in
+full never compiles it, nor the family builders it imports unless the
+solver seeds a friendship corona.  Only ``parser`` imports ``argparse``, so
+a spelled-out argv of these five loads no argparse either.  This module
+does not import ``cli``: under ``python -m antimagic.cli`` the running CLI
+is ``__main__``, and that import would compile ``cli`` a second time, so
+``parser`` takes the help lines and rows of solve and label as arguments.
 The file helpers and exit codes that both share are in ``jsonio``.
 
 ``gen`` and ``bounds`` take a family's ``--n`` and ``--m`` by one rule: a flag
@@ -149,7 +153,7 @@ def cmd_export_dot(args) -> int:
 
 # subcommand -> (argument rows, handler); a row is (flag, type, default,
 # help), read by ``cli._command``, which holds the help lines and appends
-# --out
+# --out, and by ``parser``
 COMMANDS = {
     "gen": ((("family", tuple(_FAMILIES), ..., ""),
              ("--n", int, None, ""),
@@ -171,3 +175,26 @@ COMMANDS = {
                      "overlay labels/weights from a certificate")),
                    cmd_export_dot),
 }
+
+PROG = "antimagic"
+DESCRIPTION = "Local antimagic labelings of corona-product graphs."
+
+
+def parser(commands: dict, command):
+    """The argparse parser of the subcommands of ``commands`` (name ->
+    (help line, handler)), each with the argument rows and handler that
+    ``command(name)`` gives."""
+    import argparse  # here, so that a spelled-out argv never loads it
+    top = argparse.ArgumentParser(prog=PROG, description=DESCRIPTION)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_line, _func) in commands.items():
+        rows, func = command(name)
+        p = sub.add_parser(name, help=help_line)
+        for flag, kind, default, text in rows:
+            kw = {"choices": kind} if type(kind) is tuple else {"type": kind}
+            if flag[0] == "-":  # a default of ... marks a required option
+                kw["required"] = default is ...
+                kw["default"] = None if default is ... else default
+            p.add_argument(flag, help=text, **kw)
+        p.set_defaults(func=func)
+    return top

@@ -134,6 +134,8 @@ class Graph:
                 raise ValueError(
                     f"edge {e!r} is not a pair of vertex ids") from None
             if type(a) is not int or type(b) is not int:
+                if type(e) is str:  # a two-character string unpacks
+                    raise ValueError(f"edge {e!r} is not a pair of vertex ids")
                 bad = b if _is_int(a) else a
                 raise ValueError(f"vertex id {bad!r} is not an integer")
             if a == b:

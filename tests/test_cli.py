@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antimagic
-from antimagic import cli, graphs, jsonio, solver, usage
+from antimagic import cli, commands, graphs, jsonio, solver
 from antimagic.cli import (CACHE_ENV, EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
                            EXIT_VERIFY, main, parse_args)
 from antimagic.construction import certificate_for
@@ -206,7 +206,7 @@ def _reference_parser():
     """argparse built from the CLI's own argument table: the reference that
     parse_args must read every argv as, by its quick reader or not."""
     parser = argparse.ArgumentParser(prog="antimagic",
-                                     description=usage.DESCRIPTION)
+                                     description=commands.DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, _func) in cli._COMMANDS.items():
         rows, func = cli._command(name)
@@ -281,9 +281,8 @@ def test_parser_for_a_subcommand_builds_that_one_alone():
     # other five load commands, which holds theirs
     for command, (_help_line, rest) in SUBCOMMANDS.items():
         argv = [command, *rest]
-        commands = ([] if command in ("solve", "label")
-                    else ["antimagic.commands"])
-        assert _parsed_fresh(argv) == [_oracle(argv), commands], argv
+        loads = [] if command in ("solve", "label") else ["antimagic.commands"]
+        assert _parsed_fresh(argv) == [_oracle(argv), loads], argv
     # a prefix, a value that starts with "-" and help go to argparse
     for argv in (["solve", "g.json", "--node", "5"],
                  ["gen", "cycle", "--n", "-1"], ["solve", "-h"]):
@@ -510,7 +509,7 @@ UNUSED_BY_SOLVE = ("dataclasses", "inspect", "datetime", "csv",
                    "concurrent.futures", "antimagic.bounds",
                    "antimagic.construction", "hashlib", "_hashlib",
                    "antimagic.graphs", "antimagic.proof", "argparse",
-                   "gettext", "locale", "antimagic.usage")
+                   "gettext", "locale")
 
 
 def _run_fresh(unused, argv):
@@ -579,6 +578,15 @@ def _imported(argv):
              for line in proc.stderr.splitlines()
              if line.startswith("import time:")]
     return json.loads(proc.stdout), names
+
+
+def test_lazily_loaded_module_is_in_the_importtime_log():
+    # cmd_bounds reaches antimagic.bounds through the package's __getattr__,
+    # whose load the -X importtime pins must see like any other
+    doc, names = _imported(["bounds", "--family", "friendship-corona",
+                            "--n", "4", "--m", "1"])
+    assert doc["exact"] == 11
+    assert "antimagic.bounds" in names
 
 
 def test_cold_solve_process_imports_only_the_search(c3_file, tmp_path):
@@ -1432,6 +1440,9 @@ def _c3_doc(**fields):
      "vertex id 0.0 is not an integer"),
     (_c3_doc(edges=[["0", 1], [1, 2], [0, 2]]),
      "vertex id '0' is not an integer"),
+    # a two-character string unpacks as a pair, but is no edge
+    (_c3_doc(edges=["01", [1, 2], [0, 2]]),
+     "edge '01' is not a pair of vertex ids"),
     (_c3_doc(p="3"), "graph order '3' is not an integer"),
     (_c3_doc(edges=[[False, True], [1, 2], [0, 2]]),
      "vertex id False is not an integer"),
@@ -1444,8 +1455,9 @@ def _c3_doc(**fields):
      "unsupported graph schema_version True (expected 1)"),
     (_c3_doc(schema_version=1.0),
      "unsupported graph schema_version 1.0 (expected 1)"),
-], ids=["list", "int-roles", "float-id", "str-id", "str-p", "bool-ids",
-        "q-float", "q-bool", "family-int", "version-bool", "version-float"])
+], ids=["list", "int-roles", "float-id", "str-id", "str-edge", "str-p",
+        "bool-ids", "q-float", "q-bool", "family-int", "version-bool",
+        "version-float"])
 def test_malformed_graph_file_is_usage_error(doc, message, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
