@@ -23,7 +23,7 @@ import json
 from itertools import islice
 from typing import NamedTuple
 
-from .graph import _triangular
+from .graph import _is_int, _need_int, _triangular
 from .graphs import REPORT_FAMILIES
 
 FRIENDSHIP_LOWER = "friendship-lower"
@@ -48,45 +48,38 @@ def lb_friendship(n: int, m: int) -> int:
     """Lower bound on the local antimagic chromatic number of f_n.O_m.
 
     m(2n+1)+2 when m == 1 (and that value, 2n+3, is in fact exact), else
-    m(2n+1)+3.
+    m(2n+1)+3.  Needs ints n >= 2 and m >= 1.
     """
-    if n < 2:
-        raise ValueError(f"friendship corona needs n >= 2, got {n}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _need_int(n, 2, "friendship corona needs n >= 2, got {}")
+    _need_int(m, 1, "need m >= 1, got {}")
     base = m * (2 * n + 1)
     return base + 2 if m == 1 else base + 3
 
 
 def lb_fan(n: int, m: int) -> int:
-    """Lower bound m(n+1)+3 for F_n.O_m, n >= 3.
+    """Lower bound m(n+1)+3 for F_n.O_m, for ints n >= 3 and m >= 1.
 
     n=2 is rejected: F_2.O_m coincides with C_3.O_m, whose exact value is
     available from known_exact_c3_corona.
     """
+    _need_int(n, 2, "fan corona needs n >= 3, got {}")  # 2: redirected
     if n == 2:
-        raise ValueError(
-            "F_2.O_m equals C_3.O_m; use known_exact_c3_corona(m) "
-            "for the exact value instead of this bound")
-    if n < 3:
-        raise ValueError(f"fan corona needs n >= 3, got {n}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise ValueError("F_2.O_m equals C_3.O_m; use known_exact_c3_corona"
+                         "(m) for the exact value instead of this bound")
+    _need_int(m, 1, "need m >= 1, got {}")
     return m * (n + 1) + 3
 
 
 def known_exact_c3_corona(m: int) -> int:
     """Exact local antimagic chromatic number of C_3.O_m: 5 when m=1,
-    otherwise 3m+3."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    otherwise 3m+3, for an int m >= 1."""
+    _need_int(m, 1, "need m >= 1, got {}")
     return 5 if m == 1 else 3 * m + 3
 
 
 def known_exact_kn_k1(n: int) -> int:
-    """Exact local antimagic chromatic number of K_n.K_1: 2n-1."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    """Exact local antimagic chromatic number of K_n.K_1 (int n >= 2): 2n-1."""
+    _need_int(n, 2, "need n >= 2, got {}")
     return 2 * n - 1
 
 
@@ -127,7 +120,7 @@ _new = tuple.__new__
 
 
 def friendship_witnesses(n: int, m: int) -> list[InequalityWitness]:
-    """The three inequalities behind lb_friendship at one (n, m).
+    """The three inequalities behind lb_friendship at ints n >= 2, m >= 1.
 
     * friendship-hub-gap: twice the minimum hub weight exceeds 2q, so the
       hub's color is a fresh one above every pendant color.
@@ -139,8 +132,8 @@ def friendship_witnesses(n: int, m: int) -> list[InequalityWitness]:
       true precisely when m >= 2, which is why m=1 only yields the weaker
       bound.
     """
-    if n < 2 or m < 1:
-        raise ValueError("need n >= 2 and m >= 1")
+    _need_int(n, 2, "need n >= 2, got {}")
+    _need_int(m, 1, "need m >= 1, got {}")
     q = _q_friendship(n, m)
     W = InequalityWitness
     lhs, rhs = 2 * _triangular(2 * n + m), 2 * q
@@ -162,7 +155,7 @@ def friendship_witnesses(n: int, m: int) -> list[InequalityWitness]:
 
 
 def fan_witnesses(n: int, m: int) -> list[InequalityWitness]:
-    """The inequalities and identities behind lb_fan at one (n, m).
+    """The inequalities and identities behind lb_fan at ints n >= 3, m >= 1.
 
     For r path vertices with weight above q, the remaining n-r "light"
     vertices are incident to (m+1)(n-r)+n-1 distinct edges:
@@ -178,8 +171,8 @@ def fan_witnesses(n: int, m: int) -> list[InequalityWitness]:
       F_3.O_1 are incident to 6 edges, so their labels sum to at least 21,
       exceeding 2q=18 — closing the case the chained bound misses.
     """
-    if n < 3 or m < 1:
-        raise ValueError("need n >= 3 and m >= 1")
+    _need_int(n, 3, "need n >= 3, got {}")
+    _need_int(m, 1, "need m >= 1, got {}")
     q = _q_fan(n, m)
     W = InequalityWitness
     lhs, rhs = 2 * _triangular(m + n), 2 * q
@@ -320,35 +313,31 @@ class BoundReport(_BoundFields):
 def bound_report(family: str, n: int, m: int) -> BoundReport:
     """Aggregate the known bounds for one family instance.
 
-    c3-corona has n = 3 and kn-k1 has m = 1; another value raises
-    ValueError.
+    c3-corona has the int n = 3 and kn-k1 the int m = 1 (3.0 or 1.0 raises
+    ValueError); n and m otherwise follow the family's bound function.
     """
     if family == "friendship-corona":
         lemma = lb_friendship(n, m)
-        if m == 1:  # the lemma's bound, 2n+3, is exact at m = 1
-            return BoundReport(family, n, m, lower=lemma, upper=lemma,
-                               exact=lemma, provenance=FN_O1_EXACT,
-                               lemma_lower=lemma,
-                               lemma_provenance=FRIENDSHIP_LOWER)
-        return BoundReport(family, n, m, lower=lemma,
-                           upper=None, exact=None,
-                           provenance=FRIENDSHIP_LOWER, lemma_lower=lemma,
+        exact = lemma if m == 1 else None  # the lemma's 2n+3 is exact at m=1
+        provenance = FRIENDSHIP_LOWER if exact is None else FN_O1_EXACT
+        return BoundReport(family, n, m, lower=lemma, upper=exact,
+                           exact=exact, provenance=provenance,
+                           lemma_lower=lemma,
                            lemma_provenance=FRIENDSHIP_LOWER)
     if family == "fan-corona":
         lemma = lb_fan(n, m)  # n=2 redirect happens in lb_fan
-        return BoundReport(family, n, m, lower=lemma,
-                           upper=None, exact=None,
+        return BoundReport(family, n, m, lower=lemma, upper=None, exact=None,
                            provenance=FAN_LOWER, lemma_lower=lemma,
                            lemma_provenance=FAN_LOWER)
     if family == "c3-corona":
-        if n != 3:
-            raise ValueError(f"c3-corona has n = 3, got n = {n}")
+        if not (_is_int(n) and n == 3):
+            raise ValueError(f"c3-corona has n = 3, got n = {n!r}")
         exact = known_exact_c3_corona(m)
         return BoundReport(family, n, m, lower=exact, upper=exact,
                            exact=exact, provenance=C3_EXACT)
     if family == "kn-k1":
-        if m != 1:
-            raise ValueError(f"kn-k1 has m = 1, got m = {m}")
+        if not (_is_int(m) and m == 1):
+            raise ValueError(f"kn-k1 has m = 1, got m = {m!r}")
         exact = known_exact_kn_k1(n)
         return BoundReport(family, n, m, lower=exact, upper=exact,
                            exact=exact, provenance=KN_K1_EXACT)

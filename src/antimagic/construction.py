@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph
+from .graph import Graph, _need_int
 from .graphs import friendship_corona
 from .iso import _friendship_o1_n, _isomorphism
 from .labeling import Certificate, make_certificate
@@ -36,11 +36,13 @@ class ConstructionError(RuntimeError):
 
 
 def odd_matrices(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The u- and v-matrices for odd n >= 3, three rows of n columns each.
+    """The u- and v-matrices, 3 rows of n columns, for an odd int n >= 3.
 
     Every halving below is exact because n is odd."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"odd-case formulas need odd n >= 3, got {n}")
+    rule = "odd-case formulas need odd n >= 3, got {}"
+    _need_int(n, 3, rule)
+    if n % 2 == 0:
+        raise ValueError(rule.format(n))
     cols = range(1, n + 1)
     triangle = [3 * n + 1 - i for i in cols]
     mu = [[4 * n + (i + 1) // 2 if i % 2 else (9 * n + 1) // 2 + i // 2
@@ -56,13 +58,15 @@ def odd_matrices(n: int) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def even_matrices(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The u- and v-matrices for even n >= 6, three rows of n columns each.
+    """The u- and v-matrices, 3 rows of n columns, for an even int n >= 6.
 
     The first n-1 columns follow the formulas and share the column sums; the
     n-th takes the special labels 2n+2, 2n, 1 (u rows) and 1, 2n+1, 2n+3
     (v rows)."""
-    if n < 6 or n % 2:
-        raise ValueError(f"even-case formulas need even n >= 6, got {n}")
+    rule = "even-case formulas need even n >= 6, got {}"
+    _need_int(n, 6, rule)
+    if n % 2:
+        raise ValueError(rule.format(n))
     cols = range(1, n)
     triangle = [3 * n + 3 - i for i in cols] + [1]
     mu = [[4 * n + 3 + (i - 1) // 2 if i % 2 else 9 * n // 2 + 2 + i // 2
@@ -95,9 +99,8 @@ class ConstructionReport(NamedTuple):
 
 
 def chi_la_friendship_o1(n: int) -> int:
-    """Exact local antimagic chromatic number of friendship(n) o K1: 2n+3."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    """Exact local antimagic chromatic number 2n+3 of f_n o K1, int n >= 2."""
+    _need_int(n, 2, "need n >= 2, got {}")
     return 2 * n + 3
 
 
@@ -218,17 +221,18 @@ _SMALL = {
 
 
 def construct_small(n: int) -> ConstructionReport:
-    """Labeling for n in {2, 4} with exactly 2n+3 colors, from the matrices
-    in ``_SMALL``."""
+    """Labeling for the int n = 2 or 4 with exactly 2n+3 colors, from the
+    matrices in ``_SMALL``."""
+    rule = "small cases are n=2 and n=4, got {}"
+    _need_int(n, 2, rule)
     if n not in _SMALL:
-        raise ValueError(f"small cases are n=2 and n=4, got {n}")
+        raise ValueError(rule.format(n))
     return _assemble(n, "small", *_SMALL[n], {}, [])
 
 
 def construct(n: int) -> ConstructionReport:
-    """Optimal labeling report for friendship(n) o K1, any n >= 2."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    """Optimal labeling report for friendship(n) o K1, any int n >= 2."""
+    _need_int(n, 2, "need n >= 2, got {}")
     if n in _SMALL:
         return construct_small(n)
     if n % 2:

@@ -100,6 +100,13 @@ def _is_int(x) -> bool:
     return type(x) is int
 
 
+def _need_int(value, least: int, message: str) -> None:
+    """Family parameters and budgets are plain ints (never bools) >= least;
+    else raise ValueError(message), its ``{}`` filled with repr(value)."""
+    if type(value) is not int or value < least:
+        raise ValueError(message.format(repr(value)))
+
+
 def _triangular(k: int) -> int:
     """1 + 2 + ... + k, the least weight of a vertex of degree k."""
     return k * (k + 1) // 2

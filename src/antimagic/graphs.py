@@ -25,22 +25,21 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .graph import (HUB, HUB_PENDANT, INNER, PENDANT, PLAIN, Graph,
-                    VertexRole, _new)
+                    VertexRole, _need_int, _new)
 
 # the corona families with a closed-form bound report, by their CLI names
 REPORT_FAMILIES = ("friendship-corona", "fan-corona", "c3-corona", "kn-k1")
 
 
 def friendship(n: int) -> Graph:
-    """n triangles sharing one hub: order 2n+1, size 3n.  Requires n >= 2.
+    """n triangles sharing one hub: order 2n+1, size 3n, for an int n >= 2.
 
     The hub is vertex 0, u_i is vertex i and v_i vertex n+i.  The edges
     come in this order, each group by i: the hub-u_i spokes, the hub-v_i
     spokes, then the triangle edges u_i v_i (``construction`` lists its
     labels in this order).
     """
-    if n < 2:
-        raise ValueError(f"friendship graph needs n >= 2, got {n}")
+    _need_int(n, 2, "friendship graph needs n >= 2, got {}")
     roles = [_new(VertexRole, (HUB, "", 0, 0))]
     roles += [_new(VertexRole, (INNER, "u", i, 0)) for i in range(1, n + 1)]
     roles += [_new(VertexRole, (INNER, "v", i, 0)) for i in range(1, n + 1)]
@@ -51,9 +50,8 @@ def friendship(n: int) -> Graph:
 
 
 def fan(n: int) -> Graph:
-    """Hub joined to every vertex of a path on n vertices.  Requires n >= 2."""
-    if n < 2:
-        raise ValueError(f"fan graph needs n >= 2, got {n}")
+    """Hub joined to each vertex of a path on n vertices, for an int n >= 2."""
+    _need_int(n, 2, "fan graph needs n >= 2, got {}")
     roles = [VertexRole(HUB)]
     roles += [VertexRole(INNER, "v", i) for i in range(1, n + 1)]
     edges = [(0, i) for i in range(1, n + 1)]
@@ -62,31 +60,30 @@ def fan(n: int) -> Graph:
 
 
 def null_graph(m: int) -> Graph:
-    """m isolated vertices."""
-    if m < 1:
-        raise ValueError(f"null graph needs at least 1 vertex, got {m}")
+    """m isolated vertices, for an int m >= 1."""
+    _need_int(m, 1, "null graph needs at least 1 vertex, got {}")
     return Graph(m, [], family=f"null({m})")
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
+    """The cycle on n vertices, for an int n >= 3."""
+    _need_int(n, 3, "cycle needs n >= 3, got {}")
     roles = [VertexRole(INNER, "", i + 1) for i in range(n)]
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return Graph(n, edges, roles, family=f"cycle({n})")
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"path needs n >= 1, got {n}")
+    """The path on n vertices, for an int n >= 1."""
+    _need_int(n, 1, "path needs n >= 1, got {}")
     roles = [VertexRole(INNER, "", i + 1) for i in range(n)]
     edges = [(i, i + 1) for i in range(n - 1)]
     return Graph(n, edges, roles, family=f"path({n})")
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"complete graph needs n >= 1, got {n}")
+    """The complete graph on n vertices, for an int n >= 1."""
+    _need_int(n, 1, "complete graph needs n >= 1, got {}")
     roles = [VertexRole(INNER, "", i + 1) for i in range(n)]
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Graph(n, edges, roles, family=f"complete({n})")

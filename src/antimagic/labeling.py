@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graph import Graph, _is_int
+from .graph import Graph, _is_int, _need_int
 from .jsonio import check_version, stamp
 
 # how a colour-count query was answered; the solver returns these, and the
@@ -173,16 +173,18 @@ class SearchConfig(_ConfigFields):
     totals for the public call, checked before each step of the descent and
     during it.  Node counts, and so a binding node budget, are
     deterministic; with a binding time budget only the reported status is.
+    A node budget is an int >= 1, a time budget a positive non-bool number.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.time_budget is not None and not self.time_budget > 0:
+        tb = self.time_budget
+        if tb is not None and (type(tb) is bool or not tb > 0):
             raise ValueError("time_budget must be positive")
-        if self.node_budget is not None and not self.node_budget > 0:
-            raise ValueError("node_budget must be positive")
+        if self.node_budget is not None:
+            _need_int(self.node_budget, 1, "node_budget must be positive")
         return self
 
 

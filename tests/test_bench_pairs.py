@@ -17,8 +17,8 @@ _SPEC.loader.exec_module(bench_pairs)
 BOUNDS = {"setup_s": 0.25, "pass_s": 0.25, "peak_rss_mb": 0.05}
 
 
-def _stdout(pass_s, rss, failed=0, attempted=8):
-    report = json.dumps({"report": {"workload": {"passes": 3}}})
+def _stdout(pass_s, rss, failed=0, attempted=8, passes=3):
+    report = json.dumps({"report": {"workload": {"passes": passes}}})
     result = json.dumps({
         "correct": failed == 0, "attempted": attempted, "failed": failed,
         "metrics": {"setup_s": {"value": 0.001, "unit": "s"},
@@ -30,6 +30,7 @@ def _stdout(pass_s, rss, failed=0, attempted=8):
 def test_parse_result_reads_the_last_line():
     out = bench_pairs.parse_result(_stdout(0.5, 23.5, failed=1))
     assert out == {"correct": False, "attempted": 8, "failed": 1,
+                   "passes": 3,
                    "metrics": {"setup_s": 0.001, "pass_s": 0.5,
                                "peak_rss_mb": 23.5}}
 
@@ -37,6 +38,23 @@ def test_parse_result_reads_the_last_line():
 def test_parse_result_rejects_empty_output():
     with pytest.raises(ValueError):
         bench_pairs.parse_result("\n")
+    # the result line alone: no report line to read the pass count from
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result(_stdout(0.5, 23.5).splitlines()[1])
+
+
+def test_summarise_gives_each_sides_median_pass_count():
+    # a faster side runs more passes in the same seconds, and bench/run.py
+    # keeps every pass's record: the pass counts show where its RSS came from
+    pairs = [{"first": "parent",
+              "parent": bench_pairs.parse_result(_stdout(0.1, 23.4,
+                                                         passes=p)),
+              "change": bench_pairs.parse_result(_stdout(0.016, 28.3,
+                                                         passes=c))}
+             for p, c in [(100, 916), (98, 920), (101, 905)]]
+    summary = bench_pairs.summarise(pairs, BOUNDS)
+    assert summary["passes"] == {"parent": 100, "change": 916}
+    assert summary["peak_rss_mb"]["over_bound"] is True
 
 
 def test_read_bounds_takes_the_end_to_end_metrics(tmp_path):

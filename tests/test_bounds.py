@@ -11,6 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import bounds
+from antimagic.graphs import corona, cycle, friendship_corona, null_graph
+from antimagic.labeling import make_certificate
+from antimagic.proof import lower_bound_prune
 from antimagic.bounds import (BoundReport, InequalityWitness, bound_report,
                               fan_witnesses, friendship_witnesses,
                               known_exact_c3_corona,
@@ -329,3 +332,61 @@ def test_bound_report_to_doc_round_trip():
     assert doc["family"] == "friendship-corona"
     assert doc["exact"] == 13
     json.dumps(doc)  # stays JSON-serializable
+
+
+# -- the pendant lift: the lemma is met for f_n.O_m, m >= 2 ----------------------
+# A labeling of the base on 1..q_G whose weights take t values, and m pendant
+# labels per base vertex from the block q_G+1..q with one common sum K,
+# give G.O_m a labeling with m*p_G + t colours: every base weight grows by K.
+
+
+def _pendant_blocks(k, m, start):
+    """k lists of m labels, together start..start+k*m-1, all of one sum.
+
+    For odd m (k odd too) the first three labels of each list are a column
+    of a 3 x k array of equal column sums on start..start+3k-1: column j
+    holds j, k+1+((j-1+(k-1)/2) mod k) and 3(3k+1)/2 minus those two,
+    shifted by start-1.  The rest are pairs (lo, hi) of one sum, lo counting
+    up and hi down."""
+    blocks = [[] for _ in range(k)]
+    lo, hi = start, start + k * m - 1
+    if m % 2:
+        for j, block in enumerate(blocks, 1):
+            a, b = j, k + 1 + (j - 1 + (k - 1) // 2) % k
+            block += [lo - 1 + x for x in (a, b, 3 * (3 * k + 1) // 2 - a - b)]
+        lo += 3 * k
+    while lo < hi:
+        for block in blocks:
+            block += [lo, hi]
+            lo, hi = lo + 1, hi - 1
+    return blocks
+
+
+def _lift_labels(g, n, m):
+    """The lift of f_n's labeling onto g = f_n.O_m (n = 1: C3.O_m, the hub
+    vertex 0, u_1 vertex 1 and v_1 vertex 2): the spokes hub-u_i and
+    hub-v_i take i and n+i and the triangle edge u_i v_i takes 3n+1-i, so
+    every u_i weighs 3n+1, every v_i 4n+1 and the hub n(2n+1)."""
+    labels = [0] * g.q
+    for i in range(1, n + 1):
+        labels[g.edge_index(0, i)] = i
+        labels[g.edge_index(0, n + i)] = n + i
+        labels[g.edge_index(i, n + i)] = 3 * n + 1 - i
+    p = 2 * n + 1  # the base's order; base vertex v's pendants follow p
+    for v, block in enumerate(_pendant_blocks(p, m, 3 * n + 1)):
+        for j, label in enumerate(block):
+            labels[g.edge_index(v, p + v * m + j)] = label
+    return labels
+
+
+@pytest.mark.parametrize("n", range(1, 9), ids=lambda n: f"n{n}")
+def test_pendant_lift_meets_the_lemma_and_the_root_bound(n):
+    for m in range(2, 7):
+        if n == 1:
+            g, lemma = corona(cycle(3), null_graph(m)), known_exact_c3_corona(m)
+        else:
+            g, lemma = friendship_corona(n, m), lb_friendship(n, m)
+        cert = make_certificate(g, _lift_labels(g, n, m))
+        assert cert.verdict.ok, (n, m)
+        assert cert.color_count == lemma, (n, m)
+        assert lower_bound_prune(g, [None] * g.q) == lemma, (n, m)

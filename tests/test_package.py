@@ -118,6 +118,73 @@ def test_validating_records_check_keyword_and_positional_calls():
         BoundReport("kn-k1", 3, 1, 5, 5, 6, "kn-k1-exact")
 
 
+# every public entry that takes a family parameter or the node budget, with
+# the least value the rule admits: (id, call of the one parameter, least)
+_INT_PARAMETERS = [
+    ("lb_friendship-n", lambda x: antimagic.lb_friendship(x, 1), 2),
+    ("lb_friendship-m", lambda x: antimagic.lb_friendship(2, x), 1),
+    ("lb_fan-n", lambda x: antimagic.lb_fan(x, 1), 3),
+    ("lb_fan-m", lambda x: antimagic.lb_fan(3, x), 1),
+    ("known_exact_c3_corona", antimagic.known_exact_c3_corona, 1),
+    ("known_exact_kn_k1", antimagic.known_exact_kn_k1, 2),
+    ("friendship_witnesses-n",
+     lambda x: antimagic.friendship_witnesses(x, 1), 2),
+    ("friendship_witnesses-m",
+     lambda x: antimagic.friendship_witnesses(2, x), 1),
+    ("fan_witnesses-n", lambda x: antimagic.fan_witnesses(x, 1), 3),
+    ("fan_witnesses-m", lambda x: antimagic.fan_witnesses(3, x), 1),
+    ("bound_report-friendship-n",
+     lambda x: bound_report("friendship-corona", x, 1), 2),
+    ("bound_report-friendship-m",
+     lambda x: bound_report("friendship-corona", 2, x), 1),
+    ("bound_report-fan-n", lambda x: bound_report("fan-corona", x, 1), 3),
+    ("bound_report-fan-m", lambda x: bound_report("fan-corona", 3, x), 1),
+    ("bound_report-c3-n", lambda x: bound_report("c3-corona", x, 2), 3),
+    ("bound_report-c3-m", lambda x: bound_report("c3-corona", 3, x), 1),
+    ("bound_report-kn-k1-n", lambda x: bound_report("kn-k1", x, 1), 2),
+    ("bound_report-kn-k1-m", lambda x: bound_report("kn-k1", 4, x), 1),
+    ("construct", construct, 2),
+    ("construct_small", antimagic.construct_small, 2),
+    ("odd_matrices", lambda x: antimagic.construction.odd_matrices(x), 3),
+    ("even_matrices", lambda x: antimagic.construction.even_matrices(x), 6),
+    ("chi_la_friendship_o1", antimagic.chi_la_friendship_o1, 2),
+    ("friendship", antimagic.friendship, 2),
+    ("fan", antimagic.fan, 2),
+    ("null_graph", antimagic.null_graph, 1),
+    ("cycle", antimagic.cycle, 3),
+    ("path", antimagic.path, 1),
+    ("complete", antimagic.complete, 1),
+    ("SearchConfig-node_budget", lambda x: SearchConfig(node_budget=x), 1),
+]
+
+
+def _numbers(x):
+    """Every number in a result, through records, containers and graphs;
+    bools (a witness's ``holds``) are not numbers here."""
+    if isinstance(x, antimagic.Graph):
+        yield from _numbers((x.p, x.q, x.edges))
+    elif isinstance(x, (tuple, list)):
+        for item in x:
+            yield from _numbers(item)
+    elif isinstance(x, dict):
+        yield from _numbers(list(x.values()))
+    elif isinstance(x, (int, float)) and not isinstance(x, bool):
+        yield x
+
+
+@pytest.mark.parametrize("call, least", [(c, s) for _, c, s in
+                                         _INT_PARAMETERS],
+                         ids=[name for name, _, _ in _INT_PARAMETERS])
+def test_integer_parameters_follow_one_rule(call, least):
+    # 2.0 == 2 and True == 1 in Python: only the type check refuses them,
+    # and float(least), as 3.0 for the n that c3-corona fixes
+    for bad in (2.0, True, "2", least - 1, float(least)):
+        with pytest.raises(ValueError):
+            call(bad)
+    numbers = list(_numbers(call(least)))
+    assert numbers and all(type(x) is int for x in numbers)
+
+
 def test_relabeled_corona_solve_is_seeded_in_a_fresh_process(tmp_path):
     """On a permuted f_3 o O_1, every k >= 2n+3 = 9 is answered by the
     construction with 0 nodes, though the solver imports it lazily."""

@@ -17,10 +17,13 @@ outputs such as a ``__pycache__``: without it the first in-process
 and every later CLI child on that side would load it instead of compiling
 the modules it imports.  The parent goes first in even pairs, the working
 tree in odd ones, so neither side always meets a warmer or colder host.
-The output file holds each pair's end-to-end metrics and, per metric, each
-side's median and quartiles, the number of pairs the working tree read
-lower, and the ratio of the two medians against the bound that
-``BENCHMARK.json`` at the repository root sets for the metric.  The
+The output file holds each pair's end-to-end metrics and pass counts and,
+per metric, each side's median and quartiles, the number of pairs the
+working tree read lower, and the ratio of the two medians against the bound
+that ``BENCHMARK.json`` at the repository root sets for the metric.  Each
+side's median pass count is given too: ``bench/run.py`` keeps every pass's
+record, so a side that runs more passes in the same seconds reads a higher
+``peak_rss_mb`` for that alone.  The
 temporary directories are removed afterwards.  Standard library only.
 """
 
@@ -45,15 +48,17 @@ BENCH_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def parse_result(stdout: str) -> dict:
-    """The result line ``bench/run.py`` prints last, as
-    ``{"correct", "attempted", "failed", "metrics": {name: value}}``."""
+    """The result line ``bench/run.py`` prints last, and the pass count of
+    the report line before it, as ``{"correct", "attempted", "failed",
+    "passes", "metrics": {name: value}}``."""
     lines = [line for line in stdout.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("bench/run.py printed nothing")
-    doc = json.loads(lines[-1])
+    if len(lines) < 2:
+        raise ValueError("bench/run.py printed no report and result lines")
+    report, doc = json.loads(lines[-2])["report"], json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in doc["metrics"].items()}
     return {"correct": doc["correct"], "attempted": doc["attempted"],
-            "failed": doc["failed"], "metrics": metrics}
+            "failed": doc["failed"], "passes": report["workload"]["passes"],
+            "metrics": metrics}
 
 
 def summarise(pairs: list[dict], bounds: dict[str, float]) -> dict:
@@ -62,7 +67,7 @@ def summarise(pairs: list[dict], bounds: dict[str, float]) -> dict:
     better lower), the ratio of the change's median to the parent's and
     whether it exceeds 1 + the metric's bound; under ``attempted`` and
     ``failed``, each side's attempted and failed operations, summed over the
-    pairs."""
+    pairs; under ``passes``, each side's median pass count."""
     names = pairs[0]["parent"]["metrics"]
     out = {}
     for name in names:
@@ -86,6 +91,9 @@ def summarise(pairs: list[dict], bounds: dict[str, float]) -> dict:
     for count in ("attempted", "failed"):
         out[count] = {side: sum(pair[side][count] for pair in pairs)
                       for side in SIDES}
+    out["passes"] = {side: statistics.median(pair[side]["passes"]
+                                             for pair in pairs)
+                     for side in SIDES}
     return out
 
 
@@ -174,8 +182,9 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 print(f"{workload} pair {i + 1}/{args.pairs}: pass_s "
                       f"{pair['parent']['metrics'].get('pass_s')} -> "
-                      f"{pair['change']['metrics'].get('pass_s')}",
-                      file=sys.stderr)
+                      f"{pair['change']['metrics'].get('pass_s')}, passes "
+                      f"{pair['parent']['passes']} -> "
+                      f"{pair['change']['passes']}", file=sys.stderr)
             summary = summarise(pairs, bounds)
             workloads[workload] = {"pairs": pairs, "summary": summary}
             for name in bounds:
